@@ -2,7 +2,8 @@
 
 Contract shared by every layer: ``forward(x, mode)`` returns ``(y, cache)``
 and ``backward(dout, cache)`` returns ``dx`` while accumulating parameter
-gradients into the layer's ParamNodes with ``+=``. The loss is a batch
+gradients into the layer's ParamNodes with ``+=``. Backward never writes
+into ``dout``, which may be a read-only broadcast view. The loss is a batch
 mean, so the 1/N division happens exactly once, in the softmax
 cross-entropy head; layer backward passes sum over the batch.
 
@@ -61,7 +62,14 @@ class Layer:
 
 
 class Conv2d(Layer):
-    """Valid cross-correlation with a [K,C,kH,kW] kernel and per-channel bias."""
+    """Valid cross-correlation with a [K,C,kH,kW] kernel and per-channel bias.
+
+    The GEMMs run on the contiguous [N, C*kH*kW, Ho*Wo] buffer behind
+    ``tensor.im2col``'s view, so neither side of a product needs a copy.
+    ``input_grad`` is False only for a model's first layer, whose input
+    gradient nothing consumes; its backward then skips ``col2im`` and
+    returns None.
+    """
 
     kind = "conv2d"
 
@@ -73,29 +81,32 @@ class Conv2d(Layer):
         self.stride = stride
         self.fan_in = in_channels * kernel_size * kernel_size
         self.fan_out = out_channels * kernel_size * kernel_size
+        self.input_grad = True
         shape = (out_channels, in_channels, kernel_size, kernel_size)
         self.kernel = ParamNode.create(alloc(), xavier_init(shape, self.fan_in, self.fan_out, rng), "conv_kernel")
         self.bias = ParamNode.create(alloc(), np.zeros(out_channels), "conv_bias")
         self.params = (self.kernel, self.bias)
 
     def forward(self, x, mode):
-        cols = tensor.im2col(x, self.kernel_size, self.kernel_size, self.stride)
-        k = self.out_channels
-        out = cols @ self.kernel.value.reshape(k, -1).T + self.bias.value
         n, _, h, w = x.shape
-        ho = tensor.conv_output_size(h, self.kernel_size, self.stride)
-        wo = tensor.conv_output_size(w, self.kernel_size, self.stride)
-        return out.transpose(0, 2, 1).reshape(n, k, ho, wo), (x.shape, cols)
+        ks, k = self.kernel_size, self.out_channels
+        cols = tensor.im2col(x, ks, ks, self.stride).transpose(0, 2, 1)  # [N, C*kH*kW, Ho*Wo]
+        out = self.kernel.value.reshape(k, -1) @ cols + self.bias.value[:, None]
+        ho = tensor.conv_output_size(h, ks, self.stride)
+        wo = tensor.conv_output_size(w, ks, self.stride)
+        return out.reshape(n, k, ho, wo), (x.shape, cols)
 
     def backward(self, dout, cache):
         x_shape, cols = cache
         n, k, ho, wo = dout.shape
-        dmat = dout.reshape(n, k, ho * wo).transpose(0, 2, 1)  # [N, Ho*Wo, K]
-        dkernel = np.einsum("npk,npc->kc", dmat, cols)
-        self.kernel.grad += dkernel.reshape(self.kernel.value.shape)
-        self.bias.grad += dout.sum(axis=(0, 2, 3))
-        dcols = dmat @ self.kernel.value.reshape(k, -1)
-        return tensor.col2im(dcols, x_shape, self.kernel_size, self.kernel_size, self.stride)
+        dmat = dout.reshape(n, k, ho * wo)
+        self.kernel.grad += (dmat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.kernel.value.shape)
+        self.bias.grad += dmat.sum(axis=(0, 2))
+        if not self.input_grad:
+            return None
+        dcols = self.kernel.value.reshape(k, -1).T @ dmat  # [N, C*kH*kW, Ho*Wo]
+        ks = self.kernel_size
+        return tensor.col2im(dcols.transpose(0, 2, 1), x_shape, ks, ks, self.stride)
 
 
 class ReLU(Layer):
@@ -144,7 +155,12 @@ class Flatten(Layer):
 
 
 class AvgPool2d(Layer):
-    """Valid average pooling over window x window patches."""
+    """Valid average pooling over window x window patches; window None pools all of HxW.
+
+    A window is summed separably: ``window`` strided row slices, then
+    ``window`` strided column slices. Backward is the adjoint of that sum,
+    a scatter-add by the same slices.
+    """
 
     kind = "avgpool"
 
@@ -154,20 +170,35 @@ class AvgPool2d(Layer):
         self.stride = stride
 
     def forward(self, x, mode):
-        n, c, h, w = x.shape
-        flat = x.reshape(n * c, 1, h, w)
-        cols = tensor.im2col(flat, self.window, self.window, self.stride)
-        out = cols.mean(axis=2)
-        ho = tensor.conv_output_size(h, self.window, self.stride)
-        wo = tensor.conv_output_size(w, self.window, self.stride)
-        return out.reshape(n, c, ho, wo), x.shape
+        if self.window is None:
+            return x.mean(axis=(2, 3), keepdims=True), x.shape
+        win, s = self.window, self.stride
+        _, _, h, w = x.shape
+        ho = tensor.conv_output_size(h, win, s)
+        wo = tensor.conv_output_size(w, win, s)
+        rows = x[:, :, 0 : s * ho : s].copy()
+        for i in range(1, win):
+            rows += x[:, :, i : i + s * ho : s]
+        out = rows[..., 0 : s * wo : s].copy()
+        for j in range(1, win):
+            out += rows[..., j : j + s * wo : s]
+        out /= win * win
+        return out, x.shape
 
     def backward(self, dout, cache):
         n, c, h, w = cache
-        area = self.window * self.window
-        dcols = np.repeat(dout.reshape(n * c, -1, 1), area, axis=2) / area
-        dflat = tensor.col2im(dcols, (n * c, 1, h, w), self.window, self.window, self.stride)
-        return dflat.reshape(cache)
+        if self.window is None:
+            return np.broadcast_to(dout / (h * w), cache)
+        win, s = self.window, self.stride
+        ho, wo = dout.shape[2:]
+        dout = dout / (win * win)
+        drows = np.zeros((n, c, ho, w), dtype=tensor.DTYPE)
+        for j in range(win):
+            drows[..., j : j + s * wo : s] += dout
+        dx = np.zeros(cache, dtype=tensor.DTYPE)
+        for i in range(win):
+            dx[:, :, i : i + s * ho : s] += drows
+        return dx
 
 
 class BatchNorm2d(Layer):

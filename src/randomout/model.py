@@ -70,6 +70,8 @@ class Model:
         self.params = []
         for layer in layers:
             self.params.extend(layer.params)
+        if layers and isinstance(layers[0], Conv2d):
+            layers[0].input_grad = False  # nothing consumes d(loss)/d(model input)
 
     def forward(self, x, mode="train"):
         """Run all layers; returns (logits, cache) for backward."""
@@ -92,7 +94,11 @@ class Model:
         return loss
 
     def backward_from(self, dout, caches):
-        """Backpropagate an arbitrary output gradient through the layer stack."""
+        """Backpropagate an arbitrary output gradient through the layer stack.
+
+        Returns the input gradient, or None when the first layer is a conv,
+        which skips it.
+        """
         for layer, c in zip(reversed(self.layers), reversed(caches)):
             dout = layer.backward(dout, c)
         return dout
@@ -139,11 +145,14 @@ def _build_sequence(specs, in_shape, rng, next_layer_id, next_param_id):
             if len(shape) != 3:
                 raise ValueError(f"layer {lid} (avgpool): needs [C,H,W] input, got {shape}")
             c, h, w = shape
-            window = spec.window if spec.window is not None else h
-            if window > h or window > w:
+            window = spec.window
+            if window is None:
+                shape = (c, 1, 1)
+            elif window > h or window > w:
                 raise ValueError(f"layer {lid} (avgpool): window {window} larger than input {h}x{w}")
+            else:
+                shape = (c, tensor.conv_output_size(h, window, spec.stride), tensor.conv_output_size(w, window, spec.stride))
             layers.append(AvgPool2d(lid, window, spec.stride))
-            shape = (c, tensor.conv_output_size(h, window, spec.stride), tensor.conv_output_size(w, window, spec.stride))
         elif spec.kind == "flatten":
             layers.append(Flatten(lid))
             shape = (int(np.prod(shape)),)

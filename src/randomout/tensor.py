@@ -1,12 +1,17 @@
-"""Dense float64 array kernels: matmul and valid cross-correlation.
+"""Dense float64 array kernels: matmul and the im2col/col2im patch pair.
 
 All functions are pure (inputs are never mutated) and operate on row-major
 numpy arrays of dtype float64. 64-bit precision is a hard requirement:
 the gradient checks resolve 1e-4 relative error, which float32 cannot.
 
 Convolution convention: cross-correlation (no kernel flip), valid padding
-only (no zero padding), output size (H - kH) // stride + 1. The backward
-pass in layers.py relies on exactly this convention.
+only (no zero padding), output size (H - kH) // stride + 1. The conv layer
+in layers.py relies on exactly this convention.
+
+Layout contract: ``im2col`` returns ``[N, Ho*Wo, C*kh*kw]`` as the transposed
+view of a C-contiguous ``[N, C*kh*kw, Ho*Wo]`` buffer. ``Conv2d`` transposes
+it back and runs its GEMMs on that buffer without a copy, and ``col2im`` is
+fastest when given such a view, because undoing the transpose is then free.
 """
 
 import numpy as np
@@ -82,28 +87,3 @@ def col2im(cols, x_shape, kh, kw, stride):
         for j in range(kw):
             x[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += cols[:, :, i, j]
     return x
-
-
-def conv2d_forward(x, kernel, bias, stride=1):
-    """Valid cross-correlation of x[N,C,H,W] with kernel[K,C,kH,kW] plus bias[K].
-
-    Returns [N,K,Ho,Wo] with Ho = (H-kH)//stride + 1 and likewise Wo.
-    """
-    x = np.asarray(x, dtype=DTYPE)
-    kernel = np.asarray(kernel, dtype=DTYPE)
-    bias = np.asarray(bias, dtype=DTYPE)
-    if x.ndim != 4 or kernel.ndim != 4:
-        raise ValueError(f"conv2d expects 4-d input and kernel, got {x.shape} and {kernel.shape}")
-    n, c, h, w = x.shape
-    k, kc, kh, kw = kernel.shape
-    if kc != c:
-        raise ValueError(f"conv2d channel mismatch: input {x.shape} vs kernel {kernel.shape}")
-    if bias.shape != (k,):
-        raise ValueError(f"conv2d bias shape {bias.shape} does not match {k} output channels")
-    if kh > h or kw > w:
-        raise ValueError(f"kernel {kernel.shape} larger than input {x.shape}")
-    ho = conv_output_size(h, kh, stride)
-    wo = conv_output_size(w, kw, stride)
-    cols = im2col(x, kh, kw, stride)
-    out = cols @ kernel.reshape(k, -1).T + bias
-    return out.transpose(0, 2, 1).reshape(n, k, ho, wo)

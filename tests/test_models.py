@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from randomout.layers import BatchNorm2d, Conv2d
-from randomout.model import filter_groups
+from randomout.layers import BatchNorm2d, Conv2d, Dense
+from randomout.model import LayerSpec, build_model, filter_groups
 from randomout.models import (
     ModelSpec,
     build_cratercnn,
@@ -139,3 +139,27 @@ def test_rejects_wrong_input_shape():
     model = build_cratercnn(2, init_rng())
     with pytest.raises(ValueError, match="input shape"):
         model.forward(np.zeros((1, 1, 14, 14)))
+
+
+def test_conv2d_input_validation():
+    # the conv layer trusts its input: the builder and Model.forward reject bad shapes
+    head = [LayerSpec("flatten"), LayerSpec("dense", units=2), LayerSpec("softmax_ce", units=2)]
+    model = build_model([LayerSpec("conv2d", out_channels=3, kernel_size=2)] + head, (2, 5, 5), init_rng())
+    with pytest.raises(ValueError, match="input shape"):  # channel count differs from the kernel's
+        model.forward(np.zeros((1, 1, 5, 5)))
+    with pytest.raises(ValueError, match="input shape"):  # not 4-d
+        model.forward(np.zeros((2, 5, 5)))
+    with pytest.raises(ValueError, match="larger than input"):
+        build_model([LayerSpec("conv2d", out_channels=3, kernel_size=6)] + head, (2, 5, 5), init_rng())
+    # the bias is built from out_channels, so it cannot mismatch the kernel
+    assert model.layers[0].bias.value.shape == (3,)
+
+
+@pytest.mark.parametrize("input_shape", [(1, 12, 16), (1, 16, 12)])
+def test_mini_inception_global_pool_on_non_square_input(input_shape):
+    width = 2
+    model = build_mini_inception(width, init_rng(), input_shape=input_shape)
+    dense = next(l for l in model.layers if isinstance(l, Dense))
+    assert dense.in_features == 2 * width
+    logits, _ = model.forward(np.random.default_rng(0).uniform(size=(3,) + input_shape))
+    assert logits.shape == (3, 10)

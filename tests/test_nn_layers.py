@@ -7,6 +7,7 @@ from randomout import layers
 from randomout.layers import (
     BN_EPS,
     BN_MOMENTUM,
+    AvgPool2d,
     BatchNorm2d,
     Conv2d,
     Dense,
@@ -15,6 +16,7 @@ from randomout.layers import (
     ReLU,
     SoftmaxCrossEntropy,
 )
+from randomout.models import build_cratercnn
 from randomout.rng import derive_stream
 
 
@@ -101,6 +103,99 @@ def test_conv2d_kernel_gradient_matches_loop_oracle():
                             for oj in range(dout.shape[3]):
                                 expected[ki, ci, ii, jj] += dout[ni, ki, oi, oj] * x[ni, ci, oi + ii, oj + jj]
     np.testing.assert_allclose(conv.kernel.grad, expected, rtol=1e-10, atol=1e-12)
+
+
+def loop_conv_grads(x, kernel, dout, stride):
+    """Kernel, bias and input gradients of a valid cross-correlation, one product at a time."""
+    dkernel, dx = np.zeros_like(kernel), np.zeros_like(x)
+    k, c, kh, kw = kernel.shape
+    for ni in range(x.shape[0]):
+        for ki in range(k):
+            for oi in range(dout.shape[2]):
+                for oj in range(dout.shape[3]):
+                    g = dout[ni, ki, oi, oj]
+                    for ci in range(c):
+                        for ii in range(kh):
+                            for jj in range(kw):
+                                dkernel[ki, ci, ii, jj] += g * x[ni, ci, oi * stride + ii, oj * stride + jj]
+                                dx[ni, ci, oi * stride + ii, oj * stride + jj] += g * kernel[ki, ci, ii, jj]
+    return dkernel, dout.sum(axis=(0, 2, 3)), dx
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_input_gradient_matches_loop_oracle(stride):
+    conv = Conv2d(0, 2, 3, 3, stride, derive_stream(11, "init"), make_alloc())
+    x = np.random.default_rng(4).normal(size=(2, 2, 8, 7))
+    y, cache = conv.forward(x, "train")
+    dout = np.random.default_rng(5).normal(size=y.shape)
+    dx = conv.backward(dout, cache)
+    _, _, expected = loop_conv_grads(x, conv.kernel.value, dout, stride)
+    np.testing.assert_allclose(dx, expected, rtol=1e-10, atol=1e-12)
+
+
+def test_model_first_conv_gradients_without_input_gradient():
+    model = build_cratercnn(3, derive_stream(12, "init"))
+    first = model.layers[0]
+    x = np.random.default_rng(6).uniform(size=(2, 1, 15, 15))
+    logits, (_, caches) = model.forward(x)
+    dlogits = np.random.default_rng(7).normal(size=logits.shape)
+    # the gradient that reaches the first conv's output, from the layers above it
+    d = dlogits
+    for layer, c in zip(reversed(model.layers[1:]), reversed(caches[1:])):
+        d = layer.backward(d, c)
+    model.zero_grads()
+    assert model.backward_from(dlogits, caches) is None
+    dkernel, dbias, _ = loop_conv_grads(x, first.kernel.value, d, first.stride)
+    np.testing.assert_allclose(first.kernel.grad, dkernel, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(first.bias.grad, dbias, rtol=1e-10, atol=1e-12)
+
+
+def loop_avgpool(x, window, stride):
+    """Forward values and backward map of average pooling, one window at a time."""
+    n, c, h, w = x.shape
+    wh, ww = (h, w) if window is None else (window, window)
+    ho, wo = (h - wh) // stride + 1, (w - ww) // stride + 1
+    out = np.zeros((n, c, ho, wo))
+    for oi in range(ho):
+        for oj in range(wo):
+            out[:, :, oi, oj] = x[:, :, oi * stride : oi * stride + wh, oj * stride : oj * stride + ww].mean(axis=(2, 3))
+
+    def backward(dout):
+        dx = np.zeros_like(x)
+        for oi in range(ho):
+            for oj in range(wo):
+                dx[:, :, oi * stride : oi * stride + wh, oj * stride : oj * stride + ww] += (
+                    dout[:, :, oi, oj, None, None] / (wh * ww)
+                )
+        return dx
+
+    return out, backward
+
+
+# window 2 / stride 2 on 7x7 leaves the last row and column out of every window
+POOL_CASES = [(3, 1, (2, 3, 7, 7)), (2, 2, (2, 3, 7, 7)), (None, 1, (2, 3, 7, 5))]
+
+
+@pytest.mark.parametrize("window,stride,shape", POOL_CASES)
+def test_avgpool_matches_loop_oracle(window, stride, shape):
+    pool = AvgPool2d(0, window, stride)
+    x = np.random.default_rng(8).normal(size=shape)
+    y, cache = pool.forward(x, "train")
+    expected, oracle_backward = loop_avgpool(x, window, stride)
+    np.testing.assert_allclose(y, expected, rtol=1e-12, atol=1e-15)
+    dout = np.random.default_rng(9).normal(size=y.shape)
+    np.testing.assert_allclose(pool.backward(dout, cache), oracle_backward(dout), rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("window,stride,shape", POOL_CASES)
+def test_avgpool_backward_is_forward_adjoint(window, stride, shape):
+    # <pool(x), g> == <x, pool_backward(g)>
+    pool = AvgPool2d(0, window, stride)
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=shape)
+    y, cache = pool.forward(x, "train")
+    g = rng.normal(size=y.shape)
+    assert abs(np.sum(y * g) - np.sum(x * pool.backward(g, cache))) < 1e-12
 
 
 def test_flatten_round_trip():

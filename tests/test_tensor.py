@@ -1,4 +1,6 @@
-"""Tensor kernels vs naive loop oracles."""
+"""Tensor kernels and the conv forward pass vs naive loop oracles."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randomout import tensor
+from randomout.layers import Conv2d
 
 
 def naive_matmul(a, b):
@@ -38,6 +41,15 @@ def naive_conv2d(x, kernel, bias, stride):
     return out
 
 
+def conv_forward(x, kernel, bias, stride=1):
+    """Conv2d.forward with a square kernel and the bias set by hand."""
+    k, c, ks, _ = kernel.shape
+    conv = Conv2d(0, c, k, ks, stride, np.random.default_rng(0), itertools.count().__next__)
+    conv.kernel.value[...] = kernel
+    conv.bias.value[...] = bias
+    return conv.forward(x, "train")[0]
+
+
 def test_matmul_matches_triple_loop():
     rng = np.random.default_rng(11)
     a = rng.normal(size=(4, 6))
@@ -59,9 +71,9 @@ def test_matmul_rejects_non_2d():
 def test_conv2d_matches_six_loop_oracle(stride):
     rng = np.random.default_rng(23 + stride)
     x = rng.normal(size=(2, 3, 8, 9))
-    kernel = rng.normal(size=(4, 3, 3, 2))
+    kernel = rng.normal(size=(4, 3, 3, 3))
     bias = rng.normal(size=4)
-    got = tensor.conv2d_forward(x, kernel, bias, stride)
+    got = conv_forward(x, kernel, bias, stride)
     np.testing.assert_allclose(got, naive_conv2d(x, kernel, bias, stride), rtol=1e-12, atol=1e-12)
 
 
@@ -69,7 +81,7 @@ def test_conv2d_single_pixel_identity():
     # 1x1 input and kernel: conv is just a weighted channel sum plus bias
     x = np.array([[[[2.0]], [[3.0]]]])
     kernel = np.array([[[[5.0]], [[7.0]]]])
-    out = tensor.conv2d_forward(x, kernel, np.array([1.0]), 1)
+    out = conv_forward(x, kernel, np.array([1.0]), 1)
     assert out.shape == (1, 1, 1, 1)
     assert out[0, 0, 0, 0] == 2.0 * 5.0 + 3.0 * 7.0 + 1.0
 
@@ -88,18 +100,17 @@ def test_conv_output_size_law():
 @given(
     h=st.integers(3, 12),
     w=st.integers(3, 12),
-    kh=st.integers(1, 3),
-    kw=st.integers(1, 3),
+    ks=st.integers(1, 3),
     stride=st.integers(1, 3),
     n=st.integers(1, 3),
     c=st.integers(1, 3),
 )
-def test_conv2d_shape_property(h, w, kh, kw, stride, n, c):
+def test_conv2d_shape_property(h, w, ks, stride, n, c):
     rng = np.random.default_rng(h * 100 + w)
     x = rng.normal(size=(n, c, h, w))
-    kernel = rng.normal(size=(2, c, kh, kw))
-    out = tensor.conv2d_forward(x, kernel, np.zeros(2), stride)
-    assert out.shape == (n, 2, (h - kh) // stride + 1, (w - kw) // stride + 1)
+    kernel = rng.normal(size=(2, c, ks, ks))
+    out = conv_forward(x, kernel, np.zeros(2), stride)
+    assert out.shape == (n, 2, (h - ks) // stride + 1, (w - ks) // stride + 1)
 
 
 def test_conv2d_is_linear_in_input():
@@ -108,21 +119,9 @@ def test_conv2d_is_linear_in_input():
     x2 = rng.normal(size=(1, 2, 6, 6))
     kernel = rng.normal(size=(3, 2, 3, 3))
     bias = np.zeros(3)
-    lhs = tensor.conv2d_forward(2.0 * x1 - 0.5 * x2, kernel, bias)
-    rhs = 2.0 * tensor.conv2d_forward(x1, kernel, bias) - 0.5 * tensor.conv2d_forward(x2, kernel, bias)
+    lhs = conv_forward(2.0 * x1 - 0.5 * x2, kernel, bias)
+    rhs = 2.0 * conv_forward(x1, kernel, bias) - 0.5 * conv_forward(x2, kernel, bias)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
-
-
-def test_conv2d_input_validation():
-    x = np.zeros((1, 2, 5, 5))
-    with pytest.raises(ValueError, match="channel mismatch"):
-        tensor.conv2d_forward(x, np.zeros((3, 1, 2, 2)), np.zeros(3))
-    with pytest.raises(ValueError, match="bias shape"):
-        tensor.conv2d_forward(x, np.zeros((3, 2, 2, 2)), np.zeros(2))
-    with pytest.raises(ValueError, match="larger than input"):
-        tensor.conv2d_forward(x, np.zeros((3, 2, 6, 2)), np.zeros(3))
-    with pytest.raises(ValueError, match="4-d"):
-        tensor.conv2d_forward(np.zeros((2, 5, 5)), np.zeros((3, 2, 2, 2)), np.zeros(3))
 
 
 def test_im2col_patch_layout():
@@ -131,6 +130,13 @@ def test_im2col_patch_layout():
     cols = tensor.im2col(x, 2, 2, 1)
     assert cols.shape == (1, 1, 8)
     np.testing.assert_array_equal(cols[0, 0], np.arange(8))
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_im2col_is_view_of_contiguous_patch_buffer(stride):
+    # Conv2d runs its GEMMs on this buffer; a copy here would come back on every conv call
+    x = np.random.default_rng(19).normal(size=(2, 3, 7, 6))
+    assert tensor.im2col(x, 3, 2, stride).transpose(0, 2, 1).flags.c_contiguous
 
 
 def test_col2im_is_im2col_adjoint():
@@ -177,5 +183,5 @@ def test_zeros_and_shape_helpers():
 
 def test_conv2d_dtype_is_float64():
     x = np.ones((1, 1, 3, 3), dtype=np.float32)
-    out = tensor.conv2d_forward(x, np.ones((1, 1, 2, 2), dtype=np.float32), np.zeros(1, dtype=np.float32))
+    out = conv_forward(x, np.ones((1, 1, 2, 2), dtype=np.float32), np.zeros(1, dtype=np.float32))
     assert out.dtype == np.float64
