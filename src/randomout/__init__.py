@@ -7,7 +7,7 @@ from .data import BatchPlan, Dataset, load_cifar10_binary, load_idx, split_50_50
 from .experiments import RunResult, SweepSummary, grid_search, run_training, seed_sweep, width_sweep
 from .gradcheck import run_all_checks
 from .metrics import MetricsRecord, read_metrics, write_metrics
-from .model import FilterGroup, LayerSpec, Model, build_model, filter_groups, two_branch_relu_net
+from .model import FilterGroup, LayerSpec, Model, build_model, filter_groups
 from .models import ModelSpec, build_cratercnn, build_from_spec, build_mini_inception
 from .optim import SGD, Adam, make_optimizer
 from .regularizer import RandomOutConfig, ResetEvent, cgn, count_below_threshold, scan_and_reset
@@ -51,7 +51,6 @@ __all__ = [
     "seed_sweep",
     "split_50_50",
     "synth_craters",
-    "two_branch_relu_net",
     "width_sweep",
     "write_metrics",
     "xavier_bound",

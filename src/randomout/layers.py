@@ -250,8 +250,29 @@ class BatchNorm2d(Layer):
         return g * istd[None, :, None, None] / m * (m * dout - s1 - xhat * s2)
 
 
+def run_sequence(layers, x, mode):
+    """Run layers in order; returns (y, caches), one cache per layer.
+
+    An eval forward keeps no caches and returns None for them: each
+    layer's cache (im2col patches, ReLU masks, ...) is dropped as soon as
+    that layer returns, so it never outlives the layer that made it.
+    """
+    if mode == "eval":
+        for layer in layers:
+            x = layer.forward(x, mode)[0]
+        return x, None
+    caches = []
+    for layer in layers:
+        x, c = layer.forward(x, mode)
+        caches.append(c)
+    return x, caches
+
+
 class Branches(Layer):
-    """Parallel layer sequences over one input, concatenated channel-wise."""
+    """Parallel layer sequences over one input, concatenated channel-wise.
+
+    In eval mode the branches keep no caches and the cache returned is None.
+    """
 
     kind = "concat"
 
@@ -263,14 +284,13 @@ class Branches(Layer):
     def forward(self, x, mode):
         outs, caches = [], []
         for seq in self.branches:
-            y, seq_cache = x, []
-            for layer in seq:
-                y, c = layer.forward(y, mode)
-                seq_cache.append(c)
+            y, seq_cache = run_sequence(seq, x, mode)
             outs.append(y)
             caches.append(seq_cache)
-        widths = [o.shape[1] for o in outs]
-        return np.concatenate(outs, axis=1), (caches, widths)
+        y = np.concatenate(outs, axis=1)
+        if mode == "eval":
+            return y, None
+        return y, (caches, [o.shape[1] for o in outs])
 
     def backward(self, dout, cache):
         caches, widths = cache

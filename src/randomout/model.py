@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor
-from .layers import AvgPool2d, BatchNorm2d, Branches, Conv2d, Dense, Flatten, ReLU, SoftmaxCrossEntropy
+from .layers import AvgPool2d, BatchNorm2d, Branches, Conv2d, Dense, Flatten, ReLU, SoftmaxCrossEntropy, run_sequence
 
 LAYER_KINDS = ("conv2d", "relu", "dense", "softmax_ce", "batchnorm", "flatten", "avgpool", "concat")
 
@@ -74,20 +74,25 @@ class Model:
             layers[0].input_grad = False  # nothing consumes d(loss)/d(model input)
 
     def forward(self, x, mode="train"):
-        """Run all layers; returns (logits, cache) for backward."""
+        """Run all layers; returns (logits, cache).
+
+        A train forward returns the cache that ``backward`` needs: the logits
+        and one cache per top-level layer. An eval forward is forward-only:
+        it drops each layer's cache as soon as the layer returns and returns
+        ``(logits, None)``.
+        """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         x = np.asarray(x, dtype=tensor.DTYPE)
         if x.shape[1:] != self.input_shape:
             raise ValueError(f"model input shape {x.shape[1:]} does not match declared {self.input_shape}")
-        caches = []
-        for layer in self.layers:
-            x, c = layer.forward(x, mode)
-            caches.append(c)
-        return x, (x, caches)
+        logits, caches = run_sequence(self.layers, x, mode)
+        return logits, None if caches is None else (logits, caches)
 
     def backward(self, cache, labels):
         """Mean cross-entropy loss; writes d(loss)/d(param) into every ParamNode."""
+        if cache is None:
+            raise ValueError("backward needs the cache of a train-mode forward; an eval forward keeps none")
         logits, caches = cache
         loss, dlogits = self.loss_head.loss_and_grad(logits, labels)
         self.backward_from(dlogits, caches)
@@ -220,53 +225,3 @@ def filter_groups(model):
                     )
                 )
     return groups
-
-
-def two_branch_relu_net(weights):
-    """Two-unit ReLU net over (x0, x1), built from the dense and relu layers.
-
-    With weights w = [w0..w8], evaluates
-        f(x) = max(0, w6*max(0, w0*x0 + w1*x1 + w2) + w7*max(0, w3*x0 + w4*x1 + w5) + w8)
-    Returns a function (x0, x1) -> (value, gradient wrt all nine weights).
-    Used to exercise gradient routing: a branch whose inner ReLU stays
-    negative receives exactly zero gradient on its three weights.
-    """
-    w = np.asarray(weights, dtype=tensor.DTYPE)
-    if w.shape != (9,):
-        raise ValueError(f"expected 9 weights, got shape {w.shape}")
-    specs = [
-        LayerSpec("dense", units=2),
-        LayerSpec("relu"),
-        LayerSpec("dense", units=1),
-        LayerSpec("relu"),
-    ]
-    rng = np.random.Generator(np.random.Philox(key=np.array([0, 0], dtype=np.uint64)))
-    layers, _ = _build_sequence(specs, (2,), rng, _Counter(), _Counter())
-    d1, _, d2, _ = layers
-    d1.weight.value[...] = [[w[0], w[3]], [w[1], w[4]]]
-    d1.bias.value[...] = [w[2], w[5]]
-    d2.weight.value[...] = [[w[6]], [w[7]]]
-    d2.bias.value[...] = [w[8]]
-
-    def evaluate(x0, x1):
-        x = np.array([[x0, x1]], dtype=tensor.DTYPE)
-        caches = []
-        y = x
-        for layer in layers:
-            y, c = layer.forward(y, "eval")
-            caches.append(c)
-        for p in (d1.weight, d1.bias, d2.weight, d2.bias):
-            p.grad[...] = 0.0
-        d = np.ones((1, 1), dtype=tensor.DTYPE)
-        for layer, c in zip(reversed(layers), reversed(caches)):
-            d = layer.backward(d, c)
-        grads = np.array(
-            [
-                d1.weight.grad[0, 0], d1.weight.grad[1, 0], d1.bias.grad[0],
-                d1.weight.grad[0, 1], d1.weight.grad[1, 1], d1.bias.grad[1],
-                d2.weight.grad[0, 0], d2.weight.grad[1, 0], d2.bias.grad[0],
-            ]
-        )
-        return float(y[0, 0]), grads
-
-    return evaluate

@@ -24,10 +24,11 @@ from randomout.experiments import (
 )
 from randomout.gradcheck import TOLERANCE, run_all_checks
 from randomout.metrics import read_metrics, write_metrics
-from randomout.model import filter_groups, two_branch_relu_net
+from randomout.model import filter_groups
 from randomout.optim import Adam
 from randomout.regularizer import RandomOutConfig, cgn, count_below_threshold, scan_and_reset
 from randomout.rng import derive_stream
+from two_branch_net import two_branch_relu_net
 
 GRID_TAUS = [1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4]
 GRID_PS = [0.0, 0.25, 0.5, 0.75, 1.0]

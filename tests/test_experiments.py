@@ -1,21 +1,30 @@
 """Training runs and sweep protocols: determinism, resumption, summaries."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from randomout.config import TrainConfig
+from randomout.data import Dataset
 from randomout.experiments import (
+    EVAL_CHUNK,
     build_for,
     chance_level,
     effective_acc,
+    evaluate,
     grid_search,
     load_dataset_pair,
     run_training,
     seed_sweep,
     width_sweep,
 )
+from randomout.layers import run_sequence
 from randomout.metrics import read_metrics
 from randomout.model import filter_groups
+from randomout.models import ModelSpec, build_from_spec
+from randomout.optim import SGD
+from randomout.rng import derive_stream
 
 
 def tiny_cfg(**kw):
@@ -233,3 +242,71 @@ def test_batchnorm_condition_runs(tmp_path):
     result = run_training(cfg, tmp_path)
     assert not result.summary["diverged"]
     assert result.summary["total_resets"] == 0
+
+
+def eval_model(name, input_shape, num_classes):
+    """cratercnn with batchnorm, trained a few steps so its running statistics
+    have moved off their initial values; mini_inception as built."""
+    bn = name == "cratercnn"
+    spec = ModelSpec(name=name, width=4, with_batchnorm=bn, num_classes=num_classes, input_shape=input_shape)
+    model = build_from_spec(spec, derive_stream(0, "init"))
+    if bn:
+        rng = np.random.default_rng(1)
+        opt = SGD(model.params, 0.05)
+        for _ in range(3):
+            _, cache = model.forward(rng.uniform(size=(8,) + input_shape), "train")
+            model.backward(cache, rng.integers(0, num_classes, size=8))
+            opt.step()
+            model.zero_grads()
+        norm = next(l for l in model.layers if l.kind == "batchnorm")
+        assert not np.all(norm.running_mean == 0.0) and not np.all(norm.running_var == 1.0)
+    return model
+
+
+def eval_set(n, input_shape, num_classes, seed=2):
+    rng = np.random.default_rng(seed)
+    return Dataset(rng.uniform(size=(n,) + input_shape), rng.integers(0, num_classes, size=n), "eval", num_classes)
+
+
+EVAL_MODELS = [("cratercnn", (1, 15, 15), 2), ("mini_inception", (3, 32, 32), 10)]
+
+
+@pytest.mark.parametrize("name,input_shape,num_classes", EVAL_MODELS)
+def test_chunked_evaluation_is_exact(name, input_shape, num_classes):
+    model = eval_model(name, input_shape, num_classes)
+    test = eval_set(37, input_shape, num_classes)  # not a multiple of the chunk size
+    full, cache = model.forward(test.images, "eval")
+    assert cache is None
+    assert evaluate(model, test) == np.mean(np.argmax(full, axis=1) == test.labels)
+    head_input = lambda x: run_sequence(model.layers[:-1], x, "eval")[0]
+    full_head_input = head_input(test.images)
+    for chunk in (1, 7, EVAL_CHUNK):
+        starts = range(0, len(test), chunk)
+        joined = np.concatenate([head_input(test.images[i : i + chunk]) for i in starts])
+        np.testing.assert_array_equal(joined, full_head_input)
+        joined = np.concatenate([model.forward(test.images[i : i + chunk], "eval")[0] for i in starts])
+        np.testing.assert_array_equal(np.argmax(joined, axis=1), np.argmax(full, axis=1))
+        if chunk == EVAL_CHUNK:
+            np.testing.assert_array_equal(joined, full)
+        else:
+            # The dense head is one GEMM, and BLAS sums a row that falls in a
+            # partial tile of rows (OpenBLAS's AVX-512 kernel tiles 4 rows) in
+            # another order, so such chunks can move a logit by a few ulps.
+            np.testing.assert_allclose(joined, full, rtol=0, atol=1e-13)
+
+
+def evaluate_peak_bytes(model, test):
+    tracemalloc.start()
+    try:
+        evaluate(model, test)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name,input_shape,num_classes", EVAL_MODELS)
+def test_evaluate_memory_does_not_grow_with_test_set(name, input_shape, num_classes):
+    model = eval_model(name, input_shape, num_classes)
+    small = evaluate_peak_bytes(model, eval_set(32, input_shape, num_classes))
+    large = evaluate_peak_bytes(model, eval_set(256, input_shape, num_classes))
+    assert large <= 1.25 * small, f"peak {large / 1e6:.2f} MB on 256 examples vs {small / 1e6:.2f} MB on 32"

@@ -9,7 +9,7 @@ by its tiny outgoing weight.
 import numpy as np
 import pytest
 
-from randomout.model import two_branch_relu_net
+from two_branch_net import two_branch_relu_net
 
 FD_EPS = 1e-6
 

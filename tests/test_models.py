@@ -163,3 +163,24 @@ def test_mini_inception_global_pool_on_non_square_input(input_shape):
     assert dense.in_features == 2 * width
     logits, _ = model.forward(np.random.default_rng(0).uniform(size=(3,) + input_shape))
     assert logits.shape == (3, 10)
+
+
+@pytest.mark.parametrize("name", ["cratercnn", "mini_inception"])
+def test_eval_forward_keeps_no_cache(name):
+    spec = ModelSpec(name=name, width=2, with_batchnorm=True, num_classes=3, input_shape=(2, 9, 9))
+    model = build_from_spec(spec, init_rng())
+    x = np.random.default_rng(0).uniform(size=(4, 2, 9, 9))
+    train_logits, cache = model.forward(x, "train")
+    assert cache[0] is train_logits
+    assert len(cache[1]) == len(model.layers)
+    assert all(c is not None for c in cache[1])
+    logits, eval_cache = model.forward(x, "eval")
+    assert logits.shape == (4, 3)
+    assert eval_cache is None
+
+
+def test_backward_after_eval_forward_raises():
+    model = build_cratercnn(2, init_rng())
+    _, cache = model.forward(np.zeros((2, 1, 15, 15)), "eval")
+    with pytest.raises(ValueError, match="train-mode forward"):
+        model.backward(cache, np.array([0, 1]))
