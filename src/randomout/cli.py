@@ -168,7 +168,10 @@ def _config_from_args(args, parser):
         if args.p_active is not None:
             ro["p_active"] = args.p_active
         raw["randomout"] = ro
-    return TrainConfig.from_dict(raw)
+    try:
+        return TrainConfig.from_dict(raw)
+    except (TypeError, ValueError) as e:
+        parser.error(str(e))
 
 
 def _print_run(result):

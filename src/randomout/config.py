@@ -28,6 +28,9 @@ class ModelCfg:
             raise ValueError(f"unknown model {self.name!r}, expected one of {MODEL_NAMES}")
         if self.width < 1:
             raise ValueError(f"width must be >= 1, got {self.width}")
+        if self.name == "mini_inception" and self.width < 2:
+            # the builder's bound, checked here so a bad config is a usage error
+            raise ValueError(f"base_width must be >= 2, got {self.width}")
 
     @classmethod
     def from_dict(cls, d):

@@ -6,10 +6,12 @@ images: positives carry a bright annulus on a noise background, negatives
 carry filled blobs with matched intensity, so mean brightness alone does
 not separate the classes. It stands in for real crater imagery at the
 same scale; it is calibrated to be learnable, not claimed equivalent.
+`synth_craters` states the order in which it draws from its random
+stream; that order, not the rendering code, fixes every pixel.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,12 +130,12 @@ def load_cifar10_binary(path, max_per_class=None, name="cifar10"):
         bad = int(np.argmax(labels > 9))
         raise ValueError(f"{path}: label {labels[bad]} out of range at record {bad} (byte {bad * CIFAR_RECORD_BYTES})")
     if max_per_class is not None:
-        keep = []
-        counts = {}
-        for i, lab in enumerate(labels):
-            if counts.get(int(lab), 0) < max_per_class:
-                counts[int(lab)] = counts.get(int(lab), 0) + 1
-                keep.append(i)
+        # rank of each record within its class, in file order
+        order = np.argsort(labels, kind="stable")
+        by_class = labels[order]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size) - np.searchsorted(by_class, by_class)
+        keep = rank < max_per_class
         records = records[keep]
         labels = labels[keep]
     images = records[:, 1:].reshape(-1, 3, 32, 32) / 255.0
@@ -142,13 +144,15 @@ def load_cifar10_binary(path, max_per_class=None, name="cifar10"):
 
 def write_cifar10_binary(path, images_u8, labels):
     """Write [N,3,32,32] uint8 images and labels as CIFAR-10 binary records."""
-    images_u8 = np.ascontiguousarray(images_u8, dtype=np.uint8)
-    labels = np.ascontiguousarray(labels, dtype=np.uint8)
+    images_u8 = np.asarray(images_u8, dtype=np.uint8)
+    labels = np.asarray(labels, dtype=np.uint8)
     n = images_u8.shape[0]
-    with open(path, "wb") as f:
-        for i in range(n):
-            f.write(bytes([labels[i]]))
-            f.write(images_u8[i].tobytes())
+    if images_u8.shape[1:] != (3, 32, 32) or labels.shape != (n,):
+        raise ValueError(f"need [N,3,32,32] images and N labels, got {images_u8.shape} and {labels.shape}")
+    records = np.empty((n, CIFAR_RECORD_BYTES), dtype=np.uint8)
+    records[:, 0] = labels
+    records[:, 1:] = images_u8.reshape(n, -1)
+    records.tofile(path)
 
 
 # Synthetic generator geometry; tuned so a small two-conv net can learn the
@@ -160,33 +164,90 @@ RING_SHARPNESS = 0.55
 BLOB_SIGMA = (1.0, 2.2)
 FEATURE_AMP = (0.55, 1.0)
 CENTER_JITTER = 1.5
+MAX_BLOBS = 3
+# Images rendered per broadcast block; keeps temporaries small beside the output.
+SYNTH_CHUNK = 64
+
+
+def _uniform(u, lo, hi):
+    """Map raw `Generator.random` draws the way `Generator.uniform(lo, hi)` does."""
+    return lo + (hi - lo) * u
 
 
 def synth_craters(n_pos, n_neg, seed):
-    """Deterministic ring (positive) vs blob (negative) 15x15 dataset."""
+    """Deterministic ring (positive) vs blob (negative) 15x15 dataset.
+
+    Draw-order contract: images are made in order, positives first, from
+    the (seed, "data_synth") stream. Each image takes its 225 noise values;
+    then a positive takes 4 ring parameters (centre y, centre x, radius,
+    amplitude), and a negative takes one `integers(1, 4)` blob count k and
+    then 4 parameters per blob (centre y, centre x, sigma, amplitude).
+    Every value is `lo + (hi - lo) * u` of a uniform draw u. The Python loop
+    only draws; rings and blobs are rendered afterwards in blocks of
+    SYNTH_CHUNK images with the same float operations as a one-image-at-a-
+    time generator, so the pixels are the same bit for bit.
+    """
     if n_pos < 1 or n_neg < 1:
         raise ValueError(f"counts must be >= 1, got n_pos={n_pos}, n_neg={n_neg}")
     rng = derive_stream(seed, "data_synth")
-    yy, xx = np.mgrid[0:IMAGE_SIZE, 0:IMAGE_SIZE].astype(DTYPE)
-    mid = (IMAGE_SIZE - 1) / 2.0
-    images = np.empty((n_pos + n_neg, 1, IMAGE_SIZE, IMAGE_SIZE), dtype=DTYPE)
+    n = n_pos + n_neg
+    images = np.empty((n, 1, IMAGE_SIZE, IMAGE_SIZE), dtype=DTYPE)
     labels = np.concatenate([np.ones(n_pos, dtype=np.int64), np.zeros(n_neg, dtype=np.int64)])
-    for i in range(n_pos + n_neg):
-        img = rng.uniform(0.0, NOISE_HIGH, size=(IMAGE_SIZE, IMAGE_SIZE))
-        if i < n_pos:
-            cy, cx = mid + rng.uniform(-CENTER_JITTER, CENTER_JITTER, size=2)
-            radius = rng.uniform(*RING_RADIUS)
-            amp = rng.uniform(*FEATURE_AMP)
-            d = np.sqrt((yy - cy) ** 2 + (xx - cx) ** 2)
-            img += amp * np.exp(-((d - radius) ** 2) / (2 * RING_SHARPNESS**2))
-        else:
-            for _ in range(int(rng.integers(1, 4))):
-                cy, cx = rng.uniform(2.0, IMAGE_SIZE - 3.0, size=2)
-                sigma = rng.uniform(*BLOB_SIGMA)
-                amp = rng.uniform(*FEATURE_AMP)
-                d2 = (yy - cy) ** 2 + (xx - cx) ** 2
-                img += amp * np.exp(-d2 / (2 * sigma**2))
-        images[i, 0] = np.clip(img, 0.0, 1.0)
+    noise = images.reshape(n, IMAGE_SIZE * IMAGE_SIZE)
+    ring_u = np.empty((n_pos, 4))
+    blob_u = np.zeros((n_neg, MAX_BLOBS, 4))
+    blob_count = np.empty(n_neg, dtype=np.int64)
+    for i in range(n_pos):
+        rng.random(out=noise[i])
+        rng.random(out=ring_u[i])
+    for j in range(n_neg):
+        rng.random(out=noise[n_pos + j])
+        k = int(rng.integers(1, MAX_BLOBS + 1))
+        blob_count[j] = k
+        rng.random(out=blob_u[j, :k])
+    # uniform(0, NOISE_HIGH) is 0.0 + NOISE_HIGH * u; adding 0.0 to u >= 0 changes no bit
+    images *= NOISE_HIGH
+
+    # (yy - cy) ** 2 + (xx - cx) ** 2 over the grid is the sum of a squared
+    # row offset and a squared column offset, so square 15 of each, not 225
+    grid = np.arange(IMAGE_SIZE, dtype=DTYPE)
+    mid = (IMAGE_SIZE - 1) / 2.0
+
+    def dist2(cy, cx):
+        return ((grid - cy[:, None]) ** 2)[:, :, None] + ((grid - cx[:, None]) ** 2)[:, None, :]
+
+    cy, cx = (mid + _uniform(ring_u[:, :2], -CENTER_JITTER, CENTER_JITTER)).T
+    radius = _uniform(ring_u[:, 2], *RING_RADIUS)[:, None, None]
+    amp = _uniform(ring_u[:, 3], *FEATURE_AMP)[:, None, None]
+    for s in range(0, n_pos, SYNTH_CHUNK):
+        c = slice(s, min(s + SYNTH_CHUNK, n_pos))
+        # amp * exp(-((d - radius) ** 2) / (2 * RING_SHARPNESS**2)), in place;
+        # -a / b and a / -b are the same float
+        t = np.sqrt(dist2(cy[c], cx[c]))
+        t -= radius[c]
+        np.square(t, out=t)
+        t /= -(2 * RING_SHARPNESS**2)
+        np.exp(t, out=t)
+        t *= amp[c]
+        images[c, 0] += t
+
+    by, bx = _uniform(blob_u[..., :2], 2.0, IMAGE_SIZE - 3.0).transpose(2, 0, 1)
+    sigma = _uniform(blob_u[..., 2], *BLOB_SIGMA)
+    # 2 * sigma**2 in Python floats: Python's pow and numpy's square differ in the last bit
+    neg_denom = np.array([-2 * v**2 for v in sigma.ravel().tolist()]).reshape(sigma.shape)[..., None, None]
+    amp = _uniform(blob_u[..., 3], *FEATURE_AMP)[..., None, None]
+    neg = images[n_pos:, 0]
+    for s in range(0, n_neg, SYNTH_CHUNK):
+        rows = np.arange(s, min(s + SYNTH_CHUNK, n_neg))
+        for b in range(MAX_BLOBS):
+            rows = rows[blob_count[rows] > b]  # blobs are added in draw order
+            # amp * exp(-d2 / (2 * sigma**2)), in place
+            t = dist2(by[rows, b], bx[rows, b])
+            t /= neg_denom[rows, b]
+            np.exp(t, out=t)
+            t *= amp[rows, b]
+            neg[rows] += t
+    np.clip(images, 0.0, 1.0, out=images)
     return Dataset(images, labels, f"synth(seed={seed})", 2)
 
 

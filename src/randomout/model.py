@@ -7,7 +7,7 @@ built; weights are drawn from a single init stream in declaration order,
 so a (seed, spec) pair always yields bit-identical parameters.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

@@ -125,6 +125,25 @@ def test_bad_seed_range_exits_1(capsys):
         capsys.readouterr()
 
 
+def test_config_validation_error_exits_1(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--epochs", "0"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "usage: randomout train" in err
+    assert "epochs and batch_size must be >= 1, got 0, 16" in err
+
+
+def test_mini_inception_width_1_config_exits_1(tmp_path, capsys):
+    p = tmp_path / "narrow.json"
+    p.write_text(json.dumps({"model": {"name": "mini_inception", "width": 1}}))
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(p), "--out", str(tmp_path)])
+    assert exc.value.code == 1
+    assert "base_width must be >= 2, got 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [p]  # no run directory was started
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code, _, err = run_main(["train", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)], capsys)
     assert code == 2

@@ -111,6 +111,8 @@ def test_field_validation_messages():
         TrainConfig(seed=-1)
     with pytest.raises(ValueError, match="unknown model"):
         ModelCfg(name="vgg")
+    with pytest.raises(ValueError, match="base_width must be >= 2, got 1"):
+        ModelCfg(name="mini_inception", width=1)
     with pytest.raises(ValueError, match="unknown dataset kind"):
         DatasetCfg(kind="imagenet")
     with pytest.raises(ValueError, match="n_pos and n_neg"):

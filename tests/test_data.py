@@ -1,6 +1,8 @@
 """Dataset loaders, synthetic generator, splits, and batch plans."""
 
+import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from randomout.data import (
     write_idx_images,
     write_idx_labels,
 )
+from synth_oracle import loop_synth_craters
 
 
 # --- Dataset container ---
@@ -145,6 +148,57 @@ def test_cifar_writer_reader_round_trip(tmp_path):
     assert ds.labels.tolist() == [3, 9, 0, 3]
 
 
+def write_cifar10_per_record(path, images_u8, labels):
+    """Reference writer: one label byte, then the image's bytes, per record."""
+    with open(path, "wb") as f:
+        for image, label in zip(np.asarray(images_u8, dtype=np.uint8), np.asarray(labels, dtype=np.uint8)):
+            f.write(bytes([label]))
+            f.write(image.tobytes())
+
+
+def max_per_class_loop(labels, max_per_class):
+    """Reference selection: walk the file, keep a record while its class is under the cap."""
+    keep, counts = [], {}
+    for i, lab in enumerate(labels):
+        if counts.get(lab, 0) < max_per_class:
+            counts[lab] = counts.get(lab, 0) + 1
+            keep.append(i)
+    return keep
+
+
+def test_cifar_writer_matches_per_record_writer(tmp_path):
+    rng = np.random.default_rng(2)
+    images = rng.integers(0, 256, size=(7, 3, 32, 32), dtype=np.uint8)
+    labels = np.array([9, 0, 3, 3, 1, 0, 9])
+    write_cifar10_binary(tmp_path / "bulk.bin", images, labels)
+    write_cifar10_per_record(tmp_path / "loop.bin", images, labels)
+    assert (tmp_path / "bulk.bin").read_bytes() == (tmp_path / "loop.bin").read_bytes()
+
+
+def test_cifar_writer_rejects_mismatched_shapes(tmp_path):
+    with pytest.raises(ValueError, match=r"\[N,3,32,32\] images and N labels"):
+        write_cifar10_binary(tmp_path / "x.bin", np.zeros((2, 3, 32, 32)), np.zeros(3))
+    with pytest.raises(ValueError, match=r"\[N,3,32,32\] images and N labels"):
+        write_cifar10_binary(tmp_path / "x.bin", np.zeros((2, 1, 15, 15)), np.zeros(2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    labels=st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=60),
+    max_per_class=st.integers(min_value=1, max_value=8),
+)
+def test_cifar_max_per_class_matches_loop(tmp_path_factory, labels, max_per_class):
+    n = len(labels)
+    images = np.zeros((n, 3, 32, 32), dtype=np.uint8)
+    images[:, 0, 0, 0] = np.arange(n)  # tag each record with its file position
+    path = tmp_path_factory.mktemp("cifar") / "records.bin"
+    write_cifar10_binary(path, images, np.array(labels))
+    ds = load_cifar10_binary(path, max_per_class=max_per_class)
+    keep = max_per_class_loop(labels, max_per_class)
+    assert np.round(ds.images[:, 0, 0, 0] * 255).astype(int).tolist() == keep
+    assert ds.labels.tolist() == [labels[i] for i in keep]
+
+
 def test_cifar_max_per_class_takes_file_order(tmp_path):
     images = np.zeros((6, 3, 32, 32), dtype=np.uint8)
     images[:, 0, 0, 0] = [10, 20, 30, 40, 50, 60]  # tag each record
@@ -207,6 +261,39 @@ def test_synth_classes_not_separable_by_brightness():
     pos = ds.images[ds.labels == 1].mean()
     neg = ds.images[ds.labels == 0].mean()
     assert abs(pos - neg) < 0.08
+
+
+# sha256 of synth_craters(500, 500, 0).images.tobytes(), from the one-image-at-a-time generator
+SYNTH_500_500_SEED0_SHA256 = "f6b7cea873f8fbc0f46e3cd02c6cade8fb2a0b414494c4c32bd103f6bbfb555b"
+
+
+@pytest.mark.parametrize(
+    "n_pos, n_neg, seed",
+    [(500, 500, s) for s in range(20)] + [(1, 1, 0), (458, 765, 2), (3, 70, 2**63 + 11)],
+)
+def test_synth_matches_loop_oracle_bytes(n_pos, n_neg, seed):
+    ds = synth_craters(n_pos, n_neg, seed)
+    images, labels = loop_synth_craters(n_pos, n_neg, seed)
+    assert ds.images.dtype == images.dtype and ds.images.shape == images.shape
+    assert ds.images.tobytes() == images.tobytes()
+    np.testing.assert_array_equal(ds.labels, labels)
+
+
+def test_synth_golden_digest():
+    images = synth_craters(500, 500, 0).images
+    assert hashlib.sha256(images.tobytes()).hexdigest() == SYNTH_500_500_SEED0_SHA256
+
+
+@pytest.mark.parametrize("seed", [0, 13])
+def test_synth_peak_memory_is_near_the_output(seed):
+    synth_craters(2, 2, seed)  # warm imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        ds = synth_craters(500, 500, seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * ds.images.nbytes, (peak, ds.images.nbytes)
 
 
 def test_synth_count_validation():
