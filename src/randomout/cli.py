@@ -7,13 +7,12 @@ timestamps, so identical invocations print identical logs.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .config import TrainConfig
+from .config import TrainConfig, read_config_json
 from .data import synth_craters, write_cifar10_binary, write_idx_images, write_idx_labels
 from .experiments import grid_search, run_training, seed_sweep, width_sweep
 from .gradcheck import TOLERANCE, run_all_checks
@@ -135,15 +134,7 @@ def _parse_dataset(text, parser):
 def _config_from_args(args, parser):
     if args.randomout and args.batchnorm:
         parser.error("--randomout conflicts with --batchnorm: the conditions are mutually exclusive")
-    raw = {}
-    if args.config:
-        with open(args.config) as f:
-            try:
-                raw = json.load(f)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{args.config}: invalid JSON at line {e.lineno}: {e.msg}") from None
-        if not isinstance(raw, dict):
-            raise ValueError(f"{args.config}: top-level JSON value must be an object")
+    raw = read_config_json(args.config) if args.config else {}
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.model is not None:

@@ -4,6 +4,7 @@ content hash used to name run directories."""
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
+from typing import get_args
 
 CONDITIONS = ("base", "randomout", "batchnorm")
 MODEL_NAMES = ("cratercnn", "mini_inception")
@@ -11,11 +12,30 @@ OPTIMIZERS = ("sgd", "adam")
 HASH_CHARS = 12
 
 
+# Accepted JSON values per scalar field type. A float field takes an int
+# as given, without converting it, so configs that spell 1.0 as 1 keep
+# their hash.
+_SCALAR_TYPES = {
+    int: ("an int", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    bool: ("a bool", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
 def _check_fields(kind, d, cls):
-    allowed = {f.name for f in fields(cls)}
-    unknown = sorted(set(d) - allowed)
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(d) - set(types))
     if unknown:
         raise ValueError(f"unknown {kind} field(s): {', '.join(unknown)}")
+    for name, value in d.items():
+        options = get_args(types[name]) or (types[name],)  # int | None -> (int, NoneType)
+        scalar = next((t for t in options if t in _SCALAR_TYPES), None)
+        if scalar is None or (value is None and type(None) in options):
+            continue
+        what, ok = _SCALAR_TYPES[scalar]
+        if not ok(value):
+            raise ValueError(f"{kind} field {name!r} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -160,7 +180,8 @@ class TrainConfig:
         return TrainConfig.from_dict(d)
 
 
-def load_config(path):
+def read_config_json(path):
+    """The JSON object in a config file, not yet validated as a TrainConfig."""
     with open(path) as f:
         try:
             raw = json.load(f)
@@ -168,6 +189,11 @@ def load_config(path):
             raise ValueError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: top-level JSON value must be an object")
+    return raw
+
+
+def load_config(path):
+    raw = read_config_json(path)
     try:
         return TrainConfig.from_dict(raw)
     except (TypeError, ValueError) as e:

@@ -17,10 +17,10 @@ import numpy as np
 from .config import TrainConfig
 from .data import BatchPlan, load_cifar10_binary, load_idx, split_50_50, synth_craters
 from .metrics import MetricsRecord, read_metrics, read_summary, write_metrics, write_summary
-from .model import filter_groups
-from .models import ModelSpec, build_from_spec
+from .model import conv_layers, filter_groups
+from .models import build_cratercnn, build_mini_inception
 from .optim import make_optimizer
-from .regularizer import RandomOutConfig, cgn, scan_and_reset
+from .regularizer import cgn, scan_and_reset
 from .rng import derive_stream
 
 # Added to the first conv layer's bias by dead_first_layer; large enough to
@@ -46,19 +46,16 @@ def load_dataset_pair(cfg):
 
 
 def build_for(cfg, train):
-    spec = ModelSpec(
-        name=cfg.model.name,
-        width=cfg.model.width,
+    build = build_cratercnn if cfg.model.name == "cratercnn" else build_mini_inception
+    model = build(
+        cfg.model.width,
+        derive_stream(cfg.seed, "init"),
         with_batchnorm=cfg.condition == "batchnorm",
-        num_classes=train.num_classes,
         input_shape=tuple(train.sample_shape),
+        num_classes=train.num_classes,
     )
-    model = build_from_spec(spec, derive_stream(cfg.seed, "init"))
     if cfg.dead_first_layer:
-        groups = filter_groups(model)
-        first = min(g.layer_id for g in groups)
-        bias = next(g.bias_param for g in groups if g.layer_id == first)
-        bias.value += DEAD_BIAS_OFFSET
+        conv_layers(model)[0].bias.value += DEAD_BIAS_OFFSET
     return model
 
 
@@ -111,13 +108,10 @@ def run_training(cfg, out_dir, force=False):
 
     train, test = load_dataset_pair(cfg)
     model = build_for(cfg, train)
-    groups = filter_groups(model)
+    convs = conv_layers(model)
     optimizer = make_optimizer(cfg.optimizer, model.params, cfg.lr)
-    ro_cfg = ro_rng = None
-    if cfg.condition == "randomout":
-        rc = cfg.randomout
-        ro_cfg = RandomOutConfig(rc.tau, rc.p_active, rc.check_every)
-        ro_rng = derive_stream(cfg.seed, "randomout")
+    ro_cfg = cfg.randomout  # None unless the condition is randomout
+    ro_rng = derive_stream(cfg.seed, "randomout")
 
     plan = BatchPlan(len(train), cfg.epochs, cfg.batch_size, cfg.seed)
     records = []
@@ -134,12 +128,13 @@ def run_training(cfg, out_dir, force=False):
                     records.append(MetricsRecord(epoch, batch_no, loss, train_acc, None, 0.0, 0, 0, True))
                     diverged = True
                     break
-                scores = [cgn(g) for g in groups]
-                mean_cgn = float(np.mean(scores))
-                below = sum(1 for s in scores if s < cfg.telemetry_tau)
+                scores = [cgn(conv) for conv in convs]
+                mean_cgn = float(np.mean(np.concatenate(scores)))
+                below = sum(int((s < cfg.telemetry_tau).sum()) for s in scores)
                 resets = 0
                 if ro_cfg is not None and done % ro_cfg.check_every == 0:
-                    new = scan_and_reset(model, optimizer, ro_cfg, done / plan.total_batches, ro_rng, epoch, batch_no)
+                    progress = done / plan.total_batches
+                    new = scan_and_reset(model, optimizer, ro_cfg, progress, ro_rng, scores, epoch, batch_no)
                     events.extend(new)
                     resets = len(new)
                 optimizer.step()
@@ -159,7 +154,7 @@ def run_training(cfg, out_dir, force=False):
         "seed": cfg.seed,
         "n_train": len(train),
         "n_test": len(test),
-        "filter_count": len(groups),
+        "filter_count": len(filter_groups(model)),
         "chance": chance,
         "batches_completed": done,
         "final_test_acc": final_acc,

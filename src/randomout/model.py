@@ -1,10 +1,13 @@
-"""Model assembly: declarative layer specs, shape checking, filter groups.
+"""Model assembly: declarative layer specs, shape checking, conv-layer walk.
 
 A model is a static feed-forward stack of layers (with optional parallel
 branch stages that concatenate channel-wise) ending in a softmax
 cross-entropy head. Shapes are inferred and validated when the model is
 built; weights are drawn from a single init stream in declaration order,
 so a (seed, spec) pair always yields bit-identical parameters.
+``conv_layers`` is the one walk over a model's conv layers, branches
+included, in layer_id order; the filter scores, the reset scan and the
+filter count all follow it.
 """
 
 from dataclasses import dataclass
@@ -38,25 +41,6 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-
-
-@dataclass
-class FilterGroup:
-    """Index set for one conv filter: output channel k's kernel slab plus bias k.
-
-    The kernel and bias slices are disjoint across groups of a layer and
-    jointly cover the layer's parameters. fan_in/fan_out are the owning
-    layer's fans, used to redraw the slab on reset.
-    """
-
-    layer_id: int
-    filter_index: int
-    kernel_param: object
-    bias_param: object
-    kernel_slice: tuple
-    bias_slice: tuple
-    fan_in: int
-    fan_out: int
 
 
 class Model:
@@ -206,22 +190,11 @@ def _iter_layers(layers):
             yield layer
 
 
+def conv_layers(model):
+    """The model's conv layers, branch layers included, in layer_id order."""
+    return sorted((l for l in _iter_layers(model.layers) if isinstance(l, Conv2d)), key=lambda l: l.layer_id)
+
+
 def filter_groups(model):
-    """One FilterGroup per conv output channel, in (layer_id, filter) order."""
-    groups = []
-    for layer in sorted(_iter_layers(model.layers), key=lambda l: l.layer_id):
-        if isinstance(layer, Conv2d):
-            for k in range(layer.out_channels):
-                groups.append(
-                    FilterGroup(
-                        layer_id=layer.layer_id,
-                        filter_index=k,
-                        kernel_param=layer.kernel,
-                        bias_param=layer.bias,
-                        kernel_slice=(k,),
-                        bias_slice=(k,),
-                        fan_in=layer.fan_in,
-                        fan_out=layer.fan_out,
-                    )
-                )
-    return groups
+    """One (conv, filter_index) pair per conv output channel, in (layer_id, filter) order."""
+    return [(conv, k) for conv in conv_layers(model) for k in range(conv.out_channels)]

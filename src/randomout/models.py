@@ -12,24 +12,7 @@ supported, the 1x1 branch ends in a 3x3 stride-1 average pool so both
 branches reach the same spatial size before concatenation.
 """
 
-from dataclasses import dataclass, field
-
 from .model import LayerSpec, build_model
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Named architecture plus the knobs the experiments vary."""
-
-    name: str
-    width: int
-    with_batchnorm: bool = False
-    num_classes: int = 2
-    input_shape: tuple = (1, 15, 15)
-
-    def __post_init__(self):
-        if self.name not in ("cratercnn", "mini_inception"):
-            raise ValueError(f"unknown model name {self.name!r}")
 
 
 def _conv_block(out_channels, kernel_size, with_batchnorm, stride=1):
@@ -84,16 +67,3 @@ def build_mini_inception(base_width, rng, with_batchnorm=False, input_shape=(3, 
         raise ValueError(f"base_width must be >= 2, got {base_width}")
     return build_model(mini_inception_specs(base_width, with_batchnorm, num_classes), input_shape, rng)
 
-
-def declared_filter_count(spec):
-    """Total conv filters the architecture declares (one group each)."""
-    if spec.name == "cratercnn":
-        return 2 * spec.width
-    # stem + 2 blocks x (1x1 branch + 3x3 branch)
-    return spec.width + 2 * (2 * spec.width)
-
-
-def build_from_spec(spec, rng):
-    if spec.name == "cratercnn":
-        return build_cratercnn(spec.width, rng, spec.with_batchnorm, spec.input_shape, spec.num_classes)
-    return build_mini_inception(spec.width, rng, spec.with_batchnorm, spec.input_shape, spec.num_classes)

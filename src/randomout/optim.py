@@ -2,6 +2,8 @@
 
 Both optimizers expose ``reset_state_slice(param, index_slice)`` so a
 filter reset can zero the moments of exactly the reinitialized weights.
+``index_slice`` is any numpy index into the parameter's leading axis: a
+row number, a slice, or a boolean mask selecting several filters at once.
 Adam's timestep is kept per parameter (not per element), so a reset
 filter re-enters with the parameter's current bias correction; the
 moment reset dominates behaviour and this keeps state simple.

@@ -1,38 +1,24 @@
 """Filter liveness scoring and reinitialization.
 
-Each conv filter is scored by its convolutional gradient norm: the sum of
-absolute loss gradients over the filter's kernel slab and bias element,
-computed per minibatch. While within the active fraction of training,
-any filter scoring strictly below the threshold is redrawn from the
-Xavier distribution (bias back to zero), its optimizer moments are
-zeroed, and its pending gradient is cleared so the stale update is
-skipped. Dense and batchnorm parameters are never scored or reset.
+Each conv filter is scored by its convolutional gradient norm (CGN): the
+sum of absolute loss gradients over the filter's kernel slab and bias
+element. ``cgn`` scores a whole conv layer at once, one entry per output
+channel; the training loop computes these vectors once per minibatch and
+hands the same list to its telemetry and to ``scan_and_reset``. While
+within the active fraction of training, every filter scoring strictly
+below the threshold is redrawn from the Xavier distribution (bias back to
+zero), its optimizer moments are zeroed, and its pending gradient is
+cleared so the stale update is skipped. A layer's dead filters are reset
+together through one boolean mask. Dense and batchnorm parameters are
+never scored or reset.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import filter_groups
+from .model import conv_layers
 from .rng import xavier_init
-
-
-@dataclass(frozen=True)
-class RandomOutConfig:
-    """tau: reset threshold; p_active: fraction of training during which
-    scanning is enabled; check_every: minibatches between scans."""
-
-    tau: float
-    p_active: float
-    check_every: int = 1
-
-    def __post_init__(self):
-        if self.tau < 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
-        if not 0.0 <= self.p_active <= 1.0:
-            raise ValueError(f"p_active must be in [0, 1], got {self.p_active}")
-        if self.check_every < 1:
-            raise ValueError(f"check_every must be >= 1, got {self.check_every}")
 
 
 @dataclass
@@ -44,43 +30,36 @@ class ResetEvent:
     cgn_before: float
 
 
-def cgn(group):
-    """Sum of absolute gradients over one filter's kernel slab and bias."""
-    k = np.abs(group.kernel_param.grad[group.kernel_slice]).sum()
-    b = np.abs(group.bias_param.grad[group.bias_slice]).sum()
-    return float(k + b)
+def cgn(conv):
+    """Float64 vector [K]: per filter, the sum of absolute gradients over its kernel slab and bias."""
+    return np.abs(conv.kernel.grad.reshape(conv.out_channels, -1)).sum(axis=1) + np.abs(conv.bias.grad)
 
 
-def count_below_threshold(model, tau):
-    """Number of filters with cgn strictly below tau (telemetry only)."""
-    return sum(1 for g in filter_groups(model) if cgn(g) < tau)
-
-
-def scan_and_reset(model, optimizer, cfg, progress, rng, epoch=0, batch=0):
+def scan_and_reset(model, optimizer, cfg, progress, rng, scores, epoch=0, batch=0):
     """Reinitialize every filter whose cgn is strictly below cfg.tau.
 
-    Called after backward and before the optimizer step. progress is the
-    fraction of scheduled training batches already completed; once
-    progress >= p_active the scan is a no-op. Resets consume only the
-    given rng stream, scan filters in (layer, filter) order, and leave
-    every parameter and optimizer moment outside the reset slices
-    bit-identical.
+    Called after backward and before the optimizer step. scores holds one
+    ``cgn`` vector per layer of ``conv_layers(model)``, in that order.
+    progress is the fraction of scheduled training batches already
+    completed; once progress >= cfg.p_active the scan is a no-op. Resets
+    consume only the given rng stream, draw the redrawn slabs in
+    (layer, filter) order, and leave every parameter and optimizer moment
+    outside the reset filters bit-identical.
     """
     if progress >= cfg.p_active:
         return []
     events = []
-    for group in filter_groups(model):
-        score = cgn(group)
-        if score < cfg.tau:
-            slab_shape = group.kernel_param.value[group.kernel_slice].shape
-            group.kernel_param.value[group.kernel_slice] = xavier_init(
-                slab_shape, group.fan_in, group.fan_out, rng
-            )
-            group.bias_param.value[group.bias_slice] = 0.0
-            # Skip the pending update for this filter: its gradient is stale.
-            group.kernel_param.grad[group.kernel_slice] = 0.0
-            group.bias_param.grad[group.bias_slice] = 0.0
-            optimizer.reset_state_slice(group.kernel_param, group.kernel_slice)
-            optimizer.reset_state_slice(group.bias_param, group.bias_slice)
-            events.append(ResetEvent(epoch, batch, group.layer_id, group.filter_index, score))
+    for conv, score in zip(conv_layers(model), scores):
+        dead = score < cfg.tau
+        if not dead.any():
+            continue
+        kernel, bias = conv.kernel, conv.bias
+        kernel.value[dead] = xavier_init((int(dead.sum()),) + kernel.value.shape[1:], conv.fan_in, conv.fan_out, rng)
+        bias.value[dead] = 0.0
+        # Skip the pending update for these filters: their gradients are stale.
+        kernel.grad[dead] = 0.0
+        bias.grad[dead] = 0.0
+        optimizer.reset_state_slice(kernel, dead)
+        optimizer.reset_state_slice(bias, dead)
+        events.extend(ResetEvent(epoch, batch, conv.layer_id, int(k), float(score[k])) for k in np.flatnonzero(dead))
     return events

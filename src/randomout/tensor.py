@@ -1,4 +1,4 @@
-"""Dense float64 array kernels: matmul and the im2col/col2im patch pair.
+"""Dense float64 array kernels: shape checks and the im2col/col2im patch pair.
 
 All functions are pure (inputs are never mutated) and operate on row-major
 numpy arrays of dtype float64. 64-bit precision is a hard requirement:
@@ -28,27 +28,6 @@ def check_shape(dims):
         if not isinstance(d, (int, np.integer)) or d < 1:
             raise ValueError(f"invalid shape {dims}: every dim must be a positive int")
     return dims
-
-
-def element_count(dims):
-    n = 1
-    for d in check_shape(dims):
-        n *= int(d)
-    return n
-
-
-def zeros(shape):
-    """All-zero float64 tensor of the given shape."""
-    return np.zeros(check_shape(shape), dtype=DTYPE)
-
-
-def matmul(a, b):
-    """Matrix product of a[M,K] and b[K,N], row-major."""
-    a = np.asarray(a, dtype=DTYPE)
-    b = np.asarray(b, dtype=DTYPE)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def conv_output_size(size, kernel, stride):

@@ -11,7 +11,7 @@ import struct
 import numpy as np
 import pytest
 
-from randomout.config import TrainConfig
+from randomout.config import RandomOutCfg, TrainConfig
 from randomout.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, load_cifar10_binary, load_idx, read_idx
 from randomout.experiments import (
     build_for,
@@ -24,9 +24,9 @@ from randomout.experiments import (
 )
 from randomout.gradcheck import TOLERANCE, run_all_checks
 from randomout.metrics import read_metrics, write_metrics
-from randomout.model import filter_groups
+from randomout.model import conv_layers, filter_groups
 from randomout.optim import Adam
-from randomout.regularizer import RandomOutConfig, cgn, count_below_threshold, scan_and_reset
+from randomout.regularizer import cgn, scan_and_reset
 from randomout.rng import derive_stream
 from two_branch_net import two_branch_relu_net
 
@@ -107,8 +107,7 @@ def test_criterion_03_threshold_count_and_targeted_reset():
     train, _ = load_dataset_pair(cfg)
     model = build_for(cfg, train)
     opt = Adam(model.params, lr=0.001)
-    groups = filter_groups(model)
-    first_layer = min(g.layer_id for g in groups)
+    convs = conv_layers(model)
     x, y = train.images[:16], train.labels[:16]
 
     # one normal step so every filter has nonzero optimizer moments
@@ -118,31 +117,29 @@ def test_criterion_03_threshold_count_and_targeted_reset():
     model.zero_grads()
 
     # then kill exactly 3 first-layer filters and take a fresh backward pass
-    dead = [g for g in groups if g.layer_id == first_layer][:3]
-    for g in dead:
-        g.bias_param.value[g.bias_slice] = -50.0
+    convs[0].bias.value[:3] = -50.0
     _, cache = model.forward(x)
     model.backward(cache, y)
 
-    n_below = count_below_threshold(model, 1e-8)
-    scores = {(g.layer_id, g.filter_index): cgn(g) for g in groups}
+    layer_scores = [cgn(conv) for conv in convs]
+    n_below = int((np.concatenate(layer_scores) < 1e-8).sum())
+    scores = {(conv.layer_id, k): float(s[k]) for conv, s in zip(convs, layer_scores) for k in range(len(s))}
 
     before_vals = {p.id: p.value.copy() for p in model.params}
     before_m = {pid: s["m"].copy() for pid, s in opt.state.items()}
     before_v = {pid: s["v"].copy() for pid, s in opt.state.items()}
     events = scan_and_reset(
-        model, opt, RandomOutConfig(tau=1e-8, p_active=1.0), progress=0.0,
-        rng=derive_stream(0, "randomout"),
+        model, opt, RandomOutCfg(tau=1e-8, p_active=1.0), 0.0, derive_stream(0, "randomout"), layer_scores
     )
 
     reset_ids = {(e.layer_id, e.filter_index) for e in events}
-    expected_ids = {(g.layer_id, g.filter_index) for g in dead}
+    expected_ids = {(convs[0].layer_id, k) for k in range(3)}
     ok = n_below == 3 and reset_ids == expected_ids
 
     untouched = True
-    for g in groups:
-        key = (g.layer_id, g.filter_index)
-        kp, ks = g.kernel_param, g.kernel_slice
+    for conv, ks in filter_groups(model):
+        key = (conv.layer_id, ks)
+        kp = conv.kernel
         same_val = np.array_equal(kp.value[ks], before_vals[kp.id][ks])
         same_m = np.array_equal(opt.state[kp.id]["m"][ks], before_m[kp.id][ks])
         same_v = np.array_equal(opt.state[kp.id]["v"][ks], before_v[kp.id][ks])

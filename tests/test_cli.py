@@ -144,6 +144,17 @@ def test_mini_inception_width_1_config_exits_1(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [p]  # no run directory was started
 
 
+@pytest.mark.parametrize("field,value", [("epochs", "3"), ("lr", True)])
+def test_config_field_type_error_exits_1(tmp_path, capsys, field, value):
+    p = tmp_path / "typed.json"
+    p.write_text(json.dumps({field: value}))
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(p), "--out", str(tmp_path)])
+    assert exc.value.code == 1
+    assert f"train field '{field}' must be" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [p]  # no run directory was started
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code, _, err = run_main(["train", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)], capsys)
     assert code == 2

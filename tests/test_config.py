@@ -123,6 +123,33 @@ def test_field_validation_messages():
         DatasetCfg(kind="cifar10", paths=())
 
 
+def test_field_type_errors_name_the_field():
+    with pytest.raises(ValueError, match="train field 'epochs' must be an int, got '3'"):
+        TrainConfig.from_dict({"epochs": "3"})
+    with pytest.raises(ValueError, match="train field 'lr' must be a number, got True"):
+        TrainConfig.from_dict({"lr": True})
+    for bad in (True, 3.0, "3"):
+        with pytest.raises(ValueError, match="train field 'seed' must be an int"):
+            TrainConfig.from_dict({"seed": bad})
+    with pytest.raises(ValueError, match="train field 'optimizer' must be a string"):
+        TrainConfig.from_dict({"optimizer": 1})
+    with pytest.raises(ValueError, match="train field 'dead_first_layer' must be a bool, got 1"):
+        TrainConfig.from_dict({"dead_first_layer": 1})
+    with pytest.raises(ValueError, match="model field 'width' must be an int, got 4.0"):
+        TrainConfig.from_dict({"model": {"width": 4.0}})
+    with pytest.raises(ValueError, match="dataset field 'max_per_class' must be an int"):
+        TrainConfig.from_dict({"dataset": {"kind": "synth", "max_per_class": "10"}})
+    with pytest.raises(ValueError, match="randomout field 'tau' must be a number"):
+        TrainConfig.from_dict({"condition": "randomout", "randomout": {"tau": "1e-8"}})
+
+
+def test_float_fields_keep_ints_unconverted():
+    cfg = TrainConfig.from_dict({"lr": 1, "condition": "randomout", "randomout": {"tau": 0, "p_active": 1}})
+    assert type(cfg.lr) is int and type(cfg.randomout.tau) is int
+    assert cfg.config_hash() == TrainConfig(lr=1, condition="randomout", randomout=RandomOutCfg(0, 1)).config_hash()
+    assert TrainConfig.from_dict({"dataset": {"kind": "synth", "max_per_class": None}}).dataset.max_per_class is None
+
+
 def test_load_config_reads_json(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"seed": 9, "condition": "randomout", "randomout": {"tau": 1e-4}}))

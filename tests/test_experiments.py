@@ -21,8 +21,8 @@ from randomout.experiments import (
 )
 from randomout.layers import run_sequence
 from randomout.metrics import read_metrics
-from randomout.model import filter_groups
-from randomout.models import ModelSpec, build_from_spec
+from randomout.model import conv_layers
+from randomout.models import build_cratercnn, build_mini_inception
 from randomout.optim import SGD
 from randomout.rng import derive_stream
 
@@ -117,14 +117,19 @@ def test_dead_first_layer_biases_shifted(tmp_path):
     cfg = tiny_cfg(dead_first_layer=True)
     train, _ = load_dataset_pair(cfg)
     model = build_for(cfg, train)
-    groups = filter_groups(model)
-    first = min(g.layer_id for g in groups)
-    for g in groups:
-        bias = g.bias_param.value[g.bias_slice]
-        if g.layer_id == first:
-            assert np.all(bias < -9.0)
-        else:
-            assert np.all(np.abs(bias) < 1.0)
+    first, second = conv_layers(model)
+    assert np.all(first.bias.value < -9.0)
+    assert np.all(np.abs(second.bias.value) < 1.0)
+
+
+def test_below_thresh_telemetry_counts_strictly(tmp_path):
+    # a dead first layer zeroes every conv gradient: all four filters score exactly 0.0
+    at_zero = run_training(tiny_cfg(dead_first_layer=True, telemetry_tau=0.0), tmp_path).records
+    assert [r.below_thresh for r in at_zero] == [0] * 4  # strict: 0 < 0 is false
+    tiny = run_training(tiny_cfg(dead_first_layer=True, telemetry_tau=1e-300), tmp_path).records
+    assert [r.below_thresh for r in tiny] == [4] * 4
+    live = run_training(tiny_cfg(telemetry_tau=1e-300), tmp_path).records
+    assert [r.below_thresh for r in live] == [0] * 4
 
 
 def test_chance_level_majority_class():
@@ -248,8 +253,8 @@ def eval_model(name, input_shape, num_classes):
     """cratercnn with batchnorm, trained a few steps so its running statistics
     have moved off their initial values; mini_inception as built."""
     bn = name == "cratercnn"
-    spec = ModelSpec(name=name, width=4, with_batchnorm=bn, num_classes=num_classes, input_shape=input_shape)
-    model = build_from_spec(spec, derive_stream(0, "init"))
+    build = build_cratercnn if name == "cratercnn" else build_mini_inception
+    model = build(4, derive_stream(0, "init"), with_batchnorm=bn, input_shape=input_shape, num_classes=num_classes)
     if bn:
         rng = np.random.default_rng(1)
         opt = SGD(model.params, 0.05)

@@ -3,15 +3,12 @@
 import numpy as np
 import pytest
 
+from randomout.config import ModelCfg, TrainConfig
+from randomout.data import Dataset
+from randomout.experiments import build_for
 from randomout.layers import BatchNorm2d, Conv2d, Dense
-from randomout.model import LayerSpec, build_model, filter_groups
-from randomout.models import (
-    ModelSpec,
-    build_cratercnn,
-    build_from_spec,
-    build_mini_inception,
-    declared_filter_count,
-)
+from randomout.model import LayerSpec, build_model, conv_layers, filter_groups
+from randomout.models import build_cratercnn, build_mini_inception
 from randomout.rng import derive_stream
 
 
@@ -36,31 +33,31 @@ def test_cratercnn_shape_pipeline():
 def test_cratercnn_width_scales_groups():
     for width in (1, 3, 8):
         model = build_cratercnn(width, init_rng())
-        spec = ModelSpec(name="cratercnn", width=width)
-        groups = filter_groups(model)
-        assert len(groups) == 2 * width == declared_filter_count(spec)
+        assert len(filter_groups(model)) == 2 * width
+        assert [conv.out_channels for conv in conv_layers(model)] == [width, width]
 
 
 def test_filter_groups_cover_conv_params_disjointly():
-    model = build_cratercnn(4, init_rng())
-    groups = filter_groups(model)
-    seen = {}
-    for g in groups:
-        key = (g.kernel_param.id, g.kernel_slice)
-        assert key not in seen
-        seen[key] = True
-        assert g.kernel_param.value[g.kernel_slice].shape == (1, 4, 4) or g.kernel_param.value[
-            g.kernel_slice
-        ].shape == (4, 4, 4)
-    covered = sum(int(np.prod(g.kernel_param.value[g.kernel_slice].shape)) for g in groups)
-    conv_kernel_elems = sum(p.value.size for p in model.params if p.role == "conv_kernel")
-    assert covered == conv_kernel_elems
+    for model in (build_cratercnn(4, init_rng()), build_mini_inception(3, init_rng(), input_shape=(3, 12, 12))):
+        seen = set()
+        for conv, k in filter_groups(model):
+            for param in (conv.kernel, conv.bias):
+                assert (param.id, k) not in seen
+                seen.add((param.id, k))
+            assert conv.kernel.value[k].shape == (conv.in_channels, conv.kernel_size, conv.kernel_size)
+        # every element of every conv kernel and bias lies in exactly one filter's slab or bias
+        covered = sum(conv.kernel.value[k].size + 1 for conv, k in filter_groups(model))
+        conv_elems = sum(p.value.size for p in model.params if p.role in ("conv_kernel", "conv_bias"))
+        assert covered == conv_elems
 
 
 def test_groups_ordered_by_layer_then_filter():
-    model = build_cratercnn(3, init_rng())
-    order = [(g.layer_id, g.filter_index) for g in filter_groups(model)]
+    model = build_mini_inception(2, init_rng(), input_shape=(3, 12, 12))
+    order = [(conv.layer_id, k) for conv, k in filter_groups(model)]
     assert order == sorted(order)
+    assert len({layer_id for layer_id, _ in order}) == 5  # stem + two blocks of two branches
+    ids = [conv.layer_id for conv in conv_layers(model)]
+    assert ids == sorted(ids)
 
 
 def test_same_seed_same_weights_different_seed_differs():
@@ -86,9 +83,8 @@ def test_mini_inception_shapes_and_groups():
     x = np.random.default_rng(1).uniform(size=(2, 3, 12, 12))
     logits, _ = model.forward(x)
     assert logits.shape == (2, 10)
-    spec = ModelSpec(name="mini_inception", width=2, num_classes=10, input_shape=(3, 12, 12))
-    groups = filter_groups(model)
-    assert len(groups) == declared_filter_count(spec) == 5 * 2
+    # stem + 2 blocks x (1x1 branch + 3x3 branch), base_width filters each
+    assert len(filter_groups(model)) == 5 * 2
 
 
 def test_mini_inception_concat_sums_branch_channels():
@@ -122,17 +118,22 @@ def test_cratercnn_width_floor():
 
 
 def test_model_spec_validation():
-    with pytest.raises(ValueError, match="unknown model name"):
-        ModelSpec(name="resnet", width=4)
+    with pytest.raises(ValueError, match="unknown model"):
+        ModelCfg(name="resnet", width=4)
 
 
-def test_build_from_spec_dispatch():
-    crater = build_from_spec(ModelSpec(name="cratercnn", width=2), init_rng())
+def test_build_for_dispatch():
+    def train_set(shape, num_classes):
+        return Dataset(np.zeros((num_classes,) + shape), np.arange(num_classes), "train", num_classes)
+
+    crater = build_for(TrainConfig(model=ModelCfg("cratercnn", 2)), train_set((1, 15, 15), 2))
     assert crater.input_shape == (1, 15, 15) and crater.num_classes == 2
-    mini = build_from_spec(
-        ModelSpec(name="mini_inception", width=2, num_classes=10, input_shape=(3, 12, 12)), init_rng()
-    )
+    assert len(filter_groups(crater)) == 2 * 2
+    cfg = TrainConfig(model=ModelCfg("mini_inception", 2), condition="batchnorm")
+    mini = build_for(cfg, train_set((3, 12, 12), 10))
     assert mini.input_shape == (3, 12, 12) and mini.num_classes == 10
+    assert len(filter_groups(mini)) == 5 * 2
+    assert any(p.role == "bn_gamma" for p in mini.params)
 
 
 def test_rejects_wrong_input_shape():
@@ -167,8 +168,8 @@ def test_mini_inception_global_pool_on_non_square_input(input_shape):
 
 @pytest.mark.parametrize("name", ["cratercnn", "mini_inception"])
 def test_eval_forward_keeps_no_cache(name):
-    spec = ModelSpec(name=name, width=2, with_batchnorm=True, num_classes=3, input_shape=(2, 9, 9))
-    model = build_from_spec(spec, init_rng())
+    build = build_cratercnn if name == "cratercnn" else build_mini_inception
+    model = build(2, init_rng(), with_batchnorm=True, input_shape=(2, 9, 9), num_classes=3)
     x = np.random.default_rng(0).uniform(size=(4, 2, 9, 9))
     train_logits, cache = model.forward(x, "train")
     assert cache[0] is train_logits

@@ -3,22 +3,22 @@
 import numpy as np
 import pytest
 
-from randomout.model import build_model, filter_groups
-from randomout.models import ModelSpec, build_from_spec
+from randomout.config import RandomOutCfg
+from randomout.model import conv_layers
+from randomout.models import build_cratercnn
 from randomout.optim import Adam, make_optimizer
-from randomout.regularizer import (
-    RandomOutConfig,
-    ResetEvent,
-    cgn,
-    count_below_threshold,
-    scan_and_reset,
-)
+from randomout.regularizer import ResetEvent, cgn, scan_and_reset
 from randomout.rng import derive_stream
 
 
 def small_model(seed=0, width=3):
-    spec = ModelSpec(name="cratercnn", width=width, with_batchnorm=False)
-    return build_from_spec(spec, derive_stream(seed, "init"))
+    return build_cratercnn(width, derive_stream(seed, "init"))
+
+
+def scan(model, opt, cfg, progress, rng, epoch=0, batch=0):
+    """One reset scan on freshly computed scores."""
+    scores = [cgn(conv) for conv in conv_layers(model)]
+    return scan_and_reset(model, opt, cfg, progress, rng, scores, epoch, batch)
 
 
 def batch(seed=0, n=8, shape=(1, 15, 15)):
@@ -44,66 +44,56 @@ def snapshot(model, opt=None):
 
 def test_cgn_is_sum_of_absolute_gradients():
     model = small_model()
-    g = filter_groups(model)[0]
-    g.kernel_param.grad[g.kernel_slice] = 0.0
-    flat = g.kernel_param.grad[g.kernel_slice].reshape(-1)
-    flat[:4] = [0.1, -0.2, 0.3, -0.4]
-    g.kernel_param.grad[g.kernel_slice] = flat.reshape(g.kernel_param.grad[g.kernel_slice].shape)
-    g.bias_param.grad[g.bias_slice] = 0.0
-    assert cgn(g) == pytest.approx(1.0)
-    g.bias_param.grad[g.bias_slice] = -0.5
-    assert cgn(g) == pytest.approx(1.5)
+    conv = conv_layers(model)[0]
+    model.zero_grads()
+    conv.kernel.grad[0].reshape(-1)[:4] = [0.1, -0.2, 0.3, -0.4]
+    conv.kernel.grad[1] = -1.0
+    score = cgn(conv)
+    assert score.dtype == np.float64 and score.shape == (conv.out_channels,)
+    assert score[0] == pytest.approx(1.0)
+    assert score[1] == conv.kernel.grad[1].size
+    assert np.all(score[2:] == 0.0)
+    conv.bias.grad[0] = -0.5
+    assert cgn(conv)[0] == pytest.approx(1.5)
 
 
 def test_cgn_zero_when_grads_zero():
     model = small_model()
     model.zero_grads()
-    assert all(cgn(g) == 0.0 for g in filter_groups(model))
+    assert all(np.all(cgn(conv) == 0.0) for conv in conv_layers(model))
 
 
 def test_dead_filter_has_exactly_zero_cgn():
     # push one first-layer filter's bias very negative: ReLU output is all
     # zero for inputs in [0, 1], so its gradient is identically zero
     model = small_model(seed=3)
-    g0 = filter_groups(model)[0]
-    g0.bias_param.value[g0.bias_slice] = -50.0
+    first, second = conv_layers(model)
+    first.bias.value[0] = -50.0
     x, y = batch()
     loss = forward_backward(model, x, y)
     assert np.isfinite(loss)
-    assert cgn(g0) == 0.0
-    live = [cgn(g) for g in filter_groups(model)[1:]]
-    assert max(live) > 0.0
-
-
-def test_count_below_threshold_counts_strictly():
-    model = small_model()
-    model.zero_grads()
-    groups = filter_groups(model)
-    assert count_below_threshold(model, 0.0) == 0  # strict: 0 < 0 is false
-    assert count_below_threshold(model, 1e-300) == len(groups)
-    g = groups[0]
-    g.kernel_param.grad[g.kernel_slice] = 1.0
-    assert count_below_threshold(model, 1e-300) == len(groups) - 1
-    assert count_below_threshold(model, float("inf")) == len(groups)
+    assert cgn(first)[0] == 0.0
+    live = np.concatenate([cgn(first)[1:], cgn(second)])
+    assert live.max() > 0.0
 
 
 def test_config_validation():
     with pytest.raises(ValueError, match="tau"):
-        RandomOutConfig(tau=-1.0, p_active=1.0)
+        RandomOutCfg(tau=-1.0, p_active=1.0)
     with pytest.raises(ValueError, match="p_active"):
-        RandomOutConfig(tau=0.0, p_active=1.5)
+        RandomOutCfg(tau=0.0, p_active=1.5)
     with pytest.raises(ValueError, match="check_every"):
-        RandomOutConfig(tau=0.0, p_active=1.0, check_every=0)
+        RandomOutCfg(tau=0.0, p_active=1.0, check_every=0)
 
 
 def test_tau_zero_never_resets():
     model = small_model()
     opt = make_optimizer("sgd", model.params, lr=0.1)
     model.zero_grads()  # every score is exactly 0.0, but 0.0 < 0.0 is false
-    cfg = RandomOutConfig(tau=0.0, p_active=1.0)
+    cfg = RandomOutCfg(tau=0.0, p_active=1.0)
     rng = derive_stream(0, "randomout")
     before = rng.bit_generator.state
-    events = scan_and_reset(model, opt, cfg, progress=0.0, rng=rng)
+    events = scan(model, opt, cfg, progress=0.0, rng=rng)
     assert events == []
     np.testing.assert_equal(rng.bit_generator.state, before)
 
@@ -112,12 +102,12 @@ def test_progress_at_or_past_p_active_is_noop():
     model = small_model()
     opt = make_optimizer("sgd", model.params, lr=0.1)
     model.zero_grads()
-    cfg = RandomOutConfig(tau=1.0, p_active=0.5)
+    cfg = RandomOutCfg(tau=1.0, p_active=0.5)
     rng = derive_stream(0, "randomout")
     before_state = rng.bit_generator.state
     before_vals = snapshot(model)
-    assert scan_and_reset(model, opt, cfg, progress=0.5, rng=rng) == []
-    assert scan_and_reset(model, opt, cfg, progress=0.9, rng=rng) == []
+    assert scan(model, opt, cfg, progress=0.5, rng=rng) == []
+    assert scan(model, opt, cfg, progress=0.9, rng=rng) == []
     np.testing.assert_equal(rng.bit_generator.state, before_state)  # rng untouched by no-ops
     after_vals = snapshot(model)
     for pid in before_vals:
@@ -128,14 +118,14 @@ def test_score_equal_to_tau_does_not_reset():
     model = small_model()
     opt = make_optimizer("sgd", model.params, lr=0.1)
     model.zero_grads()
-    groups = filter_groups(model)
-    for g in groups:
-        g.kernel_param.grad[g.kernel_slice] = 1.0  # well above tau
-    target = groups[0]
-    target.kernel_param.grad[target.kernel_slice] = 0.0
-    target.bias_param.grad[target.bias_slice] = 0.25  # cgn exactly 0.25 == tau
-    cfg = RandomOutConfig(tau=0.25, p_active=1.0)
-    events = scan_and_reset(model, opt, cfg, progress=0.0, rng=derive_stream(0, "randomout"))
+    convs = conv_layers(model)
+    for conv in convs:
+        conv.kernel.grad[...] = 1.0  # well above tau
+    target = convs[0]
+    target.kernel.grad[0] = 0.0
+    target.bias.grad[0] = 0.25  # cgn exactly 0.25 == tau
+    cfg = RandomOutCfg(tau=0.25, p_active=1.0)
+    events = scan(model, opt, cfg, progress=0.0, rng=derive_stream(0, "randomout"))
     assert events == []
 
 
@@ -146,47 +136,37 @@ def test_reset_touches_only_targeted_filter():
     forward_backward(model, x, y)
     opt.step()  # populate Adam moments
     model.zero_grads()
-    groups = filter_groups(model)
-    target = groups[2]
-    for g in groups:
-        g.kernel_param.grad[g.kernel_slice] = 1.0  # everyone comfortably above tau
-    target.kernel_param.grad[target.kernel_slice] = 0.0
-    target.bias_param.grad[target.bias_slice] = 0.0
+    convs = conv_layers(model)
+    for conv in convs:
+        conv.kernel.grad[...] = 1.0  # everyone comfortably above tau
+    target, k = convs[0], 2
+    target.kernel.grad[k] = 0.0
+    target.bias.grad[k] = 0.0
 
     before = snapshot(model, opt)
-    old_slab = target.kernel_param.value[target.kernel_slice].copy()
-    events = scan_and_reset(
-        model, opt, RandomOutConfig(tau=1e-8, p_active=1.0), progress=0.0,
-        rng=derive_stream(7, "randomout"), epoch=2, batch=5,
-    )
+    old_slab = target.kernel.value[k].copy()
+    events = scan(model, opt, RandomOutCfg(tau=1e-8, p_active=1.0), 0.0, derive_stream(7, "randomout"), 2, 5)
 
-    assert [ (e.layer_id, e.filter_index) for e in events ] == [(target.layer_id, target.filter_index)]
+    assert [(e.layer_id, e.filter_index) for e in events] == [(target.layer_id, k)]
     e = events[0]
     assert isinstance(e, ResetEvent)
     assert (e.epoch, e.batch) == (2, 5)
     assert e.cgn_before == 0.0
 
     # targeted slab redrawn, bias zeroed, moments zeroed
-    assert not np.array_equal(target.kernel_param.value[target.kernel_slice], old_slab)
-    assert np.all(target.bias_param.value[target.bias_slice] == 0.0)
-    st = opt.state[target.kernel_param.id]
-    assert np.all(st["m"][target.kernel_slice] == 0.0)
-    assert np.all(st["v"][target.kernel_slice] == 0.0)
+    assert not np.array_equal(target.kernel.value[k], old_slab)
+    assert target.bias.value[k] == 0.0
+    st = opt.state[target.kernel.id]
+    assert np.all(st["m"][k] == 0.0)
+    assert np.all(st["v"][k] == 0.0)
 
-    # everything outside the targeted slices is bit-identical
+    # everything outside the targeted filter is bit-identical
     after = snapshot(model, opt)
-    for g in groups:
-        if g is target:
-            continue
-        np.testing.assert_array_equal(
-            before[g.kernel_param.id][g.kernel_slice], after[g.kernel_param.id][g.kernel_slice]
-        )
-        np.testing.assert_array_equal(
-            before[("m", g.kernel_param.id)][g.kernel_slice], after[("m", g.kernel_param.id)][g.kernel_slice]
-        )
-        np.testing.assert_array_equal(
-            before[("v", g.kernel_param.id)][g.kernel_slice], after[("v", g.kernel_param.id)][g.kernel_slice]
-        )
+    for conv in convs:
+        keep = np.arange(conv.out_channels) != k if conv is target else slice(None)
+        for pid in (conv.kernel.id, conv.bias.id):
+            for key in (pid, ("m", pid), ("v", pid)):
+                np.testing.assert_array_equal(before[key][keep], after[key][keep])
     for p in model.params:
         if p.role in ("dense_weight", "dense_bias"):
             np.testing.assert_array_equal(before[p.id], after[p.id])
@@ -198,13 +178,12 @@ def test_reset_redraw_within_xavier_bound():
     model = small_model(seed=5)
     opt = make_optimizer("sgd", model.params, lr=0.1)
     model.zero_grads()
-    g = filter_groups(model)[0]
-    for other in filter_groups(model)[1:]:
-        other.kernel_param.grad[other.kernel_slice] = 1.0
-    scan_and_reset(model, opt, RandomOutConfig(tau=1e-8, p_active=1.0),
-                   progress=0.0, rng=derive_stream(5, "randomout"))
-    slab = g.kernel_param.value[g.kernel_slice]
-    assert np.abs(slab).max() <= xavier_bound(g.fan_in, g.fan_out)
+    first, second = conv_layers(model)
+    first.kernel.grad[1:] = 1.0
+    second.kernel.grad[...] = 1.0
+    events = scan(model, opt, RandomOutCfg(tau=1e-8, p_active=1.0), 0.0, derive_stream(5, "randomout"))
+    assert [(e.layer_id, e.filter_index) for e in events] == [(first.layer_id, 0)]
+    assert np.abs(first.kernel.value[0]).max() <= xavier_bound(first.fan_in, first.fan_out)
 
 
 def test_event_sequence_deterministic():
@@ -216,8 +195,7 @@ def test_event_sequence_deterministic():
         for b in range(4):
             x, y = batch(seed=b)
             forward_backward(model, x, y)
-            events = scan_and_reset(model, opt, RandomOutConfig(tau=1e-3, p_active=1.0),
-                                    progress=b / 4, rng=rng, epoch=0, batch=b)
+            events = scan(model, opt, RandomOutCfg(tau=1e-3, p_active=1.0), b / 4, rng, 0, b)
             seen.extend((e.batch, e.layer_id, e.filter_index, e.cgn_before) for e in events)
             opt.step()
             model.zero_grads()
@@ -233,6 +211,9 @@ def test_event_sequence_deterministic():
 def test_reset_of_dead_filter_disrupts_less_than_reset_of_live_filter():
     """Redrawing a zero-gradient filter should barely move the loss compared
     with redrawing the highest-scoring filter, across independent trials."""
+    from randomout.model import filter_groups
+    from randomout.rng import xavier_init
+
     wins = 0
     trials = 10
     for t in range(trials):
@@ -240,21 +221,14 @@ def test_reset_of_dead_filter_disrupts_less_than_reset_of_live_filter():
 
         def loss_after_reset(pick_dead):
             model = small_model(seed=200 + t)
-            g0 = filter_groups(model)[0]
-            g0.bias_param.value[g0.bias_slice] = -50.0  # kill filter 0
+            conv_layers(model)[0].bias.value[0] = -50.0  # kill filter 0
             base_loss = forward_backward(model, x, y)
-            groups = filter_groups(model)
-            scores = [cgn(g) for g in groups]
-            target = groups[0] if pick_dead else groups[int(np.argmax(scores))]
-            assert (scores[0] == 0.0) if pick_dead else (max(scores) > 0.0)
+            scores = np.concatenate([cgn(conv) for conv in conv_layers(model)])
+            conv, k = filter_groups(model)[0 if pick_dead else int(np.argmax(scores))]
+            assert (scores[0] == 0.0) if pick_dead else (scores.max() > 0.0)
             rng = derive_stream(300 + t, "randomout")
-            slab_shape = target.kernel_param.value[target.kernel_slice].shape
-            from randomout.rng import xavier_init
-
-            target.kernel_param.value[target.kernel_slice] = xavier_init(
-                slab_shape, target.fan_in, target.fan_out, rng
-            )
-            target.bias_param.value[target.bias_slice] = 0.0
+            conv.kernel.value[k] = xavier_init(conv.kernel.value[k].shape, conv.fan_in, conv.fan_out, rng)
+            conv.bias.value[k] = 0.0
             model.zero_grads()
             new_loss = forward_backward(model, x, y)
             return abs(new_loss - base_loss)
