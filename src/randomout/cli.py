@@ -134,7 +134,10 @@ def _parse_dataset(text, parser):
 def _config_from_args(args, parser):
     if args.randomout and args.batchnorm:
         parser.error("--randomout conflicts with --batchnorm: the conditions are mutually exclusive")
-    raw = read_config_json(args.config) if args.config else {}
+    try:
+        raw = read_config_json(args.config) if args.config else {}
+    except (OSError, ValueError) as e:
+        parser.error(str(e))
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.model is not None:

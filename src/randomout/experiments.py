@@ -4,10 +4,14 @@ A run is a pure function of its TrainConfig: dataset synthesis/split,
 weight init, batch order, and filter resets each draw from separate
 seeded streams, so repeating a config reproduces every byte of output.
 Completed runs are recognized by config hash and not recomputed, which
-makes sweeps resumable and lets paired conditions share baselines.
+makes sweeps resumable and lets paired conditions share baselines. A run
+directory is written whole or not at all, and is reused only if the engine
+version that wrote it is the current one.
 """
 
 import math
+import os
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +27,9 @@ from .optim import make_optimizer
 from .regularizer import cgn, scan_and_reset
 from .rng import derive_stream
 
+# Recorded in every summary.json; a run directory is reused only when it
+# matches. Bump it in every change that moves any result bit.
+ENGINE_VERSION = 1
 # Added to the first conv layer's bias by dead_first_layer; large enough to
 # keep every pre-activation negative for any Xavier draw at widths 1..10.
 DEAD_BIAS_OFFSET = -10.0
@@ -90,6 +97,17 @@ def effective_acc(summary):
     return summary["final_test_acc"]
 
 
+def _completed_run(cfg, run_dir):
+    """The run stored in run_dir, or None unless it is whole and of ENGINE_VERSION."""
+    try:
+        summary = read_summary(run_dir / "summary.json")
+        if not isinstance(summary, dict) or summary.get("engine_version") != ENGINE_VERSION:
+            return None
+        return RunResult(cfg, str(run_dir), summary, read_metrics(run_dir / "metrics.csv"))
+    except (OSError, ValueError):
+        return None
+
+
 def run_training(cfg, out_dir, force=False):
     """Execute one training run; reuse the artifact if it already exists.
 
@@ -98,13 +116,19 @@ def run_training(cfg, out_dir, force=False):
     test set in chunks of EVAL_CHUNK examples, recorded on the epoch's last
     row. A non-finite loss marks the run divergent and halts it without
     raising.
+
+    The run's files are written into ``<hash>.tmp-<pid>/`` beside the run
+    directory, which then moves into place with one ``os.replace``. A
+    directory left by an older engine version, a partial write or
+    ``force`` is replaced; one that another process completed meanwhile is
+    returned instead.
     """
 
     run_dir = Path(out_dir) / cfg.config_hash()
-    metrics_path = run_dir / "metrics.csv"
-    summary_path = run_dir / "summary.json"
-    if not force and summary_path.exists():
-        return RunResult(cfg, str(run_dir), read_summary(summary_path), read_metrics(metrics_path))
+    if not force:
+        done_run = _completed_run(cfg, run_dir)
+        if done_run is not None:
+            return done_run
 
     train, test = load_dataset_pair(cfg)
     model = build_for(cfg, train)
@@ -161,16 +185,30 @@ def run_training(cfg, out_dir, force=False):
         "diverged": diverged,
         "failed": diverged or final_acc < chance + FAIL_MARGIN,
         "total_resets": len(events),
+        "engine_version": ENGINE_VERSION,
     }
-    run_dir.mkdir(parents=True, exist_ok=True)
-    write_metrics(metrics_path, records)
-    with open(run_dir / "resets.csv", "w") as f:
+    tmp_dir = run_dir.with_name(f"{run_dir.name}.tmp-{os.getpid()}")
+    shutil.rmtree(tmp_dir, ignore_errors=True)  # left by a crashed process with this pid
+    tmp_dir.mkdir(parents=True)
+    write_metrics(tmp_dir / "metrics.csv", records)
+    with open(tmp_dir / "resets.csv", "w") as f:
         f.write("epoch,batch,layer_id,filter_index,cgn_before\n")
         for e in events:
             f.write(f"{e.epoch},{e.batch},{e.layer_id},{e.filter_index},{e.cgn_before!r}\n")
-    with open(run_dir / "config.json", "w") as f:
+    with open(tmp_dir / "config.json", "w") as f:
         f.write(cfg.canonical_json() + "\n")
-    write_summary(summary_path, summary)
+    write_summary(tmp_dir / "summary.json", summary)
+    if force or _completed_run(cfg, run_dir) is None:
+        shutil.rmtree(run_dir, ignore_errors=True)  # stale, partial or forced
+    try:
+        os.replace(tmp_dir, run_dir)  # fails if run_dir is not empty
+    except OSError:
+        # another process has moved its complete run into place first
+        done_run = _completed_run(cfg, run_dir)
+        if done_run is None:
+            raise
+        shutil.rmtree(tmp_dir)
+        return done_run
     return RunResult(cfg, str(run_dir), summary, records)
 
 

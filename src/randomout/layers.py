@@ -65,9 +65,22 @@ class Conv2d(Layer):
     """Valid cross-correlation with a [K,C,kH,kW] kernel and per-channel bias.
 
     The GEMMs run on the contiguous [N, C*kH*kW, Ho*Wo] buffer behind
-    ``tensor.im2col``'s view, so neither side of a product needs a copy.
+    ``tensor.im2col``'s view, so neither side of a product needs a copy. A
+    1x1 stride-1 conv needs no patches: its buffer is x itself, viewed as
+    [N, C, H*W].
+
+    The input gradient takes one of three routes, picked from the layer's
+    own stride and kernel size:
+
+    - stride 1, k = 1: one GEMM, ``kernel.T @ dout``, already in x's layout;
+    - stride 1, k > 1: the forward correlation of ``dout``, zero-padded by
+      k-1 on every side, with the flipped, channel-swapped kernel: one
+      ``im2col`` and one GEMM;
+    - stride > 1: one GEMM into patch columns, then ``tensor.col2im``'s
+      scatter-add.
+
     ``input_grad`` is False only for a model's first layer, whose input
-    gradient nothing consumes; its backward then skips ``col2im`` and
+    gradient nothing consumes; its backward then skips that work and
     returns None.
     """
 
@@ -89,24 +102,36 @@ class Conv2d(Layer):
 
     def forward(self, x, mode):
         n, _, h, w = x.shape
-        ks, k = self.kernel_size, self.out_channels
-        cols = tensor.im2col(x, ks, ks, self.stride).transpose(0, 2, 1)  # [N, C*kH*kW, Ho*Wo]
+        ks, k, s = self.kernel_size, self.out_channels, self.stride
+        if ks == 1 and s == 1:
+            cols = x.reshape(n, -1, h * w)
+        else:
+            cols = tensor.im2col(x, ks, ks, s).transpose(0, 2, 1)  # [N, C*kH*kW, Ho*Wo]
         out = self.kernel.value.reshape(k, -1) @ cols + self.bias.value[:, None]
-        ho = tensor.conv_output_size(h, ks, self.stride)
-        wo = tensor.conv_output_size(w, ks, self.stride)
+        ho = tensor.conv_output_size(h, ks, s)
+        wo = tensor.conv_output_size(w, ks, s)
         return out.reshape(n, k, ho, wo), (x.shape, cols)
 
     def backward(self, dout, cache):
         x_shape, cols = cache
         n, k, ho, wo = dout.shape
         dmat = dout.reshape(n, k, ho * wo)
-        self.kernel.grad += (dmat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.kernel.value.shape)
+        kernel = self.kernel.value
+        self.kernel.grad += (dmat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
         self.bias.grad += dmat.sum(axis=(0, 2))
         if not self.input_grad:
             return None
-        dcols = self.kernel.value.reshape(k, -1).T @ dmat  # [N, C*kH*kW, Ho*Wo]
-        ks = self.kernel_size
-        return tensor.col2im(dcols.transpose(0, 2, 1), x_shape, ks, ks, self.stride)
+        ks, s = self.kernel_size, self.stride
+        if s > 1:
+            dcols = kernel.reshape(k, -1).T @ dmat  # [N, C*kH*kW, Ho*Wo]
+            return tensor.col2im(dcols.transpose(0, 2, 1), x_shape, ks, ks, s)
+        if ks == 1:
+            return (kernel.reshape(k, -1).T @ dmat).reshape(x_shape)
+        p = ks - 1
+        dpad = np.zeros((n, k, ho + 2 * p, wo + 2 * p), dtype=tensor.DTYPE)
+        dpad[:, :, p : p + ho, p : p + wo] = dout
+        flipped = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(self.in_channels, -1)
+        return (flipped @ tensor.im2col(dpad, ks, ks, 1).transpose(0, 2, 1)).reshape(x_shape)
 
 
 class ReLU(Layer):

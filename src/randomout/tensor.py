@@ -10,8 +10,9 @@ in layers.py relies on exactly this convention.
 
 Layout contract: ``im2col`` returns ``[N, Ho*Wo, C*kh*kw]`` as the transposed
 view of a C-contiguous ``[N, C*kh*kw, Ho*Wo]`` buffer. ``Conv2d`` transposes
-it back and runs its GEMMs on that buffer without a copy, and ``col2im`` is
-fastest when given such a view, because undoing the transpose is then free.
+it back and runs its GEMMs on that buffer without a copy. ``Conv2d`` calls
+``col2im`` only for the input gradient of a stride > 1 conv; a stride-1
+input gradient is itself a correlation and goes through ``im2col``.
 """
 
 import numpy as np

@@ -155,18 +155,22 @@ def test_config_field_type_error_exits_1(tmp_path, capsys, field, value):
     assert list(tmp_path.iterdir()) == [p]  # no run directory was started
 
 
-def test_missing_config_file_exits_2(tmp_path, capsys):
-    code, _, err = run_main(["train", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)], capsys)
-    assert code == 2
-    assert "randomout: error:" in err
+def test_missing_config_file_exits_1(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "randomout train: error:" in err
+    assert "nope.json" in err
 
 
-def test_invalid_config_json_exits_2(tmp_path, capsys):
+def test_invalid_config_json_exits_1(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{")
-    code, _, err = run_main(["train", "--config", str(p), "--out", str(tmp_path)], capsys)
-    assert code == 2
-    assert "invalid JSON" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(p), "--out", str(tmp_path)])
+    assert exc.value.code == 1
+    assert "invalid JSON" in capsys.readouterr().err
 
 
 def test_train_prints_hash_and_epochs(tmp_path, capsys):

@@ -1,13 +1,18 @@
 """Training runs and sweep protocols: determinism, resumption, summaries."""
 
+import json
+import os
+import shutil
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from randomout import experiments
 from randomout.config import TrainConfig
 from randomout.data import Dataset
 from randomout.experiments import (
+    ENGINE_VERSION,
     EVAL_CHUNK,
     build_for,
     chance_level,
@@ -83,6 +88,100 @@ def test_existing_run_is_reused(tmp_path):
     assert second.records == first.records
     forced = run_training(cfg, tmp_path, force=True)
     assert forced.summary == first.summary
+
+
+def _older_version(text):
+    return text.replace(f'"engine_version": {ENGINE_VERSION}', f'"engine_version": {ENGINE_VERSION - 1}')
+
+
+def _no_version(text):
+    summary = json.loads(text)
+    del summary["engine_version"]
+    return json.dumps(summary)
+
+
+@pytest.mark.parametrize(
+    "stale", [_older_version, _no_version, lambda text: text[: len(text) // 2]],
+    ids=["older-version", "missing-version", "truncated"],
+)
+def test_stale_run_directory_is_recomputed(tmp_path, stale):
+    cfg = tiny_cfg(seed=4)
+    h = cfg.config_hash()
+    fresh = run_training(cfg, tmp_path / "fresh")
+    run_training(cfg, tmp_path / "store")
+    summary_path = tmp_path / "store" / h / "summary.json"
+    summary_path.write_text(stale(summary_path.read_text()))
+    metrics_path = tmp_path / "store" / h / "metrics.csv"
+    metrics_path.write_text("".join(metrics_path.read_text().splitlines(keepends=True)[:-1]))  # still parses
+    again = run_training(cfg, tmp_path / "store")
+    assert again.summary == fresh.summary
+    assert again.summary["engine_version"] == ENGINE_VERSION
+    for name in ("metrics.csv", "resets.csv", "config.json", "summary.json"):
+        assert (tmp_path / "store" / h / name).read_bytes() == (tmp_path / "fresh" / h / name).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "store").iterdir()) == [h]  # no temp directory left
+
+
+def test_current_version_run_is_reused_as_stored(tmp_path):
+    cfg = tiny_cfg(seed=4)
+    run_training(cfg, tmp_path)
+    summary_path = tmp_path / cfg.config_hash() / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    assert summary["engine_version"] == ENGINE_VERSION
+    summary["total_resets"] = 99  # a marker only a reuse returns
+    summary_path.write_text(json.dumps(summary))
+    assert run_training(cfg, tmp_path).summary["total_resets"] == 99
+
+
+def test_leftover_temp_directory_is_never_read_as_a_run(tmp_path):
+    cfg = tiny_cfg(seed=4)
+    h = cfg.config_hash()
+    fresh = run_training(cfg, tmp_path / "fresh")
+    other = tmp_path / "store" / f"{h}.tmp-1"  # left by a crashed process
+    own = tmp_path / "store" / f"{h}.tmp-{os.getpid()}"  # left by a crash under this pid
+    for leftover in (other, own):
+        shutil.copytree(tmp_path / "fresh" / h, leftover)
+        (leftover / "metrics.csv").write_text("partial\n")
+    result = run_training(cfg, tmp_path / "store")
+    assert result.run_dir == str(tmp_path / "store" / h)
+    assert result.records == fresh.records
+    csv = "metrics.csv"
+    assert (tmp_path / "store" / h / csv).read_bytes() == (tmp_path / "fresh" / h / csv).read_bytes()
+    assert (other / "metrics.csv").read_text() == "partial\n"  # another pid's directory is left alone
+    assert not own.exists()
+
+
+def test_run_finished_first_by_another_process_is_returned(tmp_path, monkeypatch):
+    cfg = tiny_cfg(seed=4)
+    h = cfg.config_hash()
+    run_training(cfg, tmp_path / "other")
+    summary = json.loads((tmp_path / "other" / h / "summary.json").read_text())
+    summary["total_resets"] = 99  # marks the other process's copy
+    (tmp_path / "other" / h / "summary.json").write_text(json.dumps(summary))
+    real_write_summary = experiments.write_summary
+
+    def write_then_race(path, data):
+        real_write_summary(path, data)
+        shutil.copytree(tmp_path / "other" / h, tmp_path / "store" / h)
+
+    monkeypatch.setattr(experiments, "write_summary", write_then_race)
+    result = run_training(cfg, tmp_path / "store")
+    assert result.summary["total_resets"] == 99
+    assert sorted(p.name for p in (tmp_path / "store").iterdir()) == [h]
+
+
+def test_parallel_sweep_matches_serial_sweep_bytes(tmp_path):
+    cfg = tiny_cfg()
+    seed_sweep(cfg, seeds=[0, 1], out_dir=tmp_path / "serial", jobs=1)
+    seed_sweep(cfg, seeds=[0, 1], out_dir=tmp_path / "parallel", jobs=2)
+    serial = sorted((tmp_path / "serial").glob("*/metrics.csv"))
+    parallel = sorted((tmp_path / "parallel").glob("*/metrics.csv"))
+    assert [p.parent.name for p in serial] == [p.parent.name for p in parallel]
+    assert len(serial) == 4  # 2 conditions x 2 seeds
+    for a, b in zip(serial, parallel):
+        assert a.read_bytes() == b.read_bytes()
+    results = "sweep_results.csv"
+    assert (tmp_path / "serial" / results).read_bytes() == (tmp_path / "parallel" / results).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "parallel").iterdir() if ".tmp-" in p.name) == []
 
 
 def test_divergence_flagged_and_halts(tmp_path):

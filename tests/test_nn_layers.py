@@ -122,15 +122,53 @@ def loop_conv_grads(x, kernel, dout, stride):
     return dkernel, dout.sum(axis=(0, 2, 3)), dx
 
 
-@pytest.mark.parametrize("stride", [1, 2])
-def test_conv2d_input_gradient_matches_loop_oracle(stride):
-    conv = Conv2d(0, 2, 3, 3, stride, derive_stream(11, "init"), make_alloc())
-    x = np.random.default_rng(4).normal(size=(2, 2, 8, 7))
+@pytest.mark.parametrize(
+    "in_ch,out_ch,ks,stride,hw",
+    [
+        # ids "1" and "2" are the original stride-1 and stride-2 cases
+        pytest.param(2, 3, 3, 1, (8, 7), id="1"),
+        pytest.param(2, 3, 3, 2, (8, 7), id="2"),
+        pytest.param(5, 3, 1, 1, (6, 5), id="1x1-c5-to-3"),
+        pytest.param(3, 5, 1, 1, (6, 6), id="1x1-c3-to-5"),
+        pytest.param(3, 2, 4, 1, (9, 9), id="4x4-c3-to-2"),
+        pytest.param(2, 6, 4, 1, (7, 10), id="4x4-c2-to-6-nonsquare"),
+        pytest.param(6, 2, 3, 1, (5, 9), id="3x3-c6-to-2-nonsquare"),
+    ],
+)
+def test_conv2d_input_gradient_matches_loop_oracle(in_ch, out_ch, ks, stride, hw):
+    conv = Conv2d(0, in_ch, out_ch, ks, stride, derive_stream(11, "init"), make_alloc())
+    x = np.random.default_rng(4).normal(size=(2, in_ch, *hw))
     y, cache = conv.forward(x, "train")
     dout = np.random.default_rng(5).normal(size=y.shape)
     dx = conv.backward(dout, cache)
-    _, _, expected = loop_conv_grads(x, conv.kernel.value, dout, stride)
+    dkernel, dbias, expected = loop_conv_grads(x, conv.kernel.value, dout, stride)
     np.testing.assert_allclose(dx, expected, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(conv.kernel.grad, dkernel, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(conv.bias.grad, dbias, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("ks", [1, 3, 4])
+def test_conv2d_stride_1_backward_never_scatters(monkeypatch, ks):
+    def no_col2im(*args):
+        raise AssertionError("stride-1 backward called col2im")
+
+    monkeypatch.setattr(layers.tensor, "col2im", no_col2im)
+    conv = Conv2d(0, 3, 4, ks, 1, derive_stream(13, "init"), make_alloc())
+    x = np.random.default_rng(7).normal(size=(2, 3, 8, 8))
+    y, cache = conv.forward(x, "train")
+    assert conv.backward(np.ones_like(y), cache).shape == x.shape
+
+
+# the two 1x1 conv inputs of mini_inception width 4 at batch 16
+@pytest.mark.parametrize("shape", [(16, 4, 30, 30), (16, 8, 28, 28)], ids=["block1", "block2"])
+def test_conv2d_1x1_forward_is_bitwise_the_im2col_route(shape):
+    conv = Conv2d(0, shape[1], 4, 1, 1, derive_stream(14, "init"), make_alloc())
+    x = np.random.default_rng(8).normal(size=shape)
+    y, (_, cols) = conv.forward(x, "train")
+    patches = layers.tensor.im2col(x, 1, 1, 1).transpose(0, 2, 1)
+    assert cols.tobytes() == patches.tobytes()
+    expected = conv.kernel.value.reshape(4, -1) @ patches + conv.bias.value[:, None]
+    assert y.tobytes() == expected.reshape(y.shape).tobytes()
 
 
 def test_model_first_conv_gradients_without_input_gradient():
