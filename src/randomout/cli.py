@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import TrainConfig, read_config_json
+from .config import ModelCfg, RandomOutCfg, TrainConfig, read_config_json
 from .data import synth_craters, write_cifar10_binary, write_idx_images, write_idx_labels
 from .experiments import grid_search, run_training, seed_sweep, width_sweep
 from .gradcheck import TOLERANCE, run_all_checks
@@ -62,13 +62,13 @@ def build_parser():
 
     p = sub.add_parser("train", help="run one training job", formatter_class=_formatter)
     _add_run_flags(p)
-    p.set_defaults(parser=p)
+    p.set_defaults(run=cmd_train, parser=p)
 
     p = sub.add_parser("sweep-seeds", help="paired-seed comparison of conditions", formatter_class=_formatter)
     _add_run_flags(p)
     p.add_argument("--seeds", metavar="A..B", required=True, help="half-open seed range")
     p.add_argument("--jobs", type=int, default=1, help="parallel runs")
-    p.set_defaults(parser=p)
+    p.set_defaults(run=cmd_sweep_seeds, parser=p)
 
     p = sub.add_parser("grid", help="tau x p_active gain table", formatter_class=_formatter)
     _add_run_flags(p)
@@ -76,22 +76,24 @@ def build_parser():
     p.add_argument("--taus", default=DEFAULT_TAUS, help="comma-separated thresholds")
     p.add_argument("--ps", default=DEFAULT_PS, help="comma-separated active fractions")
     p.add_argument("--jobs", type=int, default=1, help="parallel runs")
-    p.set_defaults(parser=p)
+    p.set_defaults(run=cmd_grid, parser=p)
 
     p = sub.add_parser("width-sweep", help="accuracy vs filter count per condition", formatter_class=_formatter)
     _add_run_flags(p)
     p.add_argument("--seeds", metavar="A..B", required=True, help="half-open seed range")
     p.add_argument("--widths", metavar="A..B", default="1..11", help="half-open width range")
     p.add_argument("--jobs", type=int, default=1, help="parallel runs")
-    p.set_defaults(parser=p)
+    p.set_defaults(run=cmd_width_sweep, parser=p)
 
     p = sub.add_parser("gen-data", help="write fixture data files", formatter_class=_formatter)
     p.add_argument("--kind", choices=["idx", "cifar10"], default="idx", help="file format to write")
     p.add_argument("--count", type=int, default=64, help="number of examples")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument("--out", metavar="DIR", default="fixtures", help="output directory")
+    p.set_defaults(run=cmd_gen_data, parser=p)
 
-    sub.add_parser("gradcheck", help="finite-difference checks for all layers and models", formatter_class=_formatter)
+    p = sub.add_parser("gradcheck", help="finite-difference checks for all layers and models", formatter_class=_formatter)
+    p.set_defaults(run=cmd_gradcheck, parser=p)
     return parser
 
 
@@ -110,9 +112,21 @@ def _parse_range(text, parser, flag):
 
 def _parse_floats(text, parser, flag):
     try:
-        return [float(t) for t in text.split(",") if t != ""]
+        values = [float(t) for t in text.split(",") if t != ""]
     except ValueError:
         parser.error(f"{flag} expects comma-separated numbers, got {text!r}")
+    if not values:
+        parser.error(f"{flag} expects at least one number, got {text!r}")
+    return values
+
+
+def _check_each(values, make, parser, flag):
+    """Usage error unless make(v), a config class's own check, accepts every value."""
+    for value in values:
+        try:
+            make(value)
+        except ValueError as e:
+            parser.error(f"{flag}: {e}")
 
 
 def _parse_dataset(text, parser):
@@ -144,8 +158,8 @@ def _config_from_args(args, parser):
         raw["model"] = {**raw.get("model", {}), "name": args.model.replace("-", "_")}
     if args.dataset is not None:
         raw["dataset"] = {**raw.get("dataset", {}), **_parse_dataset(args.dataset, parser)}
-    for flag, key in [("epochs", "epochs"), ("batch_size", "batch_size"), ("lr", "lr"), ("optimizer", "optimizer")]:
-        value = getattr(args, flag)
+    for key in ("epochs", "batch_size", "lr", "optimizer"):
+        value = getattr(args, key)
         if value is not None:
             raw[key] = value
     if args.randomout:
@@ -193,31 +207,42 @@ def cmd_train(args, parser):
     return 0
 
 
-def cmd_sweep_seeds(args, parser):
+def _sweep_args(args, parser):
+    """A sweep's base config and seeds; a bad --jobs is a usage error."""
     cfg = _config_from_args(args, parser)
-    seeds = _parse_range(args.seeds, parser, "--seeds")
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    return cfg, _parse_range(args.seeds, parser, "--seeds")
+
+
+def cmd_sweep_seeds(args, parser):
+    cfg, seeds = _sweep_args(args, parser)
+    if len(seeds) < 2:
+        parser.error(f"--seeds needs at least 2 seeds, got {args.seeds!r}")
     conditions = ["base"]
     if cfg.condition != "base":
         conditions.append(cfg.condition)
     summary = seed_sweep(cfg, seeds, conditions, args.out, args.jobs)
-    for run in summary.runs:
+    for run in summary["runs"]:
         acc = "-" if run["final_test_acc"] is None else f"{run['final_test_acc']:.4f}"
         print(f"{run['condition']} seed {run['seed']} config {run['config_hash']} acc {acc}")
-    for cond, st in summary.conditions.items():
+    for cond, st in summary["conditions"].items():
         print(
             f"{cond}: mean {st['mean']:.4f} median {st['median']:.4f} std {st['std']:.4f} "
             f"fail_rate {st['failure_rate']:.2f} diverge_rate {st['divergence_rate']:.2f}"
         )
-    if summary.paired_gains is not None:
-        print(f"paired gain median {summary.paired_gains['median']:+.4f} mean {summary.paired_gains['mean']:+.4f}")
+    gains = summary["paired_gains"]
+    if gains is not None:
+        print(f"paired gain median {gains['median']:+.4f} mean {gains['mean']:+.4f}")
     return 0
 
 
 def cmd_grid(args, parser):
-    cfg = _config_from_args(args, parser)
-    seeds = _parse_range(args.seeds, parser, "--seeds")
+    cfg, seeds = _sweep_args(args, parser)
     taus = _parse_floats(args.taus, parser, "--taus")
     ps = _parse_floats(args.ps, parser, "--ps")
+    _check_each(taus, lambda tau: RandomOutCfg(tau=tau), parser, "--taus")
+    _check_each(ps, lambda p: RandomOutCfg(p_active=p), parser, "--ps")
     result = grid_search(cfg, taus, ps, seeds, args.out, args.jobs)
     print(f"grid table {Path(args.out) / 'grid.csv'}")
     best = max(result["cells"], key=lambda c: c["mean_gain"])
@@ -228,9 +253,9 @@ def cmd_grid(args, parser):
 
 
 def cmd_width_sweep(args, parser):
-    cfg = _config_from_args(args, parser)
-    seeds = _parse_range(args.seeds, parser, "--seeds")
+    cfg, seeds = _sweep_args(args, parser)
     widths = _parse_range(args.widths, parser, "--widths")
+    _check_each(widths, lambda width: ModelCfg(cfg.model.name, width), parser, "--widths")
     result = width_sweep(cfg, widths, seeds, args.out, args.jobs)
     for row in result["rows"]:
         extra = result["effective_extra_filters"][str(row["width"])]
@@ -242,7 +267,7 @@ def cmd_width_sweep(args, parser):
     return 0
 
 
-def cmd_gen_data(args):
+def cmd_gen_data(args, parser):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.kind == "idx":
@@ -261,32 +286,18 @@ def cmd_gen_data(args):
     return 0
 
 
-def cmd_gradcheck():
+def cmd_gradcheck(args, parser):
     errors = run_all_checks()
-    ok = True
     for name, err in errors.items():
-        status = "ok" if err < TOLERANCE else "FAIL"
-        ok = ok and err < TOLERANCE
-        print(f"{name}: max relative error {err:.3e} {status}")
-    return 0 if ok else 2
+        print(f"{name}: max relative error {err:.3e} {'ok' if err < TOLERANCE else 'FAIL'}")
+    return 0 if all(err < TOLERANCE for err in errors.values()) else 2
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    sub = getattr(args, "parser", parser)
     try:
-        if args.command == "train":
-            return cmd_train(args, sub)
-        if args.command == "sweep-seeds":
-            return cmd_sweep_seeds(args, sub)
-        if args.command == "grid":
-            return cmd_grid(args, sub)
-        if args.command == "width-sweep":
-            return cmd_width_sweep(args, sub)
-        if args.command == "gen-data":
-            return cmd_gen_data(args)
-        return cmd_gradcheck()
+        return args.run(args, args.parser)
     except (ValueError, OSError) as e:
         print(f"randomout: error: {e}", file=sys.stderr)
         return 2

@@ -52,11 +52,6 @@ class ModelCfg:
             # the builder's bound, checked here so a bad config is a usage error
             raise ValueError(f"base_width must be >= 2, got {self.width}")
 
-    @classmethod
-    def from_dict(cls, d):
-        _check_fields("model", d, cls)
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class DatasetCfg:
@@ -84,11 +79,6 @@ class DatasetCfg:
             raise ValueError(f"max_per_class must be >= 1, got {self.max_per_class}")
         object.__setattr__(self, "paths", tuple(self.paths))
 
-    @classmethod
-    def from_dict(cls, d):
-        _check_fields("dataset", d, cls)
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class RandomOutCfg:
@@ -103,11 +93,6 @@ class RandomOutCfg:
             raise ValueError(f"p_active must be in [0, 1], got {self.p_active}")
         if self.check_every < 1:
             raise ValueError(f"check_every must be >= 1, got {self.check_every}")
-
-    @classmethod
-    def from_dict(cls, d):
-        _check_fields("randomout", d, cls)
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -125,12 +110,13 @@ class TrainConfig:
     dead_first_layer: bool = False
 
     def __post_init__(self):
-        if isinstance(self.model, dict):
-            object.__setattr__(self, "model", ModelCfg.from_dict(self.model))
-        if isinstance(self.dataset, dict):
-            object.__setattr__(self, "dataset", DatasetCfg.from_dict(self.dataset))
-        if isinstance(self.randomout, dict):
-            object.__setattr__(self, "randomout", RandomOutCfg.from_dict(self.randomout))
+        for name, cls in (("model", ModelCfg), ("dataset", DatasetCfg), ("randomout", RandomOutCfg)):
+            value = getattr(self, name)
+            if isinstance(value, dict):
+                _check_fields(name, value, cls)
+                object.__setattr__(self, name, cls(**value))
+            elif not isinstance(value, cls) and not (value is None and name == "randomout"):
+                raise ValueError(f"train field {name!r} must be an object, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 1 or self.batch_size < 1:
@@ -151,13 +137,6 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d):
         _check_fields("train", d, cls)
-        d = dict(d)
-        if "model" in d and isinstance(d["model"], dict):
-            d["model"] = ModelCfg.from_dict(d["model"])
-        if "dataset" in d and isinstance(d["dataset"], dict):
-            d["dataset"] = DatasetCfg.from_dict(d["dataset"])
-        if d.get("randomout") is not None and isinstance(d["randomout"], dict):
-            d["randomout"] = RandomOutCfg.from_dict(d["randomout"])
         return cls(**d)
 
     def to_dict(self):
@@ -174,7 +153,7 @@ class TrainConfig:
     def replace(self, **kw):
         d = self.to_dict()
         # replacing the condition away from randomout drops stale settings
-        d.update({k: v for k, v in kw.items()})
+        d.update(kw)
         if d.get("condition") != "randomout":
             d["randomout"] = None
         return TrainConfig.from_dict(d)

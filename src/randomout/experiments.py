@@ -14,13 +14,14 @@ import os
 import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from .config import TrainConfig
 from .data import BatchPlan, load_cifar10_binary, load_idx, split_50_50, synth_craters
-from .metrics import MetricsRecord, read_metrics, read_summary, write_metrics, write_summary
+from .metrics import MetricsRecord, read_metrics, read_summary, write_csv, write_metrics, write_summary
 from .model import conv_layers, filter_groups
 from .models import build_cratercnn, build_mini_inception
 from .optim import make_optimizer
@@ -39,6 +40,11 @@ FAIL_MARGIN = 0.05
 # in cache, and a whole number of the dense head's BLAS row tiles, so chunks
 # give the same logits bit for bit as one large batch.
 EVAL_CHUNK = 16
+# CSV columns: the ResetEvent fields, the summary.json keys of a seed sweep's
+# runs, and the keys of a width sweep's rows.
+RESETS_COLUMNS = ("epoch", "batch", "layer_id", "filter_index", "cgn_before")
+SWEEP_COLUMNS = ("condition", "seed", "config_hash", "final_test_acc", "diverged", "failed", "total_resets")
+WIDTH_COLUMNS = ("width", "base_mean", "base_std", "randomout_mean", "randomout_std", "randomout_wins")
 
 
 def load_dataset_pair(cfg):
@@ -191,10 +197,7 @@ def run_training(cfg, out_dir, force=False):
     shutil.rmtree(tmp_dir, ignore_errors=True)  # left by a crashed process with this pid
     tmp_dir.mkdir(parents=True)
     write_metrics(tmp_dir / "metrics.csv", records)
-    with open(tmp_dir / "resets.csv", "w") as f:
-        f.write("epoch,batch,layer_id,filter_index,cgn_before\n")
-        for e in events:
-            f.write(f"{e.epoch},{e.batch},{e.layer_id},{e.filter_index},{e.cgn_before!r}\n")
+    write_csv(tmp_dir / "resets.csv", [RESETS_COLUMNS, *(vars(e).values() for e in events)])
     with open(tmp_dir / "config.json", "w") as f:
         f.write(cfg.canonical_json() + "\n")
     write_summary(tmp_dir / "summary.json", summary)
@@ -219,9 +222,7 @@ def _run_one(args):
 
 def _run_many(cfgs, out_dir, jobs=1):
     """Run configs (deduplicated by hash) and return results in input order."""
-    unique = {}
-    for cfg in cfgs:
-        unique.setdefault(cfg.config_hash(), cfg)
+    unique = {cfg.config_hash(): cfg for cfg in cfgs}  # ordered by first occurrence
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             done = list(pool.map(_run_one, [(c, out_dir) for c in unique.values()]))
@@ -240,14 +241,13 @@ def _stats(values):
     }
 
 
-@dataclass
-class SweepSummary:
-    conditions: dict
-    paired_gains: dict | None
-    runs: list
-
-    def to_dict(self):
-        return {"conditions": self.conditions, "paired_gains": self.paired_gains, "runs": self.runs}
+def _write_sweep(out_dir, csv_name, rows, json_name, result):
+    """Every sweep's epilogue: its table to csv_name, result to json_name."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_csv(out / csv_name, rows)
+    write_summary(out / json_name, result)
+    return result
 
 
 def seed_sweep(base_cfg, seeds, conditions=("base", "randomout"), out_dir="runs", jobs=1):
@@ -255,6 +255,9 @@ def seed_sweep(base_cfg, seeds, conditions=("base", "randomout"), out_dir="runs"
 
     Seeds are shared across conditions so per-seed differences isolate the
     condition. Divergent runs are kept, flagged, and scored at chance.
+    Returns the contents of sweep_summary.json: ``conditions`` (stats per
+    condition), ``paired_gains`` (None unless both base and randomout ran)
+    and ``runs`` (every run's summary).
     """
 
     seeds = list(seeds)
@@ -263,39 +266,27 @@ def seed_sweep(base_cfg, seeds, conditions=("base", "randomout"), out_dir="runs"
         raise ValueError(f"need at least 2 seeds, got {len(seeds)}")
     if len(set(conditions)) != len(conditions):
         raise ValueError("duplicate conditions")
+    n = len(seeds)
     cfgs = [base_cfg.replace(seed=s, condition=c) for c in conditions for s in seeds]
-    results = _run_many(cfgs, out_dir, jobs)
-    by_cond = {c: results[i * len(seeds) : (i + 1) * len(seeds)] for i, c in enumerate(conditions)}
+    runs = [r.summary for r in _run_many(cfgs, out_dir, jobs)]
+    by_cond = {c: runs[i * n : (i + 1) * n] for i, c in enumerate(conditions)}
 
-    cond_stats = {}
-    for c, rs in by_cond.items():
-        accs = [effective_acc(r.summary) for r in rs]
-        cond_stats[c] = _stats(accs)
-        cond_stats[c]["failure_rate"] = sum(r.summary["failed"] for r in rs) / len(rs)
-        cond_stats[c]["divergence_rate"] = sum(r.summary["diverged"] for r in rs) / len(rs)
-
+    cond_stats = {
+        c: {
+            **_stats([effective_acc(s) for s in rs]),
+            "failure_rate": sum(s["failed"] for s in rs) / n,
+            "divergence_rate": sum(s["diverged"] for s in rs) / n,
+        }
+        for c, rs in by_cond.items()
+    }
     paired = None
     if "base" in by_cond and "randomout" in by_cond:
-        gains = [
-            effective_acc(ro.summary) - effective_acc(b.summary)
-            for b, ro in zip(by_cond["base"], by_cond["randomout"])
-        ]
+        gains = [effective_acc(ro) - effective_acc(b) for b, ro in zip(by_cond["base"], by_cond["randomout"])]
         paired = {"seeds": seeds, "gains": gains, "mean": float(np.mean(gains)), "median": float(np.median(gains))}
 
-    summary = SweepSummary(cond_stats, paired, [r.summary for r in results])
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep_results.csv", "w") as f:
-        f.write("condition,seed,config_hash,final_test_acc,diverged,failed,total_resets\n")
-        for r in results:
-            s = r.summary
-            acc = "" if s["final_test_acc"] is None else repr(s["final_test_acc"])
-            f.write(
-                f"{s['condition']},{s['seed']},{s['config_hash']},{acc},"
-                f"{int(s['diverged'])},{int(s['failed'])},{s['total_resets']}\n"
-            )
-    write_summary(out / "sweep_summary.json", summary.to_dict())
-    return summary
+    rows = [SWEEP_COLUMNS, *([s[k] for k in SWEEP_COLUMNS] for s in runs)]
+    result = {"conditions": cond_stats, "paired_gains": paired, "runs": runs}
+    return _write_sweep(out_dir, "sweep_results.csv", rows, "sweep_summary.json", result)
 
 
 def grid_search(base_cfg, taus, ps, seeds, out_dir="runs", jobs=1):
@@ -309,39 +300,33 @@ def grid_search(base_cfg, taus, ps, seeds, out_dir="runs", jobs=1):
     taus = list(taus)
     ps = list(ps)
     seeds = list(seeds)
-    base_runs = _run_many([base_cfg.replace(seed=s, condition="base") for s in seeds], out_dir, jobs)
-    base_accs = [effective_acc(r.summary) for r in base_runs]
-
-    cell_cfgs = []
-    for tau in taus:
-        for p in ps:
-            for s in seeds:
-                cell_cfgs.append(
-                    base_cfg.replace(
-                        seed=s,
-                        condition="randomout",
-                        randomout={"tau": tau, "p_active": p, "check_every": 1},
-                    )
-                )
-    cell_runs = _run_many(cell_cfgs, out_dir, jobs)
+    if not taus or not ps:
+        raise ValueError("a grid needs at least one tau and one p_active")
+    n = len(seeds)
+    cfgs = [base_cfg.replace(seed=s, condition="base") for s in seeds]
+    cfgs += [
+        base_cfg.replace(seed=s, condition="randomout", randomout={"tau": tau, "p_active": p, "check_every": 1})
+        for tau, p in product(taus, ps)
+        for s in seeds
+    ]
+    runs = [r.summary for r in _run_many(cfgs, out_dir, jobs)]
+    base_accs = [effective_acc(s) for s in runs[:n]]
 
     cells = []
-    i = 0
-    for tau in taus:
-        for p in ps:
-            runs = cell_runs[i : i + len(seeds)]
-            i += len(seeds)
-            gains = [effective_acc(r.summary) - b for r, b in zip(runs, base_accs)]
-            cells.append(
-                {
-                    "tau": tau,
-                    "p_active": p,
-                    "mean_gain": float(np.mean(gains)),
-                    "gains": gains,
-                    "mean_acc": float(np.mean([effective_acc(r.summary) for r in runs])),
-                    "total_resets": int(sum(r.summary["total_resets"] for r in runs)),
-                }
-            )
+    for i, (tau, p) in enumerate(product(taus, ps), start=1):
+        cell_runs = runs[i * n : (i + 1) * n]
+        accs = [effective_acc(s) for s in cell_runs]
+        gains = [a - b for a, b in zip(accs, base_accs)]
+        cells.append(
+            {
+                "tau": tau,
+                "p_active": p,
+                "mean_gain": float(np.mean(gains)),
+                "gains": gains,
+                "mean_acc": float(np.mean(accs)),
+                "total_resets": int(sum(s["total_resets"] for s in cell_runs)),
+            }
+        )
 
     by_cell = {(c["tau"], c["p_active"]): c for c in cells}
     min_tau = min(taus)
@@ -351,12 +336,7 @@ def grid_search(base_cfg, taus, ps, seeds, out_dir="runs", jobs=1):
         if np.std(col) > 0 and np.std(ps) > 0:
             corr = float(np.corrcoef(ps, col)[0, 1])
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "grid.csv", "w") as f:
-        f.write("tau," + ",".join(repr(float(p)) for p in ps) + "\n")
-        for tau in taus:
-            f.write(repr(float(tau)) + "," + ",".join(repr(by_cell[(tau, p)]["mean_gain"]) for p in ps) + "\n")
+    rows = [["tau", *map(float, ps)], *([float(tau), *(by_cell[(tau, p)]["mean_gain"] for p in ps)] for tau in taus)]
     result = {
         "taus": taus,
         "ps": ps,
@@ -365,8 +345,7 @@ def grid_search(base_cfg, taus, ps, seeds, out_dir="runs", jobs=1):
         "base_mean_acc": float(np.mean(base_accs)),
         "gain_p_correlation_at_min_tau": corr,
     }
-    write_summary(out / "grid_summary.json", result)
-    return result
+    return _write_sweep(out_dir, "grid.csv", rows, "grid_summary.json", result)
 
 
 def width_sweep(base_cfg, widths, seeds, out_dir="runs", jobs=1):
@@ -376,27 +355,20 @@ def width_sweep(base_cfg, widths, seeds, out_dir="runs", jobs=1):
 
     widths = list(widths)
     seeds = list(seeds)
+    n = len(seeds)
+    cfgs = [
+        base_cfg.replace(seed=s, condition=c, model={"name": base_cfg.model.name, "width": width})
+        for width in widths
+        for c in ("base", "randomout")
+        for s in seeds
+    ]
+    accs = [effective_acc(r.summary) for r in _run_many(cfgs, out_dir, jobs)]
     rows = []
-    for width in widths:
-        model = {"name": base_cfg.model.name, "width": width}
-        base_runs = _run_many(
-            [base_cfg.replace(seed=s, condition="base", model=model) for s in seeds], out_dir, jobs
-        )
-        ro_runs = _run_many(
-            [base_cfg.replace(seed=s, condition="randomout", model=model) for s in seeds], out_dir, jobs
-        )
-        base = _stats([effective_acc(r.summary) for r in base_runs])
-        ro = _stats([effective_acc(r.summary) for r in ro_runs])
-        rows.append(
-            {
-                "width": width,
-                "base_mean": base["mean"],
-                "base_std": base["std"],
-                "randomout_mean": ro["mean"],
-                "randomout_std": ro["std"],
-                "randomout_wins": ro["mean"] >= base["mean"],
-            }
-        )
+    for i, width in enumerate(widths):
+        base = _stats(accs[2 * i * n : (2 * i + 1) * n])
+        ro = _stats(accs[(2 * i + 1) * n : (2 * i + 2) * n])
+        stats = (width, base["mean"], base["std"], ro["mean"], ro["std"], ro["mean"] >= base["mean"])
+        rows.append(dict(zip(WIDTH_COLUMNS, stats)))
 
     base_means = {r["width"]: r["base_mean"] for r in rows}
     extra = {}
@@ -408,24 +380,11 @@ def width_sweep(base_cfg, widths, seeds, out_dir="runs", jobs=1):
     # trend report (not asserted anywhere): widths where mean accuracy
     # dipped below the previous width's mean
     dips = {
-        cond: [
-            rows[i]["width"]
-            for i in range(1, len(rows))
-            if rows[i][f"{cond}_mean"] < rows[i - 1][f"{cond}_mean"]
-        ]
+        cond: [r["width"] for prev, r in zip(rows, rows[1:]) if r[f"{cond}_mean"] < prev[f"{cond}_mean"]]
         for cond in ("base", "randomout")
     }
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "width_sweep.csv", "w") as f:
-        f.write("width,base_mean,base_std,randomout_mean,randomout_std,randomout_wins,effective_extra_filters\n")
-        for r in rows:
-            e = extra[r["width"]]
-            f.write(
-                f"{r['width']},{r['base_mean']!r},{r['base_std']!r},{r['randomout_mean']!r},"
-                f"{r['randomout_std']!r},{int(r['randomout_wins'])},{'' if e is None else e}\n"
-            )
+    table = [[*WIDTH_COLUMNS, "effective_extra_filters"], *([*r.values(), extra[r["width"]]] for r in rows)]
     result = {
         "widths": widths,
         "seeds": seeds,
@@ -434,5 +393,4 @@ def width_sweep(base_cfg, widths, seeds, out_dir="runs", jobs=1):
         "accuracy_dips": dips,
         "majority_randomout_wins": sum(r["randomout_wins"] for r in rows) > len(rows) / 2,
     }
-    write_summary(out / "width_summary.json", result)
-    return result
+    return _write_sweep(out_dir, "width_sweep.csv", table, "width_summary.json", result)

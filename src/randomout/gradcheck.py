@@ -6,8 +6,6 @@ backward pass. Relative error uses a 1e-6 floor in the denominator so
 exactly-dead paths (both gradients ~0) compare cleanly.
 """
 
-import numpy as np
-
 from .model import LayerSpec, build_model
 from .models import build_cratercnn, build_mini_inception
 from .rng import derive_stream
@@ -65,30 +63,6 @@ def _offset_conv_biases(model, value=0.05):
         if p.role == "conv_bias":
             p.value[:] = value
     return model
-
-
-def kink_margin(model, x):
-    """Smallest |ReLU input| in a forward pass; large means kink-free."""
-    margins = []
-    h = [x]
-
-    def probe(seq):
-        for layer in seq:
-            if layer.kind == "concat":
-                outs = []
-                for branch in layer.branches:
-                    keep = h[0]
-                    probe(branch)
-                    outs.append(h[0])
-                    h[0] = keep
-                h[0] = np.concatenate(outs, axis=1)
-            else:
-                if layer.kind == "relu":
-                    margins.append(np.abs(h[0]).min())
-                h[0] = layer.forward(h[0], "train")[0]
-
-    probe(model.layers)
-    return min(margins) if margins else np.inf
 
 
 def standard_suites(seed=20240001):

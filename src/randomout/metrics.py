@@ -1,4 +1,5 @@
-"""Per-batch metrics records with a lossless CSV round-trip.
+"""Per-batch metrics records with a lossless CSV round-trip, and the one
+CSV writer every artifact goes through.
 
 Floats are written with repr() so parsing the file reproduces the exact
 binary values; identical runs therefore produce byte-identical files.
@@ -22,33 +23,31 @@ class MetricsRecord:
     resets: int
     diverged: bool
 
-    def to_row(self):
-        test = "" if self.test_acc is None else repr(self.test_acc)
-        return (
-            f"{self.epoch},{self.batch},{self.train_loss!r},{self.train_acc!r},"
-            f"{test},{self.mean_cgn!r},{self.below_thresh},{self.resets},{int(self.diverged)}"
-        )
+
+def _cell(value):
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return repr(float(value))  # a numpy scalar prints as a plain float
+    return "" if value is None else str(value)
+
+
+def write_csv(path, rows):
+    """Write rows, the header first, one comma-joined line each."""
+    with open(path, "w") as f:
+        f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
 def write_metrics(path, records):
-    with open(path, "w") as f:
-        f.write(METRICS_HEADER + "\n")
-        for r in records:
-            f.write(r.to_row() + "\n")
+    write_csv(path, [METRICS_HEADER.split(","), *(vars(r).values() for r in records)])
 
 
-def _parse_int(text, path, lineno, col):
+def _parse(kind, text, path, lineno, col):
     try:
-        return int(text)
+        return kind(text)
     except ValueError:
-        raise ValueError(f"{path}:{lineno}: bad integer {text!r} in column {col!r}") from None
-
-
-def _parse_float(text, path, lineno, col):
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"{path}:{lineno}: bad float {text!r} in column {col!r}") from None
+        what = "integer" if kind is int else "float"
+        raise ValueError(f"{path}:{lineno}: bad {what} {text!r} in column {col!r}") from None
 
 
 def read_metrics(path):
@@ -63,19 +62,19 @@ def read_metrics(path):
         if len(parts) != 9:
             raise ValueError(f"{path}:{lineno}: expected 9 fields, got {len(parts)}")
         ep, ba, tl, ta, te, cg, bt, rs, dv = parts
-        diverged = _parse_int(dv, path, lineno, "diverged")
+        diverged = _parse(int, dv, path, lineno, "diverged")
         if diverged not in (0, 1):
             raise ValueError(f"{path}:{lineno}: diverged must be 0 or 1, got {dv!r}")
         records.append(
             MetricsRecord(
-                epoch=_parse_int(ep, path, lineno, "epoch"),
-                batch=_parse_int(ba, path, lineno, "batch"),
-                train_loss=_parse_float(tl, path, lineno, "train_loss"),
-                train_acc=_parse_float(ta, path, lineno, "train_acc"),
-                test_acc=None if te == "" else _parse_float(te, path, lineno, "test_acc"),
-                mean_cgn=_parse_float(cg, path, lineno, "mean_cgn"),
-                below_thresh=_parse_int(bt, path, lineno, "below_thresh"),
-                resets=_parse_int(rs, path, lineno, "resets"),
+                epoch=_parse(int, ep, path, lineno, "epoch"),
+                batch=_parse(int, ba, path, lineno, "batch"),
+                train_loss=_parse(float, tl, path, lineno, "train_loss"),
+                train_acc=_parse(float, ta, path, lineno, "train_acc"),
+                test_acc=None if te == "" else _parse(float, te, path, lineno, "test_acc"),
+                mean_cgn=_parse(float, cg, path, lineno, "mean_cgn"),
+                below_thresh=_parse(int, bt, path, lineno, "below_thresh"),
+                resets=_parse(int, rs, path, lineno, "resets"),
                 diverged=bool(diverged),
             )
         )

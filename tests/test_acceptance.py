@@ -185,7 +185,7 @@ def test_criterion_04_disabled_scan_equals_base(acc_dir):
 
 def test_criterion_05_rescues_dead_initializations(dead_sweep):
     summary, _ = dead_sweep
-    runs = {c: [r for r in summary.runs if r["condition"] == c] for c in ("base", "randomout")}
+    runs = {c: [r for r in summary["runs"] if r["condition"] == c] for c in ("base", "randomout")}
     ro_rescued = [r for r in runs["randomout"] if effective_acc(r) >= r["chance"] + 0.20]
     base_stuck = [r for r in runs["base"] if abs(effective_acc(r) - r["chance"]) <= 0.05]
     ok = len(ro_rescued) == 10 and len(base_stuck) >= 8
@@ -200,16 +200,16 @@ def test_criterion_05_rescues_dead_initializations(dead_sweep):
 
 def test_criterion_06_variance_and_median_gain_direction(paired_sweep):
     summary, _ = paired_sweep
-    std_base = summary.conditions["base"]["std"]
-    std_ro = summary.conditions["randomout"]["std"]
-    median_gain = summary.paired_gains["median"]
-    n = len(summary.paired_gains["seeds"])
+    std_base = summary["conditions"]["base"]["std"]
+    std_ro = summary["conditions"]["randomout"]["std"]
+    median_gain = summary["paired_gains"]["median"]
+    n = len(summary["paired_gains"]["seeds"])
     ok = n >= 20 and std_ro <= std_base and median_gain >= 0.0
     _report(
         6,
         ok,
         f"{n} paired seeds: std randomout {std_ro:.4f} <= base {std_base:.4f}; "
-        f"median gain {median_gain:+.4f} (mean {summary.paired_gains['mean']:+.4f}; magnitudes reported, not asserted)",
+        f"median gain {median_gain:+.4f} (mean {summary['paired_gains']['mean']:+.4f}; magnitudes reported, not asserted)",
     )
 
 
@@ -251,7 +251,7 @@ def test_criterion_08_width_sweep_direction(acc_dir):
 
 def test_criterion_09_telemetry_shape(dead_sweep, acc_dir):
     summary, out = dead_sweep
-    ro_zero = next(r for r in summary.runs if r["condition"] == "randomout" and r["seed"] == 0)
+    ro_zero = next(r for r in summary["runs"] if r["condition"] == "randomout" and r["seed"] == 0)
     records = read_metrics(out / ro_zero["config_hash"] / "metrics.csv")
     below = [r.below_thresh for r in records]
     quarter = len(below) // 4
@@ -265,7 +265,7 @@ def test_criterion_09_telemetry_shape(dead_sweep, acc_dir):
         out_dir=acc_dir / "telemetry",
     )
     recorded = {}
-    for run in tele.runs:
+    for run in tele["runs"]:
         rows = read_metrics(acc_dir / "telemetry" / run["config_hash"] / "metrics.csv")
         live = [r.mean_cgn for r in rows if not r.diverged]
         recorded.setdefault(run["condition"], True)
@@ -313,7 +313,7 @@ def test_criterion_11_format_round_trips(tmp_path, dead_sweep):
 
     # metrics from a real run round-trip losslessly
     summary, out = dead_sweep
-    src = out / summary.runs[0]["config_hash"] / "metrics.csv"
+    src = out / summary["runs"][0]["config_hash"] / "metrics.csv"
     records = read_metrics(src)
     copy = tmp_path / "copy.csv"
     write_metrics(copy, records)

@@ -144,7 +144,9 @@ def test_mini_inception_width_1_config_exits_1(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [p]  # no run directory was started
 
 
-@pytest.mark.parametrize("field,value", [("epochs", "3"), ("lr", True)])
+@pytest.mark.parametrize(
+    "field,value", [("epochs", "3"), ("lr", True), ("model", "cratercnn"), ("dataset", "synth"), ("randomout", 1.0)]
+)
 def test_config_field_type_error_exits_1(tmp_path, capsys, field, value):
     p = tmp_path / "typed.json"
     p.write_text(json.dumps({field: value}))
@@ -153,6 +155,25 @@ def test_config_field_type_error_exits_1(tmp_path, capsys, field, value):
     assert exc.value.code == 1
     assert f"train field '{field}' must be" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [p]  # no run directory was started
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["sweep-seeds", "--seeds", "0..2", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+        (["sweep-seeds", "--seeds", "0..1"], "--seeds needs at least 2 seeds"),
+        (["grid", "--seeds", "0..2", "--ps", ""], "--ps expects at least one number"),
+        (["grid", "--seeds", "0..2", "--taus=-1"], "--taus: tau must be >= 0, got -1.0"),
+        (["width-sweep", "--seeds", "0..2", "--widths", "0..2"], "--widths: width must be >= 1, got 0"),
+    ],
+    ids=["jobs-0", "one-seed", "empty-ps", "negative-tau", "width-0"],
+)
+def test_bad_sweep_argument_exits_1_before_any_run(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *FAST, "--out", str(tmp_path)])
+    assert exc.value.code == 1
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no run directory was started
 
 
 def test_missing_config_file_exits_1(tmp_path, capsys):

@@ -169,18 +169,38 @@ def test_run_finished_first_by_another_process_is_returned(tmp_path, monkeypatch
     assert sorted(p.name for p in (tmp_path / "store").iterdir()) == [h]
 
 
-def test_parallel_sweep_matches_serial_sweep_bytes(tmp_path):
-    cfg = tiny_cfg()
-    seed_sweep(cfg, seeds=[0, 1], out_dir=tmp_path / "serial", jobs=1)
-    seed_sweep(cfg, seeds=[0, 1], out_dir=tmp_path / "parallel", jobs=2)
+def run_seed_sweep(out, jobs):
+    seed_sweep(tiny_cfg(), seeds=[0, 1], out_dir=out, jobs=jobs)
+
+
+def run_grid_search(out, jobs):
+    grid_search(tiny_cfg(), taus=[1e-8, 0.3], ps=[0.5, 1.0], seeds=[0, 1], out_dir=out, jobs=jobs)
+
+
+def run_width_sweep(out, jobs):
+    width_sweep(tiny_cfg(), widths=[1, 2], seeds=[0, 1], out_dir=out, jobs=jobs)
+
+
+@pytest.mark.parametrize(
+    "sweep,n_runs,artifacts",
+    [
+        (run_seed_sweep, 4, ("sweep_results.csv", "sweep_summary.json")),  # 2 conditions x 2 seeds
+        (run_grid_search, 2 + 2 * 2 * 2, ("grid.csv", "grid_summary.json")),  # base + 2 taus x 2 ps, 2 seeds
+        (run_width_sweep, 2 * 2 * 2, ("width_sweep.csv", "width_summary.json")),  # 2 widths x 2 conditions x 2 seeds
+    ],
+    ids=["seed_sweep", "grid_search", "width_sweep"],
+)
+def test_parallel_sweep_matches_serial_sweep_bytes(tmp_path, sweep, n_runs, artifacts):
+    sweep(tmp_path / "serial", 1)
+    sweep(tmp_path / "parallel", 2)
     serial = sorted((tmp_path / "serial").glob("*/metrics.csv"))
     parallel = sorted((tmp_path / "parallel").glob("*/metrics.csv"))
     assert [p.parent.name for p in serial] == [p.parent.name for p in parallel]
-    assert len(serial) == 4  # 2 conditions x 2 seeds
+    assert len(serial) == n_runs
     for a, b in zip(serial, parallel):
         assert a.read_bytes() == b.read_bytes()
-    results = "sweep_results.csv"
-    assert (tmp_path / "serial" / results).read_bytes() == (tmp_path / "parallel" / results).read_bytes()
+    for name in artifacts:
+        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "parallel" / name).read_bytes()
     assert sorted(p.name for p in (tmp_path / "parallel").iterdir() if ".tmp-" in p.name) == []
 
 
@@ -243,11 +263,11 @@ def test_effective_acc_scores_divergence_at_chance():
 
 def test_seed_sweep_stats_and_pairing(tmp_path):
     summary = seed_sweep(tiny_cfg(), seeds=[0, 1], out_dir=tmp_path)
-    assert set(summary.conditions) == {"base", "randomout"}
-    for stats in summary.conditions.values():
+    assert set(summary["conditions"]) == {"base", "randomout"}
+    for stats in summary["conditions"].values():
         assert set(stats) >= {"mean", "median", "std", "failure_rate", "divergence_rate"}
-    assert summary.paired_gains["seeds"] == [0, 1]
-    assert len(summary.paired_gains["gains"]) == 2
+    assert summary["paired_gains"]["seeds"] == [0, 1]
+    assert len(summary["paired_gains"]["gains"]) == 2
     assert (tmp_path / "sweep_results.csv").exists()
     assert (tmp_path / "sweep_summary.json").exists()
     text = (tmp_path / "sweep_results.csv").read_text().splitlines()
@@ -259,9 +279,9 @@ def test_seed_sweep_std_oracle(tmp_path):
     # two seeds with known accuracies give the sample std (ddof=1):
     # std([a, b]) = |a - b| / sqrt(2); for 0.5 and 0.7 that is 0.14142...
     summary = seed_sweep(tiny_cfg(epochs=1), seeds=[0, 1], conditions=("base",), out_dir=tmp_path)
-    accs = [r["final_test_acc"] if not r["diverged"] else r["chance"] for r in summary.runs]
+    accs = [r["final_test_acc"] if not r["diverged"] else r["chance"] for r in summary["runs"]]
     expected = abs(accs[0] - accs[1]) / np.sqrt(2)
-    assert summary.conditions["base"]["std"] == pytest.approx(expected, rel=1e-12)
+    assert summary["conditions"]["base"]["std"] == pytest.approx(expected, rel=1e-12)
     assert np.std([0.5, 0.7], ddof=1) == pytest.approx(0.1414213562373095, rel=1e-12)
 
 
@@ -302,6 +322,20 @@ def test_width_sweep_rows_and_extra_filters(tmp_path):
     dips = result["accuracy_dips"]
     assert set(dips) == {"base", "randomout"}
     assert dips["base"] == ([2] if rows[2]["base_mean"] < rows[1]["base_mean"] else [])
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda out: grid_search(tiny_cfg(), taus=[1e-8, -1.0], ps=[1.0], seeds=[0, 1], out_dir=out),
+        lambda out: width_sweep(tiny_cfg(), widths=[2, 0], seeds=[0, 1], out_dir=out),
+    ],
+    ids=["negative-tau", "width-0"],
+)
+def test_invalid_sweep_config_fails_before_any_run(tmp_path, sweep):
+    with pytest.raises(ValueError, match="must be >= 0|must be >= 1"):
+        sweep(tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_reuses_completed_runs(tmp_path):

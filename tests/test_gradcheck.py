@@ -2,10 +2,33 @@
 
 import numpy as np
 
-from randomout.gradcheck import EPS, TOLERANCE, kink_margin, model_max_rel_error, relative_error
-from randomout.model import LayerSpec, build_model
-from randomout.models import build_cratercnn
+from randomout.gradcheck import EPS, TOLERANCE, model_max_rel_error, relative_error
+from randomout.model import LayerSpec, build_model, conv_layers
+from randomout.models import build_cratercnn, build_mini_inception
 from randomout.rng import derive_stream
+
+
+def kink_margin(model, x):
+    """Smallest |ReLU input| in a train-mode forward pass; large means kink-free."""
+
+    def walk(seq, h):
+        # returns the output of seq and the smallest |ReLU input| inside it
+        margin = np.inf
+        for layer in seq:
+            if layer.kind == "concat":
+                outs = []
+                for branch in layer.branches:
+                    out, branch_margin = walk(branch, h)
+                    outs.append(out)
+                    margin = min(margin, branch_margin)
+                h = np.concatenate(outs, axis=1)
+            else:
+                if layer.kind == "relu":
+                    margin = min(margin, np.abs(h).min())
+                h = layer.forward(h, "train")[0]
+        return h, margin
+
+    return walk(model.layers, x)[1]
 
 
 def test_relative_error_floor():
@@ -35,6 +58,21 @@ def test_kink_margin_detects_near_zero_preactivations():
         if p.role == "conv_bias":
             p.value[...] = 1000.0  # every preactivation far from the kink
     assert kink_margin(model, x) > 100.0
+
+
+def test_kink_margin_walks_every_inception_branch():
+    model = build_mini_inception(2, derive_stream(3, "init"), input_shape=(3, 12, 12))
+    x = np.random.default_rng(3).uniform(0, 1, size=(2, 3, 12, 12))
+    convs = conv_layers(model)
+    for conv in convs:
+        conv.kernel.value[...] = 0.0
+        conv.bias.value[...] = 1.0  # every ReLU input is exactly 1
+    assert kink_margin(model, x) == 1.0
+    assert len(convs) == 5
+    for conv in convs[1:]:  # every conv after the stem sits in a branch
+        conv.bias.value[...] = 0.5  # only the ReLU after this conv sees 0.5
+        assert kink_margin(model, x) == 0.5, conv.layer_id
+        conv.bias.value[...] = 1.0
 
 
 def test_perturbation_scale_smaller_than_tolerance_regime():

@@ -10,6 +10,7 @@ from randomout.metrics import (
     MetricsRecord,
     read_metrics,
     read_summary,
+    write_csv,
     write_metrics,
     write_summary,
 )
@@ -90,6 +91,13 @@ def test_bad_values_report_line_and_column(tmp_path):
         p.write_text(METRICS_HEADER + "\n" + good + "\n" + line + "\n")
         with pytest.raises(ValueError, match=r"case\.csv:3: " + message):
             read_metrics(p)
+
+
+def test_write_csv_formats_each_cell_one_way(tmp_path):
+    p = tmp_path / "t.csv"
+    header = ("none", "true", "false", "np64", "nan", "int")
+    write_csv(p, [header, (None, True, False, np.float64(0.1), float("nan"), 7)])
+    assert p.read_text() == "none,true,false,np64,nan,int\n,1,0,0.1,nan,7\n"
 
 
 def test_summary_round_trip(tmp_path):
