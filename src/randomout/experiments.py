@@ -30,7 +30,7 @@ from .rng import derive_stream
 
 # Recorded in every summary.json; a run directory is reused only when it
 # matches. Bump it in every change that moves any result bit.
-ENGINE_VERSION = 1
+ENGINE_VERSION = 2
 # Added to the first conv layer's bias by dead_first_layer; large enough to
 # keep every pre-activation negative for any Xavier draw at widths 1..10.
 DEAD_BIAS_OFFSET = -10.0
@@ -300,8 +300,8 @@ def grid_search(base_cfg, taus, ps, seeds, out_dir="runs", jobs=1):
     taus = list(taus)
     ps = list(ps)
     seeds = list(seeds)
-    if not taus or not ps:
-        raise ValueError("a grid needs at least one tau and one p_active")
+    if not taus or not ps or not seeds:
+        raise ValueError("a grid needs at least one tau, one p_active and one seed")
     n = len(seeds)
     cfgs = [base_cfg.replace(seed=s, condition="base") for s in seeds]
     cfgs += [
@@ -355,6 +355,8 @@ def width_sweep(base_cfg, widths, seeds, out_dir="runs", jobs=1):
 
     widths = list(widths)
     seeds = list(seeds)
+    if not widths or not seeds:
+        raise ValueError("a width sweep needs at least one width and one seed")
     n = len(seeds)
     cfgs = [
         base_cfg.replace(seed=s, condition=c, model={"name": base_cfg.model.name, "width": width})

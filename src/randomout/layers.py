@@ -64,18 +64,21 @@ class Layer:
 class Conv2d(Layer):
     """Valid cross-correlation with a [K,C,kH,kW] kernel and per-channel bias.
 
-    The GEMMs run on the contiguous [N, C*kH*kW, Ho*Wo] buffer behind
-    ``tensor.im2col``'s view, so neither side of a product needs a copy. A
-    1x1 stride-1 conv needs no patches: its buffer is x itself, viewed as
-    [N, C, H*W].
+    A stride-1 conv runs on row-flattened planes (see ``tensor``'s layout
+    contract): its patches are ``tensor.wide_patches`` of x, so every patch
+    row is one contiguous run, and one GEMM per batch writes Ho rows of W
+    columns, of which the last W-Wo wrap around and are dropped. For k = 1
+    the patch buffer is x itself. A stride > 1 conv runs on
+    ``tensor.im2col``'s contiguous [N, C*kH*kW, Ho*Wo] buffer.
 
-    The input gradient takes one of three routes, picked from the layer's
-    own stride and kernel size:
+    The input gradient takes one of two routes, picked from the stride:
 
-    - stride 1, k = 1: one GEMM, ``kernel.T @ dout``, already in x's layout;
-    - stride 1, k > 1: the forward correlation of ``dout``, zero-padded by
-      k-1 on every side, with the flipped, channel-swapped kernel: one
-      ``im2col`` and one GEMM;
+    - stride 1: ``dout`` is written at row pitch W into one zero buffer
+      with a (k-1)*(W+1) margin in front, so its wrap-around columns stay
+      zero. The kernel gradient reads that buffer against the patches, and
+      the input gradient is the correlation of the same buffer with the
+      flipped, channel-swapped kernel: one ``wide_patches`` and one GEMM,
+      already in x's [N, C, H*W] layout;
     - stride > 1: one GEMM into patch columns, then ``tensor.col2im``'s
       scatter-add.
 
@@ -101,37 +104,45 @@ class Conv2d(Layer):
         self.params = (self.kernel, self.bias)
 
     def forward(self, x, mode):
-        n, _, h, w = x.shape
+        n, c, h, w = x.shape
         ks, k, s = self.kernel_size, self.out_channels, self.stride
-        if ks == 1 and s == 1:
-            cols = x.reshape(n, -1, h * w)
-        else:
-            cols = tensor.im2col(x, ks, ks, s).transpose(0, 2, 1)  # [N, C*kH*kW, Ho*Wo]
-        out = self.kernel.value.reshape(k, -1) @ cols + self.bias.value[:, None]
         ho = tensor.conv_output_size(h, ks, s)
         wo = tensor.conv_output_size(w, ks, s)
-        return out.reshape(n, k, ho, wo), (x.shape, cols)
+        kmat = self.kernel.value.reshape(k, -1)
+        if s > 1:
+            cols = tensor.im2col(x, ks, ks, s).transpose(0, 2, 1)  # [N, C*kH*kW, Ho*Wo]
+            out = (kmat @ cols + self.bias.value[:, None]).reshape(n, k, ho, wo)
+            return out, (x.shape, cols)
+        span = (ho - 1) * w + wo
+        cols = tensor.wide_patches(x.reshape(n, c, h * w), ks, w, span)  # [N, C*kH*kW, span]
+        wide = np.empty((n, k, ho * w), dtype=tensor.DTYPE)
+        np.matmul(kmat, cols, out=wide[..., :span])
+        return wide.reshape(n, k, ho, w)[..., :wo] + self.bias.value[:, None, None], (x.shape, cols)
 
     def backward(self, dout, cache):
         x_shape, cols = cache
         n, k, ho, wo = dout.shape
         dmat = dout.reshape(n, k, ho * wo)
         kernel = self.kernel.value
-        self.kernel.grad += (dmat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
         self.bias.grad += dmat.sum(axis=(0, 2))
-        if not self.input_grad:
-            return None
         ks, s = self.kernel_size, self.stride
         if s > 1:
+            self.kernel.grad += (dmat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
+            if not self.input_grad:
+                return None
             dcols = kernel.reshape(k, -1).T @ dmat  # [N, C*kH*kW, Ho*Wo]
             return tensor.col2im(dcols.transpose(0, 2, 1), x_shape, ks, ks, s)
-        if ks == 1:
-            return (kernel.reshape(k, -1).T @ dmat).reshape(x_shape)
-        p = ks - 1
-        dpad = np.zeros((n, k, ho + 2 * p, wo + 2 * p), dtype=tensor.DTYPE)
-        dpad[:, :, p : p + ho, p : p + wo] = dout
-        flipped = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(self.in_channels, -1)
-        return (flipped @ tensor.im2col(dpad, ks, ks, 1).transpose(0, 2, 1)).reshape(x_shape)
+        _, c, h, w = x_shape
+        margin = (ks - 1) * (w + 1)
+        span = cols.shape[2]
+        dz = np.zeros((n, k, margin + h * w), dtype=tensor.DTYPE)
+        dz[..., margin : margin + ho * w].reshape(n, k, ho, w)[..., :wo] = dout
+        dwide = dz[..., margin : margin + span]  # dout at row pitch W, wrap-around columns zero
+        self.kernel.grad += (dwide @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
+        if not self.input_grad:
+            return None
+        flipped = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+        return (flipped @ tensor.wide_patches(dz, ks, w, h * w)).reshape(x_shape)
 
 
 class ReLU(Layer):
@@ -279,7 +290,7 @@ def run_sequence(layers, x, mode):
     """Run layers in order; returns (y, caches), one cache per layer.
 
     An eval forward keeps no caches and returns None for them: each
-    layer's cache (im2col patches, ReLU masks, ...) is dropped as soon as
+    layer's cache (conv patches, ReLU masks, ...) is dropped as soon as
     that layer returns, so it never outlives the layer that made it.
     """
     if mode == "eval":

@@ -49,10 +49,14 @@ class Adam:
             s = self.state[p.id]
             s["t"] += 1
             t = s["t"]
-            s["m"] = self.beta1 * s["m"] + (1 - self.beta1) * p.grad
-            s["v"] = self.beta2 * s["v"] + (1 - self.beta2) * p.grad**2
-            m_hat = s["m"] / (1 - self.beta1**t)
-            v_hat = s["v"] / (1 - self.beta2**t)
+            m, v = s["m"], s["v"]
+            # in place, with the same operations per element as m = b1*m + (1-b1)*g
+            m *= self.beta1
+            m += (1 - self.beta1) * p.grad
+            v *= self.beta2
+            v += (1 - self.beta2) * np.square(p.grad)
+            m_hat = m / (1 - self.beta1**t)
+            v_hat = v / (1 - self.beta2**t)
             p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def reset_state_slice(self, param, index_slice):

@@ -1,4 +1,4 @@
-"""Dense float64 array kernels: shape checks and the im2col/col2im patch pair.
+"""Dense float64 array kernels: shape checks and the conv patch layouts.
 
 All functions are pure (inputs are never mutated) and operate on row-major
 numpy arrays of dtype float64. 64-bit precision is a hard requirement:
@@ -8,14 +8,20 @@ Convolution convention: cross-correlation (no kernel flip), valid padding
 only (no zero padding), output size (H - kH) // stride + 1. The conv layer
 in layers.py relies on exactly this convention.
 
-Layout contract: ``im2col`` returns ``[N, Ho*Wo, C*kh*kw]`` as the transposed
-view of a C-contiguous ``[N, C*kh*kw, Ho*Wo]`` buffer. ``Conv2d`` transposes
-it back and runs its GEMMs on that buffer without a copy. ``Conv2d`` calls
-``col2im`` only for the input gradient of a stride > 1 conv; a stride-1
-input gradient is itself a correlation and goes through ``im2col``.
+Layout contract. A stride-1 conv works on row-flattened planes
+``xf = x.reshape(N, C, H*W)``: the patch row for kernel tap (c, i, j) is the
+contiguous run ``xf[:, c, i*W+j : i*W+j+L]``, one "wide row" that steps over
+all Ho output rows at pitch W, ``L = (Ho-1)*W + Wo`` long. ``wide_patches``
+copies those runs into a C-contiguous ``[N, C*k*k, L]`` buffer (for k = 1
+the buffer is ``xf`` itself). A GEMM on it yields Ho rows of W columns whose
+last W-Wo columns wrap around into the next row and are dropped.
+``im2col`` returns ``[N, Ho*Wo, C*kh*kw]`` as the transposed view of a
+C-contiguous ``[N, C*kh*kw, Ho*Wo]`` buffer; it and its adjoint ``col2im``
+serve only stride > 1 convs.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 DTYPE = np.float64
 
@@ -38,6 +44,24 @@ def conv_output_size(size, kernel, stride):
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     return (size - kernel) // stride + 1
+
+
+def wide_patches(xf, k, pitch, length):
+    """Copy the k*k shifted runs of each plane of xf[N, C, S] into [N, C*k*k, length].
+
+    Row (c, i, j) is ``xf[:, c, i*pitch+j : i*pitch+j+length]``. A run that
+    would end past its plane (``(k-1)*(pitch+1) + length > S``) raises
+    ValueError. With k = 1 and length = S the only run is the plane itself,
+    and xf is returned without a copy.
+    """
+    n, c, size = xf.shape
+    if (k - 1) * (pitch + 1) + length > size:
+        raise ValueError(f"runs of length {length} at pitch {pitch} overrun planes of size {size}")
+    if k == 1 and length == size:
+        return xf
+    sn, sc, s = xf.strides
+    runs = as_strided(xf, (n, c, k, k, length), (sn, sc, pitch * s, s, s), writeable=False)
+    return np.ascontiguousarray(runs).reshape(n, c * k * k, length)
 
 
 def im2col(x, kh, kw, stride):

@@ -295,6 +295,16 @@ def test_gen_data_cifar_round_trips(tmp_path, capsys):
     assert ds.labels.tolist() == [i % 10 for i in range(12)]
 
 
+@pytest.mark.parametrize("kind,count", [("idx", "0"), ("idx", "1"), ("idx", "-3"), ("cifar10", "0")])
+def test_gen_data_count_too_small_exits_1_before_writing(tmp_path, capsys, kind, count):
+    out = tmp_path / "fixtures"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", "--kind", kind, "--count", count, "--out", str(out)])
+    assert exc.value.code == 1
+    assert f"--count must be >= {2 if kind == 'idx' else 1} for --kind {kind}, got {count}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gradcheck_exit_code_tracks_tolerance(monkeypatch, capsys):
     import randomout.cli as cli
 

@@ -338,6 +338,21 @@ def test_invalid_sweep_config_fails_before_any_run(tmp_path, sweep):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda out: grid_search(tiny_cfg(), taus=[1e-8], ps=[1.0], seeds=[], out_dir=out),
+        lambda out: width_sweep(tiny_cfg(), widths=[1, 2], seeds=[], out_dir=out),
+        lambda out: width_sweep(tiny_cfg(), widths=[], seeds=[0, 1], out_dir=out),
+    ],
+    ids=["grid-no-seeds", "width-no-seeds", "width-no-widths"],
+)
+def test_empty_sweep_axis_fails_before_any_run(tmp_path, sweep):
+    with pytest.raises(ValueError, match="needs at least one"):
+        sweep(tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_reuses_completed_runs(tmp_path):
     cfg = tiny_cfg()
     seed_sweep(cfg, seeds=[0, 1], out_dir=tmp_path)

@@ -123,21 +123,28 @@ def loop_conv_grads(x, kernel, dout, stride):
 
 
 @pytest.mark.parametrize(
-    "in_ch,out_ch,ks,stride,hw",
+    "in_ch,out_ch,ks,stride,hw,n",
     [
         # ids "1" and "2" are the original stride-1 and stride-2 cases
-        pytest.param(2, 3, 3, 1, (8, 7), id="1"),
-        pytest.param(2, 3, 3, 2, (8, 7), id="2"),
-        pytest.param(5, 3, 1, 1, (6, 5), id="1x1-c5-to-3"),
-        pytest.param(3, 5, 1, 1, (6, 6), id="1x1-c3-to-5"),
-        pytest.param(3, 2, 4, 1, (9, 9), id="4x4-c3-to-2"),
-        pytest.param(2, 6, 4, 1, (7, 10), id="4x4-c2-to-6-nonsquare"),
-        pytest.param(6, 2, 3, 1, (5, 9), id="3x3-c6-to-2-nonsquare"),
+        pytest.param(2, 3, 3, 1, (8, 7), 2, id="1"),
+        pytest.param(2, 3, 3, 2, (8, 7), 2, id="2"),
+        pytest.param(5, 3, 1, 1, (6, 5), 2, id="1x1-c5-to-3"),
+        pytest.param(3, 5, 1, 1, (6, 6), 2, id="1x1-c3-to-5"),
+        pytest.param(3, 2, 4, 1, (9, 9), 2, id="4x4-c3-to-2"),
+        pytest.param(2, 6, 4, 1, (7, 10), 2, id="4x4-c2-to-6-nonsquare"),
+        pytest.param(6, 2, 3, 1, (5, 9), 2, id="3x3-c6-to-2-nonsquare"),
+        # the workload shapes, where every output row wraps into the next
+        pytest.param(1, 3, 4, 1, (15, 15), 3, id="crater-conv1-15x15-k4"),
+        pytest.param(3, 3, 4, 1, (12, 12), 2, id="crater-conv2-12x12-k4"),
+        pytest.param(2, 2, 3, 1, (32, 32), 2, id="inception-stem-32x32-k3"),
+        pytest.param(2, 3, 3, 1, (11, 6), 3, id="3x3-tall-w-lt-h"),
+        pytest.param(2, 2, 4, 1, (6, 13), 3, id="4x4-wide-w-gt-h"),
+        pytest.param(3, 2, 1, 1, (7, 4), 3, id="1x1-tall-w-lt-h"),
     ],
 )
-def test_conv2d_input_gradient_matches_loop_oracle(in_ch, out_ch, ks, stride, hw):
+def test_conv2d_input_gradient_matches_loop_oracle(in_ch, out_ch, ks, stride, hw, n):
     conv = Conv2d(0, in_ch, out_ch, ks, stride, derive_stream(11, "init"), make_alloc())
-    x = np.random.default_rng(4).normal(size=(2, in_ch, *hw))
+    x = np.random.default_rng(4).normal(size=(n, in_ch, *hw))
     y, cache = conv.forward(x, "train")
     dout = np.random.default_rng(5).normal(size=y.shape)
     dx = conv.backward(dout, cache)
@@ -149,14 +156,19 @@ def test_conv2d_input_gradient_matches_loop_oracle(in_ch, out_ch, ks, stride, hw
 
 @pytest.mark.parametrize("ks", [1, 3, 4])
 def test_conv2d_stride_1_backward_never_scatters(monkeypatch, ks):
-    def no_col2im(*args):
-        raise AssertionError("stride-1 backward called col2im")
+    # a stride-1 conv neither unfolds nor scatters: forward and backward run on wide rows
+    def forbidden(*args):
+        raise AssertionError("stride-1 conv called im2col or col2im")
 
-    monkeypatch.setattr(layers.tensor, "col2im", no_col2im)
+    monkeypatch.setattr(layers.tensor, "im2col", forbidden)
+    monkeypatch.setattr(layers.tensor, "col2im", forbidden)
     conv = Conv2d(0, 3, 4, ks, 1, derive_stream(13, "init"), make_alloc())
-    x = np.random.default_rng(7).normal(size=(2, 3, 8, 8))
+    x = np.random.default_rng(7).normal(size=(2, 3, 8, 11))
     y, cache = conv.forward(x, "train")
+    assert y.flags.c_contiguous
     assert conv.backward(np.ones_like(y), cache).shape == x.shape
+    conv.input_grad = False
+    assert conv.backward(np.ones_like(y), cache) is None
 
 
 # the two 1x1 conv inputs of mini_inception width 4 at batch 16

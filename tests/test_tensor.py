@@ -106,9 +106,31 @@ def test_im2col_patch_layout():
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_im2col_is_view_of_contiguous_patch_buffer(stride):
-    # Conv2d runs its GEMMs on this buffer; a copy here would come back on every conv call
+    # a stride > 1 Conv2d runs its GEMMs on this buffer; a copy here would come back on every call
     x = np.random.default_rng(19).normal(size=(2, 3, 7, 6))
     assert tensor.im2col(x, 3, 2, stride).transpose(0, 2, 1).flags.c_contiguous
+
+
+@pytest.mark.parametrize("shape,k", [((2, 3, 8, 7), 3), ((3, 1, 15, 15), 4), ((2, 2, 6, 11), 4), ((2, 3, 5, 4), 1)])
+def test_wide_patches_hold_im2col_patches_at_every_output(shape, k):
+    n, c, h, w = shape
+    x = np.random.default_rng(21).normal(size=shape)
+    ho, wo = h - k + 1, w - k + 1
+    wide = tensor.wide_patches(x.reshape(n, c, h * w), k, w, (ho - 1) * w + wo)
+    assert wide.shape == (n, c * k * k, (ho - 1) * w + wo)
+    assert wide.flags.c_contiguous
+    patches = tensor.im2col(x, k, k, 1)  # [N, Ho*Wo, C*k*k]
+    for oi in range(ho):
+        for oj in range(wo):
+            assert wide[:, :, oi * w + oj].tobytes() == patches[:, oi * wo + oj].tobytes()
+
+
+def test_wide_patches_k1_is_the_input_and_overruns_raise():
+    xf = np.random.default_rng(22).normal(size=(2, 3, 20))
+    assert tensor.wide_patches(xf, 1, 5, 20) is xf
+    assert tensor.wide_patches(xf, 2, 5, 14).shape == (2, 12, 14)
+    with pytest.raises(ValueError, match="overrun"):
+        tensor.wide_patches(xf, 2, 5, 15)
 
 
 def test_col2im_is_im2col_adjoint():
