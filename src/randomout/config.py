@@ -3,6 +3,7 @@ content hash used to name run directories."""
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import get_args
 
@@ -21,6 +22,12 @@ _SCALAR_TYPES = {
     bool: ("a bool", lambda v: isinstance(v, bool)),
     str: ("a string", lambda v: isinstance(v, str)),
 }
+
+
+def _check_finite(name, value):
+    """A NaN or infinite number passes every ordered comparison check, so reject it first."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _check_fields(kind, d, cls):
@@ -87,6 +94,7 @@ class RandomOutCfg:
     check_every: int = 1
 
     def __post_init__(self):
+        _check_finite("tau", self.tau)
         if self.tau < 0:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
         if not 0.0 <= self.p_active <= 1.0:
@@ -121,6 +129,8 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError(f"epochs and batch_size must be >= 1, got {self.epochs}, {self.batch_size}")
+        _check_finite("lr", self.lr)
+        _check_finite("telemetry_tau", self.telemetry_tau)
         if self.lr <= 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
         if self.optimizer not in OPTIMIZERS:

@@ -23,6 +23,10 @@ PARAM_ROLES = ("conv_kernel", "conv_bias", "dense_weight", "dense_bias", "bn_gam
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 
+# Patch bytes one stride-1 conv block may hold: half of a 2 MiB per-core L2
+# cache. A 2 MiB budget measured slower on every benchmark workload.
+PATCH_BLOCK_BYTES = 1 << 20
+
 
 @dataclass
 class ParamNode:
@@ -66,10 +70,18 @@ class Conv2d(Layer):
 
     A stride-1 conv runs on row-flattened planes (see ``tensor``'s layout
     contract): its patches are ``tensor.wide_patches`` of x, so every patch
-    row is one contiguous run, and one GEMM per batch writes Ho rows of W
+    row is one contiguous run, and one GEMM per image writes Ho rows of W
     columns, of which the last W-Wo wrap around and are dropped. For k = 1
     the patch buffer is x itself. A stride > 1 conv runs on
     ``tensor.im2col``'s contiguous [N, C*kH*kW, Ho*Wo] buffer.
+
+    A stride-1 conv works on blocks of consecutive images, each as large as
+    fits in ``PATCH_BLOCK_BYTES`` (see ``_block_step``), so that a block's
+    patch copy and GEMMs stay in a core's L2 cache. A batch that fits in
+    one block builds its patches once and caches them for the backward; a
+    larger batch caches only x, and the backward copies each block's
+    patches again. Every GEMM is the per-image product either way, so the
+    block size moves no result bit.
 
     The input gradient takes one of two routes, picked from the stride:
 
@@ -77,8 +89,8 @@ class Conv2d(Layer):
       with a (k-1)*(W+1) margin in front, so its wrap-around columns stay
       zero. The kernel gradient reads that buffer against the patches, and
       the input gradient is the correlation of the same buffer with the
-      flipped, channel-swapped kernel: one ``wide_patches`` and one GEMM,
-      already in x's [N, C, H*W] layout;
+      flipped, channel-swapped kernel: one ``wide_patches`` and one GEMM
+      per block, already in x's [N, C, H*W] layout;
     - stride > 1: one GEMM into patch columns, then ``tensor.col2im``'s
       scatter-add.
 
@@ -103,6 +115,17 @@ class Conv2d(Layer):
         self.bias = ParamNode.create(alloc(), np.zeros(out_channels), "conv_bias")
         self.params = (self.kernel, self.bias)
 
+    def _block_step(self, n, plane):
+        """Images per stride-1 block: the fewest blocks whose patches fit in PATCH_BLOCK_BYTES, balanced.
+
+        An image's largest buffer is its forward patches (C rows per tap) or
+        the input gradient's (K rows per tap), each ``plane`` values long.
+        """
+        rows = max(self.in_channels, self.out_channels) * self.kernel_size**2
+        per_image = tensor.DTYPE().itemsize * rows * plane
+        blocks = -(-n * per_image // PATCH_BLOCK_BYTES)
+        return -(-n // blocks)
+
     def forward(self, x, mode):
         n, c, h, w = x.shape
         ks, k, s = self.kernel_size, self.out_channels, self.stride
@@ -112,15 +135,21 @@ class Conv2d(Layer):
         if s > 1:
             cols = tensor.im2col(x, ks, ks, s).transpose(0, 2, 1)  # [N, C*kH*kW, Ho*Wo]
             out = (kmat @ cols + self.bias.value[:, None]).reshape(n, k, ho, wo)
-            return out, (x.shape, cols)
+            return out, (x, cols)
         span = (ho - 1) * w + wo
-        cols = tensor.wide_patches(x.reshape(n, c, h * w), ks, w, span)  # [N, C*kH*kW, span]
+        xf = x.reshape(n, c, h * w)
         wide = np.empty((n, k, ho * w), dtype=tensor.DTYPE)
-        np.matmul(kmat, cols, out=wide[..., :span])
-        return wide.reshape(n, k, ho, w)[..., :wo] + self.bias.value[:, None, None], (x.shape, cols)
+        step = self._block_step(n, h * w)
+        for i in range(0, n, step):
+            b = slice(i, i + step)
+            cols = tensor.wide_patches(xf[b], ks, w, span)  # [block, C*kH*kW, span]
+            np.matmul(kmat, cols, out=wide[b, :, :span])
+        if step < n:
+            cols = None  # the backward copies each block's patches again from x
+        return wide.reshape(n, k, ho, w)[..., :wo] + self.bias.value[:, None, None], (x, cols)
 
     def backward(self, dout, cache):
-        x_shape, cols = cache
+        x, cols = cache
         n, k, ho, wo = dout.shape
         dmat = dout.reshape(n, k, ho * wo)
         kernel = self.kernel.value
@@ -131,18 +160,27 @@ class Conv2d(Layer):
             if not self.input_grad:
                 return None
             dcols = kernel.reshape(k, -1).T @ dmat  # [N, C*kH*kW, Ho*Wo]
-            return tensor.col2im(dcols.transpose(0, 2, 1), x_shape, ks, ks, s)
-        _, c, h, w = x_shape
+            return tensor.col2im(dcols.transpose(0, 2, 1), x.shape, ks, ks, s)
+        _, c, h, w = x.shape
         margin = (ks - 1) * (w + 1)
-        span = cols.shape[2]
+        span = (ho - 1) * w + wo
         dz = np.zeros((n, k, margin + h * w), dtype=tensor.DTYPE)
         dz[..., margin : margin + ho * w].reshape(n, k, ho, w)[..., :wo] = dout
         dwide = dz[..., margin : margin + span]  # dout at row pitch W, wrap-around columns zero
-        self.kernel.grad += (dwide @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
-        if not self.input_grad:
-            return None
         flipped = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-        return (flipped @ tensor.wide_patches(dz, ks, w, h * w)).reshape(x_shape)
+        xf = x.reshape(n, c, h * w)
+        prods = np.empty((n, k, c * ks * ks), dtype=tensor.DTYPE)  # per-image kernel gradients
+        dx = np.empty((n, c, h * w), dtype=tensor.DTYPE) if self.input_grad else None
+        step = self._block_step(n, h * w)
+        for i in range(0, n, step):
+            b = slice(i, i + step)
+            patches = tensor.wide_patches(xf[b], ks, w, span) if cols is None else cols
+            np.matmul(dwide[b], patches.transpose(0, 2, 1), out=prods[b])
+            del patches  # free this block's copy before the input gradient's
+            if dx is not None:
+                np.matmul(flipped, tensor.wide_patches(dz[b], ks, w, h * w), out=dx[b])
+        self.kernel.grad += prods.sum(axis=0).reshape(kernel.shape)
+        return None if dx is None else dx.reshape(x.shape)
 
 
 class ReLU(Layer):

@@ -14,7 +14,10 @@ contiguous run ``xf[:, c, i*W+j : i*W+j+L]``, one "wide row" that steps over
 all Ho output rows at pitch W, ``L = (Ho-1)*W + Wo`` long. ``wide_patches``
 copies those runs into a C-contiguous ``[N, C*k*k, L]`` buffer (for k = 1
 the buffer is ``xf`` itself). A GEMM on it yields Ho rows of W columns whose
-last W-Wo columns wrap around into the next row and are dropped.
+last W-Wo columns wrap around into the next row and are dropped. The
+patches of images b are ``wide_patches(xf[b], ...)``, the rows b of the
+whole batch's buffer, so a caller may copy them one block of images at a
+time (``layers.Conv2d`` does, to bound its buffers).
 ``im2col`` returns ``[N, Ho*Wo, C*kh*kw]`` as the transposed view of a
 C-contiguous ``[N, C*kh*kw, Ho*Wo]`` buffer; it and its adjoint ``col2im``
 serve only stride > 1 convs.

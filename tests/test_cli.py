@@ -61,7 +61,7 @@ def test_grid_help_matches_golden(capsys):
     assert out == (DATA / "help_grid.txt").read_text()
 
 
-def test_entry_point_help_is_width_independent():
+def help_at_two_widths(module):
     # The child imports the same package as this process, installed or from src/,
     # from any working directory; COLUMNS is the only variable that differs.
     package_root = str(Path(randomout.__file__).resolve().parents[1])
@@ -69,12 +69,22 @@ def test_entry_point_help_is_width_independent():
     outs = []
     for env in envs:
         proc = subprocess.run(
-            [sys.executable, "-m", "randomout.cli", "--help"],
+            [sys.executable, "-m", module, "--help"],
             capture_output=True, text=True,
             env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root, **env},
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
+    return outs
+
+
+def test_entry_point_help_is_width_independent():
+    outs = help_at_two_widths("randomout.cli")
+    assert outs[0] == outs[1] == (DATA / "help.txt").read_text()
+
+
+def test_python_m_randomout_runs_the_cli():
+    outs = help_at_two_widths("randomout")
     assert outs[0] == outs[1] == (DATA / "help.txt").read_text()
 
 
@@ -165,12 +175,30 @@ def test_config_field_type_error_exits_1(tmp_path, capsys, field, value):
         (["grid", "--seeds", "0..2", "--ps", ""], "--ps expects at least one number"),
         (["grid", "--seeds", "0..2", "--taus=-1"], "--taus: tau must be >= 0, got -1.0"),
         (["width-sweep", "--seeds", "0..2", "--widths", "0..2"], "--widths: width must be >= 1, got 0"),
+        (["grid", "--seeds", "0..2", "--taus", "1e-8,nan"], "--taus: tau must be finite, got nan"),
     ],
-    ids=["jobs-0", "one-seed", "empty-ps", "negative-tau", "width-0"],
+    ids=["jobs-0", "one-seed", "empty-ps", "negative-tau", "width-0", "nan-tau"],
 )
 def test_bad_sweep_argument_exits_1_before_any_run(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main([*argv, *FAST, "--out", str(tmp_path)])
+    assert exc.value.code == 1
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no run directory was started
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--randomout", "--tau", "nan"], "tau must be finite, got nan"),
+        (["--lr", "nan"], "lr must be finite, got nan"),
+        (["--lr", "inf"], "lr must be finite, got inf"),
+    ],
+    ids=["tau-nan", "lr-nan", "lr-inf"],
+)
+def test_nonfinite_train_flag_exits_1_before_any_run(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", *FAST, *argv, "--out", str(tmp_path)])
     assert exc.value.code == 1
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []  # no run directory was started

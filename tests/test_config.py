@@ -123,6 +123,24 @@ def test_field_validation_messages():
         DatasetCfg(kind="cifar10", paths=())
 
 
+NONFINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", NONFINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["lr", "telemetry_tau", "tau"])
+def test_nonfinite_numbers_rejected_by_name(field, value):
+    # NaN passes `tau < 0` and `lr <= 0`, and then no score is ever below tau
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        if field == "tau":
+            RandomOutCfg(tau=value)
+        else:
+            TrainConfig(**{field: value})
+    # the same number spelled in a JSON config file (Python's json reads NaN and Infinity)
+    d = {"condition": "randomout", "randomout": {"tau": value}} if field == "tau" else {field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        TrainConfig.from_dict(json.loads(json.dumps(d)))
+
+
 def test_field_type_errors_name_the_field():
     with pytest.raises(ValueError, match="train field 'epochs' must be an int, got '3'"):
         TrainConfig.from_dict({"epochs": "3"})

@@ -1,12 +1,14 @@
 """Architecture builders: shapes, parameter registry, filter groups."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from randomout.config import ModelCfg, TrainConfig
 from randomout.data import Dataset
 from randomout.experiments import build_for
-from randomout.layers import BatchNorm2d, Conv2d, Dense
+from randomout.layers import BatchNorm2d, Branches, Conv2d, Dense
 from randomout.model import LayerSpec, build_model, conv_layers, filter_groups
 from randomout.models import build_cratercnn, build_mini_inception
 from randomout.rng import derive_stream
@@ -178,6 +180,40 @@ def test_eval_forward_keeps_no_cache(name):
     logits, eval_cache = model.forward(x, "eval")
     assert logits.shape == (4, 3)
     assert eval_cache is None
+
+
+def conv_caches(layers, caches):
+    """(conv, cache) for every conv in a train forward's caches, branches included."""
+    for layer, c in zip(layers, caches):
+        if isinstance(layer, Conv2d):
+            yield layer, c
+        elif isinstance(layer, Branches):
+            for seq, seq_caches in zip(layer.branches, c[0]):
+                yield from conv_caches(seq, seq_caches)
+
+
+# tracemalloc peak of one mini_inception w4 train step at batch 16: 5.21 MB
+# with per-block patches, 22.16 MB when every conv kept whole-batch patches
+STEP_PEAK_BOUND = 6_000_000
+
+
+def test_mini_inception_train_step_keeps_no_whole_batch_patches():
+    model = build_mini_inception(4, init_rng())
+    x = np.random.default_rng(0).uniform(size=(16, 3, 32, 32))
+    labels = np.arange(16) % 10
+    tracemalloc.start()
+    try:
+        _, cache = model.forward(x)
+        convs = list(conv_caches(model.layers, cache[1]))
+        model.backward(cache, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [conv.kernel_size for conv, _ in convs] == [3, 1, 3, 1, 3]
+    for conv, (x_in, cols) in convs:
+        # a 3x3 conv's patches are larger than one block; a 1x1 conv's patches are its input
+        assert cols is None if conv.kernel_size > 1 else np.shares_memory(cols, x_in)
+    assert peak < STEP_PEAK_BOUND, peak
 
 
 def test_backward_after_eval_forward_raises():

@@ -163,12 +163,60 @@ def test_conv2d_stride_1_backward_never_scatters(monkeypatch, ks):
     monkeypatch.setattr(layers.tensor, "im2col", forbidden)
     monkeypatch.setattr(layers.tensor, "col2im", forbidden)
     conv = Conv2d(0, 3, 4, ks, 1, derive_stream(13, "init"), make_alloc())
-    x = np.random.default_rng(7).normal(size=(2, 3, 8, 11))
+    # one block of 2 images, then 5 images in blocks of one
+    for n, budget in ((2, layers.PATCH_BLOCK_BYTES), (5, 1)):
+        monkeypatch.setattr(layers, "PATCH_BLOCK_BYTES", budget)
+        x = np.random.default_rng(7).normal(size=(n, 3, 8, 11))
+        y, cache = conv.forward(x, "train")
+        assert y.flags.c_contiguous
+        conv.input_grad = True
+        assert conv.backward(np.ones_like(y), cache).shape == x.shape
+        conv.input_grad = False
+        assert conv.backward(np.ones_like(y), cache) is None
+
+
+def conv_pass(conv, x, dout):
+    """y, dx, kernel and bias gradients, then the kernel gradient of an input_grad=False backward."""
+    conv.kernel.grad[...] = 0
+    conv.bias.grad[...] = 0
+    conv.input_grad = True
     y, cache = conv.forward(x, "train")
-    assert y.flags.c_contiguous
-    assert conv.backward(np.ones_like(y), cache).shape == x.shape
+    dx = conv.backward(dout, cache)
+    grads = (conv.kernel.grad.copy(), conv.bias.grad.copy())
+    conv.kernel.grad[...] = 0
     conv.input_grad = False
-    assert conv.backward(np.ones_like(y), cache) is None
+    assert conv.backward(dout, cache) is None
+    return (y, dx, *grads, conv.kernel.grad.copy()), cache
+
+
+@pytest.mark.parametrize("split,step", [("one-image", 1), ("uneven", 3)])
+@pytest.mark.parametrize(
+    "in_ch,out_ch,ks,hw",
+    [(3, 4, 3, (8, 11)), (5, 3, 1, (6, 5)), (1, 4, 4, (15, 15))],
+    ids=["3x3-nonsquare", "1x1", "crater-conv1"],
+)
+def test_conv2d_blocks_are_bitwise_one_block(monkeypatch, split, step, in_ch, out_ch, ks, hw):
+    conv = Conv2d(0, in_ch, out_ch, ks, 1, derive_stream(15, "init"), make_alloc())
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(16, in_ch, *hw))
+    dout = rng.normal(size=(16, out_ch, hw[0] - ks + 1, hw[1] - ks + 1))
+    monkeypatch.setattr(layers, "PATCH_BLOCK_BYTES", 1 << 40)
+    whole, (_, cols) = conv_pass(conv, x, dout)
+    assert cols is not None  # one block caches its patches
+    # a budget of 1 byte leaves one image per block; 3 images' bytes split 16 as 3+3+3+3+3+1
+    per_image = 8 * max(in_ch, out_ch) * ks * ks * hw[0] * hw[1]
+    monkeypatch.setattr(layers, "PATCH_BLOCK_BYTES", 1 if split == "one-image" else 3 * per_image)
+    assert conv._block_step(16, hw[0] * hw[1]) == step
+    blocked, (_, cols) = conv_pass(conv, x, dout)
+    assert cols is None  # blocks cache only x
+    for name, a, b in zip(("y", "dx", "dkernel", "dbias", "dkernel-no-input-grad"), whole, blocked):
+        assert a.tobytes() == b.tobytes(), name
+    dkernel, dbias, dx = loop_conv_grads(x, conv.kernel.value, dout, 1)
+    _, got_dx, got_dkernel, got_dbias, got_dkernel_only = blocked
+    np.testing.assert_allclose(got_dx, dx, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(got_dkernel, dkernel, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(got_dkernel_only, dkernel, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(got_dbias, dbias, rtol=1e-10, atol=1e-12)
 
 
 # the two 1x1 conv inputs of mini_inception width 4 at batch 16
