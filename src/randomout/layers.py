@@ -77,11 +77,11 @@ class Conv2d(Layer):
 
     A stride-1 conv works on blocks of consecutive images, each as large as
     fits in ``PATCH_BLOCK_BYTES`` (see ``_block_step``), so that a block's
-    patch copy and GEMMs stay in a core's L2 cache. A batch that fits in
-    one block builds its patches once and caches them for the backward; a
-    larger batch caches only x, and the backward copies each block's
-    patches again. Every GEMM is the per-image product either way, so the
-    block size moves no result bit.
+    patch copy and GEMMs stay in a core's L2 cache. The train cache keeps
+    no patches of its own, whatever the block count: the backward copies
+    each block's patches again from x (for k = 1 they are x's own view).
+    Every GEMM is the per-image product, so the block size moves no result
+    bit.
 
     The input gradient takes one of two routes, picked from the stride:
 
@@ -142,14 +142,12 @@ class Conv2d(Layer):
         step = self._block_step(n, h * w)
         for i in range(0, n, step):
             b = slice(i, i + step)
-            cols = tensor.wide_patches(xf[b], ks, w, span)  # [block, C*kH*kW, span]
-            np.matmul(kmat, cols, out=wide[b, :, :span])
-        if step < n:
-            cols = None  # the backward copies each block's patches again from x
-        return wide.reshape(n, k, ho, w)[..., :wo] + self.bias.value[:, None, None], (x, cols)
+            np.matmul(kmat, tensor.wide_patches(xf[b], ks, w, span), out=wide[b, :, :span])
+        # a 1x1 conv's patches are x itself; a larger kernel's are copied again by the backward
+        return wide.reshape(n, k, ho, w)[..., :wo] + self.bias.value[:, None, None], (x, xf if ks == 1 else None)
 
     def backward(self, dout, cache):
-        x, cols = cache
+        x, cols = cache  # stride 1: cols is None, or x's own view for k = 1
         n, k, ho, wo = dout.shape
         dmat = dout.reshape(n, k, ho * wo)
         kernel = self.kernel.value
@@ -174,7 +172,7 @@ class Conv2d(Layer):
         step = self._block_step(n, h * w)
         for i in range(0, n, step):
             b = slice(i, i + step)
-            patches = tensor.wide_patches(xf[b], ks, w, span) if cols is None else cols
+            patches = tensor.wide_patches(xf[b], ks, w, span)
             np.matmul(dwide[b], patches.transpose(0, 2, 1), out=prods[b])
             del patches  # free this block's copy before the input gradient's
             if dx is not None:

@@ -211,7 +211,7 @@ def test_mini_inception_train_step_keeps_no_whole_batch_patches():
         tracemalloc.stop()
     assert [conv.kernel_size for conv, _ in convs] == [3, 1, 3, 1, 3]
     for conv, (x_in, cols) in convs:
-        # a 3x3 conv's patches are larger than one block; a 1x1 conv's patches are its input
+        # a 3x3 conv caches no patches; a 1x1 conv's patches are its input
         assert cols is None if conv.kernel_size > 1 else np.shares_memory(cols, x_in)
     assert peak < STEP_PEAK_BOUND, peak
 
