@@ -118,10 +118,12 @@ class Conv2d(Layer):
     def _block_step(self, n, plane):
         """Images per stride-1 block: the fewest blocks whose patches fit in PATCH_BLOCK_BYTES, balanced.
 
-        An image's largest buffer is its forward patches (C rows per tap) or
-        the input gradient's (K rows per tap), each ``plane`` values long.
+        An image's largest buffer is its forward patches (C rows per tap) or,
+        when ``input_grad`` is set, the input gradient's (K rows per tap),
+        each ``plane`` values long.
         """
-        rows = max(self.in_channels, self.out_channels) * self.kernel_size**2
+        channels = max(self.in_channels, self.out_channels) if self.input_grad else self.in_channels
+        rows = channels * self.kernel_size**2
         per_image = tensor.DTYPE().itemsize * rows * plane
         blocks = -(-n * per_image // PATCH_BLOCK_BYTES)
         return -(-n // blocks)
@@ -182,11 +184,21 @@ class Conv2d(Layer):
 
 
 class ReLU(Layer):
+    """max(x, 0) with relu'(0) = 0; the train cache is the mask x > 0.
+
+    The forward is ``np.fmax(x, 0.0)`` plus 0.0, bit for bit
+    ``np.where(x > 0, x, 0.0)`` for every float64 but branch-free: fmax
+    returns 0.0 for a NaN, and adding 0.0 turns the -0.0 it may return for
+    x = -0.0 into +0.0 while leaving every other value as it is. Like
+    ``BatchNorm2d``, eval mode returns no cache.
+    """
+
     kind = "relu"
 
     def forward(self, x, mode):
-        mask = x > 0
-        return np.where(mask, x, 0.0), mask
+        y = np.fmax(x, 0.0)
+        y += 0.0
+        return y, None if mode == "eval" else x > 0
 
     def backward(self, dout, cache):
         return dout * cache
@@ -230,8 +242,20 @@ class AvgPool2d(Layer):
     """Valid average pooling over window x window patches; window None pools all of HxW.
 
     A window is summed separably: ``window`` strided row slices, then
-    ``window`` strided column slices. Backward is the adjoint of that sum,
-    a scatter-add by the same slices.
+    ``window`` strided column slices.
+
+    Backward is the adjoint of that sum on row-flattened planes, the way
+    ``Conv2d.backward`` builds its ``dz``: ``dout / window**2`` is written
+    at row pitch W and at the pool stride into one zero buffer that holds
+    every plane back to back behind a (window-1)*(W+1) margin. Then
+    ``window`` column shifts (offsets of 1) and ``window`` row shifts
+    (offsets of W) are summed, each one contiguous run over all planes. A
+    shift past the start of a row or plane reads zeros: the margin, or the
+    last columns and rows of the plane before, where no window starts. So
+    the sums add the terms of a strided scatter-add in its order (columns
+    j, then rows i), plus zeros. The zeros move no bit, because the written
+    values first get +0.0, which turns -0.0 into +0.0 as a scatter into a
+    zero buffer does, and x + 0.0 is x for every other x.
     """
 
     kind = "avgpool"
@@ -263,14 +287,29 @@ class AvgPool2d(Layer):
             return np.broadcast_to(dout / (h * w), cache)
         win, s = self.window, self.stride
         ho, wo = dout.shape[2:]
-        dout = dout / (win * win)
-        drows = np.zeros((n, c, ho, w), dtype=tensor.DTYPE)
-        for j in range(win):
-            drows[..., j : j + s * wo : s] += dout
-        dx = np.zeros(cache, dtype=tensor.DTYPE)
-        for i in range(win):
-            dx[:, :, i : i + s * ho : s] += drows
-        return dx
+        size = n * c * h * w
+        margin = (win - 1) * (w + 1)
+        dz = np.zeros(margin + size, dtype=tensor.DTYPE)
+        starts = dz[margin:].reshape(cache)[:, :, : s * ho : s, : s * wo : s]
+        np.add(dout / (win * win), 0.0, out=starts)
+        if win == 1:
+            return dz.reshape(cache)
+        # column sums keep (win-1)*W zeros in front: the rows above the first plane
+        drows = _shifted_sum(dz, 1, win, (win - 1) * w + size)
+        return _shifted_sum(drows, w, win, size).reshape(cache)
+
+
+def _shifted_sum(buf, offset, count, length):
+    """Sum of ``buf`` shifted back by t*offset for t = 0..count-1 (count >= 2), added in t order.
+
+    Term t is the run ``buf[(count-1-t)*offset :]`` of ``length`` values, so
+    the result's first value lines up with ``buf[(count-1)*offset]``.
+    """
+    end = (count - 1) * offset
+    out = np.add(buf[end : end + length], buf[end - offset : end - offset + length])
+    for t in range(2, count):
+        out += buf[end - t * offset : end - t * offset + length]
+    return out
 
 
 class BatchNorm2d(Layer):

@@ -4,13 +4,15 @@ import json
 import os
 import shutil
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import layer_oracles
 from randomout import experiments
 from randomout.config import TrainConfig
-from randomout.data import Dataset
+from randomout.data import Dataset, write_cifar10_binary
 from randomout.experiments import (
     ENGINE_VERSION,
     EVAL_CHUNK,
@@ -24,7 +26,7 @@ from randomout.experiments import (
     seed_sweep,
     width_sweep,
 )
-from randomout.layers import run_sequence
+from randomout.layers import AvgPool2d, ReLU, run_sequence
 from randomout.metrics import read_metrics
 from randomout.model import conv_layers
 from randomout.models import build_cratercnn, build_mini_inception
@@ -463,3 +465,45 @@ def test_evaluate_memory_does_not_grow_with_test_set(name, input_shape, num_clas
     small = evaluate_peak_bytes(model, eval_set(32, input_shape, num_classes))
     large = evaluate_peak_bytes(model, eval_set(256, input_shape, num_classes))
     assert large <= 1.25 * small, f"peak {large / 1e6:.2f} MB on 256 examples vs {small / 1e6:.2f} MB on 32"
+
+
+def bit_guard_configs(data_dir):
+    """cratercnn (SGD, 2 epochs) and mini_inception (Adam, 1 epoch), both under RandomOut."""
+    images = derive_stream(5, "data_synth").integers(0, 256, size=(80, 3, 32, 32), dtype=np.uint8)
+    fixture = data_dir / "cifar10-fixture.bin"
+    write_cifar10_binary(fixture, images, np.arange(80) % 10)
+    crater = tiny_cfg(
+        seed=1,
+        condition="randomout",
+        model={"name": "cratercnn", "width": 4},
+        dataset={"kind": "synth", "n_pos": 32, "n_neg": 32},
+        randomout={"tau": 0.5, "p_active": 1.0, "check_every": 1},  # resets every few batches
+    )
+    inception = TrainConfig.from_dict(
+        dict(
+            seed=2,
+            epochs=1,
+            batch_size=16,
+            lr=0.001,
+            optimizer="adam",
+            condition="randomout",
+            model={"name": "mini_inception", "width": 4},
+            dataset={"kind": "cifar10", "paths": [str(fixture)]},
+            randomout={"tau": 1e-12, "p_active": 1.0, "check_every": 1},
+        )
+    )
+    return crater, inception
+
+
+def test_runs_are_bitwise_the_reference_relu_and_pool(tmp_path, monkeypatch):
+    # The engine's branch-free ReLU forward and wide-row pool backward must
+    # leave every result byte of the select and the scatter-add they replace.
+    cfgs = bit_guard_configs(tmp_path)
+    engine = [run_training(cfg, tmp_path / "engine") for cfg in cfgs]
+    monkeypatch.setattr(ReLU, "forward", layer_oracles.relu_forward)
+    monkeypatch.setattr(AvgPool2d, "backward", layer_oracles.avgpool_backward)
+    reference = [run_training(cfg, tmp_path / "reference") for cfg in cfgs]
+    assert all(r.summary["total_resets"] > 0 for r in engine)  # the reset path ran
+    for a, b in zip(engine, reference):
+        for name in ("metrics.csv", "resets.csv"):
+            assert (Path(a.run_dir) / name).read_bytes() == (Path(b.run_dir) / name).read_bytes(), name

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from layer_oracles import avgpool_scatter, relu_forward
 from randomout import layers
 from randomout.layers import (
     BN_EPS,
@@ -42,6 +43,41 @@ def test_relu_forward_and_zero_convention():
     # relu'(0) = 0: gradient at exactly zero input is exactly zero
     dx = relu.backward(np.ones_like(x), cache)
     np.testing.assert_array_equal(dx, [[0.0, 0.0, 1.0]])
+
+
+RELU_SPECIAL = {
+    "nan": np.nan,
+    "-nan": -np.nan,
+    "0": 0.0,
+    "-0": -0.0,
+    "inf": np.inf,
+    "-inf": -np.inf,
+    "subnormal": 5e-324,
+    "-subnormal": -5e-324,
+    "1": 1.0,
+    "-1": -1.0,
+}
+# numpy's fmax gives -0.0 for fmax(-0.0, 0.0) in its scalar loop but +0.0 in its
+# SIMD loop, so every special value is also passed alone, as a 1-element array
+RELU_CASES = {
+    "special": np.array(list(RELU_SPECIAL.values())),
+    **{f"alone({name})": np.array([v]) for name, v in RELU_SPECIAL.items()},
+    "random": np.random.default_rng(4).normal(size=(16, 4, 30, 30)),
+}
+
+
+@pytest.mark.parametrize("case", list(RELU_CASES))
+def test_relu_forward_is_bitwise_the_select(case):
+    # fmax drops a NaN to 0.0 and the added 0.0 makes fmax's possible -0.0 a +0.0
+    x = RELU_CASES[case]
+    relu = ReLU(0)
+    y, mask = relu.forward(x, "train")
+    expected, expected_mask = relu_forward(relu, x, "train")
+    np.testing.assert_array_equal(y.view(np.int64), expected.view(np.int64))
+    assert mask.dtype == bool and np.array_equal(mask, expected_mask)
+    y_eval, cache = relu.forward(x, "eval")
+    assert cache is None
+    assert y_eval.tobytes() == y.tobytes()
 
 
 def test_relu_dead_input_routes_exact_zero_gradient():
@@ -204,10 +240,11 @@ def test_conv2d_blocks_are_bitwise_one_block(monkeypatch, split, step, in_ch, ou
     whole, (_, cols) = conv_pass(conv, x, dout)
     # no block count caches patches of its own: a 1x1 conv's are x, a larger kernel's are copied again
     assert cols is None if ks > 1 else np.shares_memory(cols, x)
-    # a budget of 1 byte leaves one image per block; 3 images' bytes split 16 as 3+3+3+3+3+1
-    per_image = 8 * max(in_ch, out_ch) * ks * ks * hw[0] * hw[1]
+    # a budget of 1 byte leaves one image per block; 3 images' bytes split 16 as 3+3+3+3+3+1.
+    # conv_pass leaves input_grad False, so an image's bytes are its C forward patch rows per tap.
+    per_image = 8 * in_ch * ks * ks * hw[0] * hw[1]
     monkeypatch.setattr(layers, "PATCH_BLOCK_BYTES", 1 if split == "one-image" else 3 * per_image)
-    assert conv._block_step(16, hw[0] * hw[1]) == step
+    assert not conv.input_grad and conv._block_step(16, hw[0] * hw[1]) == step
     blocked, (_, cols) = conv_pass(conv, x, dout)
     assert cols is None if ks > 1 else np.shares_memory(cols, x)
     for name, a, b in zip(("y", "dx", "dkernel", "dbias", "dkernel-no-input-grad"), whole, blocked):
@@ -218,6 +255,19 @@ def test_conv2d_blocks_are_bitwise_one_block(monkeypatch, split, step, in_ch, ou
     np.testing.assert_allclose(got_dkernel, dkernel, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(got_dkernel_only, dkernel, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(got_dbias, dbias, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "in_ch,out_ch,ks,hw,blocks",
+    [(1, 4, 4, 15, (1, 2)), (1, 8, 4, 15, (1, 4)), (3, 4, 3, 32, (4, 4))],
+    ids=["cratercnn-w4", "cratercnn-w8", "mini_inception-stem"],
+)
+def test_conv2d_block_step_counts_input_gradient_rows_only_when_needed(in_ch, out_ch, ks, hw, blocks):
+    # a first conv (input_grad False) never allocates the K-row input-gradient patches
+    conv = Conv2d(0, in_ch, out_ch, ks, 1, derive_stream(15, "init"), make_alloc())
+    for input_grad, expected in zip((False, True), blocks):
+        conv.input_grad = input_grad
+        assert -(-16 // conv._block_step(16, hw * hw)) == expected
 
 
 # the two 1x1 conv inputs of mini_inception width 4 at batch 16
@@ -272,7 +322,13 @@ def loop_avgpool(x, window, stride):
 
 
 # window 2 / stride 2 on 7x7 leaves the last row and column out of every window
-POOL_CASES = [(3, 1, (2, 3, 7, 7)), (2, 2, (2, 3, 7, 7)), (None, 1, (2, 3, 7, 5))]
+POOL_CASES = [
+    (3, 1, (2, 3, 7, 7)),
+    (2, 2, (2, 3, 7, 7)),
+    (None, 1, (2, 3, 7, 5)),
+    (1, 1, (2, 3, 7, 7)),
+    (2, 1, (2, 3, 7, 7)),
+]
 
 
 @pytest.mark.parametrize("window,stride,shape", POOL_CASES)
@@ -295,6 +351,30 @@ def test_avgpool_backward_is_forward_adjoint(window, stride, shape):
     y, cache = pool.forward(x, "train")
     g = rng.normal(size=y.shape)
     assert abs(np.sum(y * g) - np.sum(x * pool.backward(g, cache))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "window,stride,shape",
+    [
+        (1, 1, (2, 3, 7, 7)),  # no margin and no shift
+        (2, 1, (2, 3, 7, 7)),
+        (3, 1, (2, 3, 7, 7)),
+        (5, 1, (2, 3, 9, 8)),
+        (2, 2, (2, 3, 7, 7)),
+        (3, 1, (16, 4, 30, 30)),  # the two pool inputs of mini_inception width 4 at batch 16
+        (3, 1, (16, 4, 28, 28)),
+    ],
+)
+def test_avgpool_backward_is_bitwise_the_scatter(window, stride, shape):
+    pool = AvgPool2d(0, window, stride)
+    rng = np.random.default_rng(12)
+    _, cache = pool.forward(rng.normal(size=shape), "train")
+    ho, wo = (shape[2] - window) // stride + 1, (shape[3] - window) // stride + 1
+    # a ReLU's backward leaves -0.0 where a negative gradient meets a dead unit; one plane is all -0.0
+    dout = rng.normal(size=(*shape[:2], ho, wo)) * (rng.normal(size=(*shape[:2], ho, wo)) > 0)
+    dout[0, 0] = -0.0
+    dx = pool.backward(dout, cache)
+    assert dx.shape == shape and dx.tobytes() == avgpool_scatter(dout, shape, window, stride).tobytes()
 
 
 def test_flatten_round_trip():
