@@ -3,7 +3,9 @@
 Subcommands: train, sweep-seeds, grid, width-sweep, gen-data, gradcheck.
 Option precedence is explicit flag > config file > built-in default.
 Exit codes: 0 success, 1 usage error, 2 runtime error. Output carries no
-timestamps, so identical invocations print identical logs.
+timestamps or timings, so identical invocations on the same run store
+print identical logs. A sweep's last line tallies how its runs were
+obtained (``experiments.sweep_tally``), so a resumed sweep shows as one.
 """
 
 import argparse
@@ -14,7 +16,7 @@ import numpy as np
 
 from .config import ModelCfg, RandomOutCfg, TrainConfig, read_config_json
 from .data import synth_craters, write_cifar10_binary, write_idx_images, write_idx_labels
-from .experiments import grid_search, run_training, seed_sweep, width_sweep
+from .experiments import grid_search, run_training, seed_sweep, sweep_tally, width_sweep
 from .gradcheck import TOLERANCE, run_all_checks
 from .rng import derive_stream
 
@@ -234,6 +236,7 @@ def cmd_sweep_seeds(args, parser):
     gains = summary["paired_gains"]
     if gains is not None:
         print(f"paired gain median {gains['median']:+.4f} mean {gains['mean']:+.4f}")
+    print(sweep_tally(args.out))
     return 0
 
 
@@ -249,6 +252,7 @@ def cmd_grid(args, parser):
     print(f"best cell tau {best['tau']:g} p {best['p_active']:g} mean_gain {best['mean_gain']:+.4f}")
     corr = result["gain_p_correlation_at_min_tau"]
     print(f"gain/p correlation at min tau: {'n/a' if corr is None else f'{corr:+.3f}'}")
+    print(sweep_tally(args.out))
     return 0
 
 
@@ -264,6 +268,7 @@ def cmd_width_sweep(args, parser):
             f"extra_filters {'-' if extra is None else extra}"
         )
     print(f"randomout wins at {sum(r['randomout_wins'] for r in result['rows'])}/{len(result['rows'])} widths")
+    print(sweep_tally(args.out))
     return 0
 
 

@@ -4,14 +4,24 @@ A run is a pure function of its TrainConfig: dataset synthesis/split,
 weight init, batch order, and filter resets each draw from separate
 seeded streams, so repeating a config reproduces every byte of output.
 Completed runs are recognized by config hash and not recomputed, which
-makes sweeps resumable and lets paired conditions share baselines. A run
-directory is written whole or not at all, and is reused only if the engine
-version that wrote it is the current one.
+makes sweeps resumable. A run directory is written whole or not at all,
+and is reused only if the engine version that wrote it is the current one.
+
+A sweep computes each distinct trajectory once. Its configs that differ
+only in condition (base or randomout) and RandomOut settings run as one
+group: they train together until their reset masks first differ, and a
+config that leaves resumes from a snapshot of that batch. Each config
+still gets its own ``run_training`` call and run directory, with the
+bytes a run of it alone writes, and ``sweep_log.jsonl`` records how each
+run was obtained.
 """
 
+import copy
+import json
 import math
 import os
 import shutil
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
@@ -25,7 +35,7 @@ from .metrics import MetricsRecord, read_metrics, read_summary, write_csv, write
 from .model import conv_layers, filter_groups
 from .models import build_cratercnn, build_mini_inception
 from .optim import make_optimizer
-from .regularizer import cgn, scan_and_reset
+from .regularizer import cgn, dead_masks, scan_and_reset
 from .rng import derive_stream
 
 # Recorded in every summary.json; a run directory is reused only when it
@@ -45,6 +55,8 @@ EVAL_CHUNK = 16
 RESETS_COLUMNS = ("epoch", "batch", "layer_id", "filter_index", "cgn_before")
 SWEEP_COLUMNS = ("condition", "seed", "config_hash", "final_test_acc", "diverged", "failed", "total_resets")
 WIDTH_COLUMNS = ("width", "base_mean", "base_std", "randomout_mean", "randomout_std", "randomout_wins")
+# Every sweep writes one JSON line per config here: how its run was obtained.
+SWEEP_LOG = "sweep_log.jsonl"
 
 
 def load_dataset_pair(cfg):
@@ -114,57 +126,123 @@ def _completed_run(cfg, run_dir):
         return None
 
 
-def run_training(cfg, out_dir, force=False):
-    """Execute one training run; reuse the artifact if it already exists.
+def _scans(cfg, done):
+    """Whether cfg's run scans its filters at batch index ``done``."""
+    return cfg.randomout is not None and done % cfg.randomout.check_every == 0
 
-    Per batch: forward, backward, telemetry, optional reset scan, optimizer
-    step. Per epoch: test accuracy from a forward-only eval pass over the
-    test set in chunks of EVAL_CHUNK examples, recorded on the epoch's last
-    row. A non-finite loss marks the run divergent and halts it without
-    raising.
 
-    The run's files are written into ``<hash>.tmp-<pid>/`` beside the run
-    directory, which then moves into place with one ``os.replace``. A
-    directory left by an older engine version, a partial write or
-    ``force`` is replaced; one that another process completed meanwhile is
-    returned instead.
+def _reset_key(cfg, done, progress, scores):
+    """The filters cfg's run resets at batch ``done``, as a hashable value;
+    None when it resets none, scanning or not."""
+    if not _scans(cfg, done):
+        return None
+    key = tuple(np.flatnonzero(dead).tobytes() for dead in dead_masks(cfg.randomout, progress, scores))
+    return key if any(key) else None
+
+
+@dataclass
+class _Snapshot:
+    """A trajectory after one batch's backward and before its scan.
+
+    ``done`` is that batch's index and ``pending`` its loss, train accuracy
+    and CGN vectors. Restoring copies everything out, so the parts of one
+    split can all restore the same snapshot.
     """
 
-    run_dir = Path(out_dir) / cfg.config_hash()
-    if not force:
-        done_run = _completed_run(cfg, run_dir)
-        if done_run is not None:
-            return done_run
+    values: list
+    grads: list
+    optimizer_state: dict
+    rng_state: dict
+    records: list
+    events: list
+    done: int
+    pending: tuple
 
-    train, test = load_dataset_pair(cfg)
+    @classmethod
+    def take(cls, model, optimizer, rng, records, events, done, pending):
+        return cls(
+            [p.value.copy() for p in model.params],
+            [p.grad.copy() for p in model.params],
+            copy.deepcopy(optimizer.state),
+            rng.bit_generator.state,
+            list(records),
+            list(events),
+            done,
+            pending,
+        )
+
+    def restore(self, model, optimizer, rng):
+        """Load the snapshot into a freshly built run; returns its records, events, done and pending."""
+        for p, value, grad in zip(model.params, self.values, self.grads):
+            p.value[...] = value
+            p.grad[...] = grad
+        optimizer.state = copy.deepcopy(self.optimizer_state)
+        rng.bit_generator.state = self.rng_state
+        return list(self.records), list(self.events), self.done, self.pending
+
+
+@dataclass
+class _Outcome:
+    """A finished trajectory: what every run that followed it to the end returns."""
+
+    records: list
+    events: list
+    done: int
+    diverged: bool
+    filter_count: int
+
+
+def _train(cfg, train, test, snapshot, followers):
+    """Train cfg from its first batch, or from ``snapshot``, to the end.
+
+    ``followers`` are configs whose runs are so far identical to this one.
+    After each backward every follower's reset masks are compared with cfg's;
+    followers that reset other filters leave, split into parts by their masks,
+    and each part is returned with a snapshot to resume from. Returns the
+    outcome, the followers still aboard at the end, and the list of
+    ``(snapshot, part)`` splits.
+    """
     model = build_for(cfg, train)
     convs = conv_layers(model)
     optimizer = make_optimizer(cfg.optimizer, model.params, cfg.lr)
-    ro_cfg = cfg.randomout  # None unless the condition is randomout
     ro_rng = derive_stream(cfg.seed, "randomout")
-
     plan = BatchPlan(len(train), cfg.epochs, cfg.batch_size, cfg.seed)
-    records = []
-    events = []
+    records, events, done, pending = [], [], 0, None
+    if snapshot is not None:
+        records, events, done, pending = snapshot.restore(model, optimizer, ro_rng)
+    splits = []
     diverged = False
-    done = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
+        for epoch in range(done // plan.batches_per_epoch, cfg.epochs):
             for batch_no, idx in enumerate(plan.batches(epoch)):
-                logits, cache = model.forward(train.images[idx], mode="train")
-                loss = model.backward(cache, train.labels[idx])
-                train_acc = float(np.mean(np.argmax(logits, axis=1) == train.labels[idx]))
-                if not math.isfinite(loss):
-                    records.append(MetricsRecord(epoch, batch_no, loss, train_acc, None, 0.0, 0, 0, True))
-                    diverged = True
-                    break
-                scores = [cgn(conv) for conv in convs]
+                if epoch * plan.batches_per_epoch + batch_no < done:
+                    continue  # trained before the snapshot
+                if pending is None:
+                    logits, cache = model.forward(train.images[idx], mode="train")
+                    loss = model.backward(cache, train.labels[idx])
+                    train_acc = float(np.mean(np.argmax(logits, axis=1) == train.labels[idx]))
+                    if not math.isfinite(loss):
+                        records.append(MetricsRecord(epoch, batch_no, loss, train_acc, None, 0.0, 0, 0, True))
+                        diverged = True
+                        break
+                    scores = [cgn(conv) for conv in convs]
+                else:
+                    loss, train_acc, scores = pending
+                    pending = None
                 mean_cgn = float(np.mean(np.concatenate(scores)))
                 below = sum(int((s < cfg.telemetry_tau).sum()) for s in scores)
+                progress = done / plan.total_batches
+                if followers:
+                    parts = {}
+                    for follower in followers:
+                        parts.setdefault(_reset_key(follower, done, progress, scores), []).append(follower)
+                    followers = parts.pop(_reset_key(cfg, done, progress, scores), [])
+                    if parts:
+                        snap = _Snapshot.take(model, optimizer, ro_rng, records, events, done, (loss, train_acc, scores))
+                        splits += [(snap, part) for part in parts.values()]
                 resets = 0
-                if ro_cfg is not None and done % ro_cfg.check_every == 0:
-                    progress = done / plan.total_batches
-                    new = scan_and_reset(model, optimizer, ro_cfg, progress, ro_rng, scores, epoch, batch_no)
+                if _scans(cfg, done):
+                    new = scan_and_reset(model, optimizer, cfg.randomout, progress, ro_rng, scores, epoch, batch_no)
                     events.extend(new)
                     resets = len(new)
                 optimizer.step()
@@ -174,8 +252,108 @@ def run_training(cfg, out_dir, force=False):
             if diverged:
                 break
             records[-1].test_acc = evaluate(model, test)
+    return _Outcome(records, events, done, diverged, len(filter_groups(model))), followers, splits
 
-    final_acc = None if diverged else records[-1].test_acc
+
+class _Group:
+    """Configs that train as one trajectory until their reset masks differ.
+
+    Members differ only in condition (base or randomout) and RandomOut
+    settings, so they share data, init and batch order, and their runs
+    are identical batch for batch until one resets other filters than
+    another. The group loads the data once and hands each member's
+    ``run_training`` call where its run stands: unclaimed (it trains from
+    the start, carrying every other unclaimed member), forked (it resumes
+    from a snapshot, carrying the rest of its part) or finished (it only
+    writes files). Members must be called in group order.
+    """
+
+    def __init__(self, cfgs):
+        self.unclaimed = list(cfgs)
+        self.forks = {}  # hash -> (snapshot, followers, hash of the run it left)
+        self.finished = {}  # hash -> (outcome, hash of the run that computed it)
+        self.data = None
+        self.log = {}  # hash -> how the member's run was obtained
+
+    def _note(self, cfg, how, first_batch=None, followed=None):
+        self.log[cfg.config_hash()] = {"how": how, "first_batch": first_batch, "followed": followed}
+
+    def skip(self, cfg):
+        """cfg's run is already on disk: hand its place on to the members that waited for it."""
+        h = cfg.config_hash()
+        self.unclaimed = [c for c in self.unclaimed if c.config_hash() != h]
+        self.finished.pop(h, None)
+        snapshot, followers, followed = self.forks.pop(h, (None, [], None))
+        if followers:
+            self.forks[followers[0].config_hash()] = (snapshot, followers[1:], followed)
+        self._note(cfg, "reused")
+
+    def outcome(self, cfg):
+        """cfg's finished trajectory, training whatever part of it is not yet computed."""
+        h = cfg.config_hash()
+        if h in self.finished:
+            outcome, followed = self.finished.pop(h)
+            self._note(cfg, "shared", followed=followed)
+            return outcome
+        if h in self.forks:
+            snapshot, followers, followed = self.forks.pop(h)
+            self._note(cfg, "forked", snapshot.done, followed)
+        else:
+            snapshot, followers = None, [c for c in self.unclaimed if c.config_hash() != h]
+            self.unclaimed = []
+            self._note(cfg, "computed", 0)
+        if self.data is None:
+            self.data = load_dataset_pair(cfg)
+        outcome, followers, splits = _train(cfg, *self.data, snapshot, followers)
+        for follower in followers:
+            self.finished[follower.config_hash()] = (outcome, h)
+        for snap, part in splits:
+            self.forks[part[0].config_hash()] = (snap, part[1:], h)
+        return outcome
+
+
+def _group_key(cfg):
+    """Configs with equal keys share a trajectory until their reset masks differ."""
+    if cfg.condition == "batchnorm":  # another model: trains alone
+        return cfg.config_hash()
+    return cfg.replace(condition="base").config_hash()
+
+
+def run_training(cfg, out_dir, force=False, group=None):
+    """Execute one training run; reuse the artifact if it already exists.
+
+    Per batch: forward, backward, telemetry, optional reset scan, optimizer
+    step. Per epoch: test accuracy from a forward-only eval pass over the
+    test set in chunks of EVAL_CHUNK examples, recorded on the epoch's last
+    row. A non-finite loss marks the run divergent and halts it without
+    raising.
+
+    A sweep passes the ``_Group`` that cfg belongs to: then the run may
+    resume from the batch where it left another member's trajectory, or
+    take a finished trajectory whole, and it carries along the members
+    that follow it. Either way the call writes and returns exactly the
+    bytes a run of cfg alone would.
+
+    The run's files are written into ``<hash>.tmp-<pid>/`` beside the run
+    directory, which then moves into place with one ``os.replace``. A
+    directory left by an older engine version, a partial write or
+    ``force`` is replaced; one that another process completed meanwhile is
+    returned instead.
+    """
+
+    run_dir = Path(out_dir) / cfg.config_hash()
+    if group is None:
+        group = _Group([cfg])
+    if not force:
+        done_run = _completed_run(cfg, run_dir)
+        if done_run is not None:
+            group.skip(cfg)
+            return done_run
+
+    outcome = group.outcome(cfg)
+    train, test = group.data
+    records = outcome.records
+    final_acc = None if outcome.diverged else records[-1].test_acc
     chance = chance_level(test.labels, test.num_classes)
     summary = {
         "config": cfg.to_dict(),
@@ -184,20 +362,20 @@ def run_training(cfg, out_dir, force=False):
         "seed": cfg.seed,
         "n_train": len(train),
         "n_test": len(test),
-        "filter_count": len(filter_groups(model)),
+        "filter_count": outcome.filter_count,
         "chance": chance,
-        "batches_completed": done,
+        "batches_completed": outcome.done,
         "final_test_acc": final_acc,
-        "diverged": diverged,
-        "failed": diverged or final_acc < chance + FAIL_MARGIN,
-        "total_resets": len(events),
+        "diverged": outcome.diverged,
+        "failed": outcome.diverged or final_acc < chance + FAIL_MARGIN,
+        "total_resets": len(outcome.events),
         "engine_version": ENGINE_VERSION,
     }
     tmp_dir = run_dir.with_name(f"{run_dir.name}.tmp-{os.getpid()}")
     shutil.rmtree(tmp_dir, ignore_errors=True)  # left by a crashed process with this pid
     tmp_dir.mkdir(parents=True)
     write_metrics(tmp_dir / "metrics.csv", records)
-    write_csv(tmp_dir / "resets.csv", [RESETS_COLUMNS, *(vars(e).values() for e in events)])
+    write_csv(tmp_dir / "resets.csv", [RESETS_COLUMNS, *(vars(e).values() for e in outcome.events)])
     with open(tmp_dir / "config.json", "w") as f:
         f.write(cfg.canonical_json() + "\n")
     write_summary(tmp_dir / "summary.json", summary)
@@ -215,21 +393,64 @@ def run_training(cfg, out_dir, force=False):
     return RunResult(cfg, str(run_dir), summary, records)
 
 
-def _run_one(args):
-    cfg, out_dir = args
-    return run_training(cfg, out_dir)
+def _run_group(args):
+    """Run one group's members back to back; returns (result, sweep log line) pairs."""
+    cfgs, out_dir = args
+    group = _Group(cfgs)
+    out = []
+    for cfg in cfgs:
+        start = time.perf_counter()
+        result = run_training(cfg, out_dir, group=group)
+        s = result.summary
+        ro = cfg.randomout
+        line = {
+            "config_hash": cfg.config_hash(),
+            "condition": cfg.condition,
+            "seed": cfg.seed,
+            "tau": None if ro is None else ro.tau,
+            "p_active": None if ro is None else ro.p_active,
+            **group.log[cfg.config_hash()],
+            "batches_completed": s["batches_completed"],
+            "diverged": s["diverged"],
+            "wall_s": time.perf_counter() - start,
+        }
+        out.append((result, line))
+    return out
 
 
 def _run_many(cfgs, out_dir, jobs=1):
-    """Run configs (deduplicated by hash) and return results in input order."""
+    """Run configs (deduplicated by hash) and return results in input order.
+
+    Configs that share a trajectory run as one group, back to back; with
+    ``jobs > 1`` each worker takes whole groups. Writes one line per
+    config to ``sweep_log.jsonl`` in out_dir.
+    """
     unique = {cfg.config_hash(): cfg for cfg in cfgs}  # ordered by first occurrence
+    groups = {}
+    for cfg in unique.values():
+        groups.setdefault(_group_key(cfg), []).append(cfg)
+    tasks = [(members, out_dir) for members in groups.values()]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(_run_one, [(c, out_dir) for c in unique.values()]))
-        by_hash = {r.summary["config_hash"]: r for r in done}
+            done = [pair for pairs in pool.map(_run_group, tasks) for pair in pairs]
     else:
-        by_hash = {h: run_training(c, out_dir) for h, c in unique.items()}
-    return [by_hash[cfg.config_hash()] for cfg in cfgs]
+        done = [pair for task in tasks for pair in _run_group(task)]
+    by_hash = {line["config_hash"]: (result, line) for result, line in done}
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    with open(Path(out_dir) / SWEEP_LOG, "w") as f:
+        f.writelines(json.dumps(by_hash[h][1]) + "\n" for h in unique)
+    return [by_hash[cfg.config_hash()][0] for cfg in cfgs]
+
+
+def sweep_tally(out_dir):
+    """One line counting how the last sweep in out_dir obtained its runs."""
+    with open(Path(out_dir) / SWEEP_LOG) as f:
+        lines = [json.loads(line) for line in f]
+    hows = [line["how"] for line in lines]
+    computed = sum(line["batches_completed"] - line["first_batch"] for line in lines if line["first_batch"] is not None)
+    returned = sum(line["batches_completed"] for line in lines)
+    counts = ", ".join(f"{hows.count(how)} {how}" for how in ("computed", "forked", "shared", "reused"))
+    return f"runs: {counts}; batches: {computed} computed of {returned} returned"
 
 
 def _stats(values):

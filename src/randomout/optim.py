@@ -1,7 +1,9 @@
 """Parameter update rules: fixed-rate SGD and Adam.
 
-Both optimizers expose ``reset_state_slice(param, index_slice)`` so a
-filter reset can zero the moments of exactly the reinitialized weights.
+Both optimizers keep their state in ``state``, a dict keyed by param id
+(empty for SGD), which a training snapshot copies. Both expose
+``reset_state_slice(param, index_slice)`` so a filter reset can zero the
+moments of exactly the reinitialized weights.
 ``index_slice`` is any numpy index into the parameter's leading axis: a
 row number, a slice, or a boolean mask selecting several filters at once.
 Adam's timestep is kept per parameter (not per element), so a reset
@@ -20,6 +22,7 @@ class SGD:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.params = list(params)
         self.lr = lr
+        self.state = {}
 
     def step(self):
         for p in self.params:

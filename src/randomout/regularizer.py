@@ -6,11 +6,12 @@ element. ``cgn`` scores a whole conv layer at once, one entry per output
 channel; the training loop computes these vectors once per minibatch and
 hands the same list to its telemetry and to ``scan_and_reset``. While
 within the active fraction of training, every filter scoring strictly
-below the threshold is redrawn from the Xavier distribution (bias back to
-zero), its optimizer moments are zeroed, and its pending gradient is
-cleared so the stale update is skipped. A layer's dead filters are reset
-together through one boolean mask. Dense and batchnorm parameters are
-never scored or reset.
+below the threshold is dead (``dead_masks``, the one place that rule
+lives): it is redrawn from the Xavier distribution (bias back to zero),
+its optimizer moments are zeroed, and its pending gradient is cleared so
+the stale update is skipped. A layer's dead filters are reset together
+through one boolean mask. Dense and batchnorm parameters are never scored
+or reset.
 """
 
 from dataclasses import dataclass
@@ -35,22 +36,30 @@ def cgn(conv):
     return np.abs(conv.kernel.grad.reshape(conv.out_channels, -1)).sum(axis=1) + np.abs(conv.bias.grad)
 
 
-def scan_and_reset(model, optimizer, cfg, progress, rng, scores, epoch=0, batch=0):
-    """Reinitialize every filter whose cgn is strictly below cfg.tau.
+def dead_masks(cfg, progress, scores):
+    """Per-layer boolean masks of the filters a scan resets.
 
-    Called after backward and before the optimizer step. scores holds one
-    ``cgn`` vector per layer of ``conv_layers(model)``, in that order.
-    progress is the fraction of scheduled training batches already
-    completed; once progress >= cfg.p_active the scan is a no-op. Resets
-    consume only the given rng stream, draw the redrawn slabs in
-    (layer, filter) order, and leave every parameter and optimizer moment
-    outside the reset filters bit-identical.
+    scores holds one ``cgn`` vector per conv layer. progress is the
+    fraction of scheduled training batches already completed; once
+    progress >= cfg.p_active no layer has a mask (an empty list). Before
+    that a filter is dead when its score is strictly below cfg.tau.
     """
     if progress >= cfg.p_active:
         return []
+    return [score < cfg.tau for score in scores]
+
+
+def scan_and_reset(model, optimizer, cfg, progress, rng, scores, epoch=0, batch=0):
+    """Reinitialize every filter that ``dead_masks`` marks dead.
+
+    Called after backward and before the optimizer step. scores holds one
+    ``cgn`` vector per layer of ``conv_layers(model)``, in that order.
+    Resets consume only the given rng stream, draw the redrawn slabs in
+    (layer, filter) order, and leave every parameter and optimizer moment
+    outside the reset filters bit-identical.
+    """
     events = []
-    for conv, score in zip(conv_layers(model), scores):
-        dead = score < cfg.tau
+    for conv, score, dead in zip(conv_layers(model), scores, dead_masks(cfg, progress, scores)):
         if not dead.any():
             continue
         kernel, bias = conv.kernel, conv.bias

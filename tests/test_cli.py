@@ -296,6 +296,16 @@ def test_grid_runs_with_explicit_cells(tmp_path, capsys):
     assert (tmp_path / "grid.csv").exists()
 
 
+def test_sweep_tally_counts_shared_runs_and_computed_batches(tmp_path, capsys):
+    argv = ["grid", "--seeds", "0..2", "--taus", "0,1e-8", "--ps", "0.0,1.0", *FAST, "--out", str(tmp_path)]
+    code, out, _ = run_main(argv, capsys)
+    assert code == 0
+    # every cell resets nothing, so each seed's base run computes all 4 batches for 5 runs
+    assert out.splitlines()[-1] == "runs: 2 computed, 0 forked, 8 shared, 0 reused; batches: 8 computed of 40 returned"
+    code, again, _ = run_main(argv, capsys)
+    assert again.splitlines()[-1] == "runs: 0 computed, 0 forked, 0 shared, 10 reused; batches: 0 computed of 40 returned"
+
+
 def test_width_sweep_runs(tmp_path, capsys):
     code, out, _ = run_main(
         ["width-sweep", "--seeds", "0..2", "--widths", "1..3", *FAST, "--out", str(tmp_path)], capsys

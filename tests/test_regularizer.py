@@ -7,7 +7,7 @@ from randomout.config import RandomOutCfg
 from randomout.model import conv_layers
 from randomout.models import build_cratercnn
 from randomout.optim import Adam, make_optimizer
-from randomout.regularizer import ResetEvent, cgn, scan_and_reset
+from randomout.regularizer import ResetEvent, cgn, dead_masks, scan_and_reset
 from randomout.rng import derive_stream
 
 
@@ -127,6 +127,15 @@ def test_score_equal_to_tau_does_not_reset():
     cfg = RandomOutCfg(tau=0.25, p_active=1.0)
     events = scan(model, opt, cfg, progress=0.0, rng=derive_stream(0, "randomout"))
     assert events == []
+
+
+def test_dead_masks_mark_scores_strictly_below_tau_while_active():
+    scores = [np.array([0.0, 0.25, 0.5]), np.array([0.1])]
+    cfg = RandomOutCfg(tau=0.25, p_active=0.5)
+    masks = dead_masks(cfg, 0.25, scores)
+    assert [m.tolist() for m in masks] == [[True, False, False], [True]]
+    assert dead_masks(cfg, 0.5, scores) == []  # progress at p_active: no layer scans
+    assert dead_masks(RandomOutCfg(tau=0.0), 0.0, scores)[0].tolist() == [False, False, False]
 
 
 def test_reset_touches_only_targeted_filter():
