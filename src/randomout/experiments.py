@@ -13,7 +13,10 @@ group: they train together until their reset masks first differ, and a
 config that leaves resumes from a snapshot of that batch. Each config
 still gets its own ``run_training`` call and run directory, with the
 bytes a run of it alone writes, and ``sweep_log.jsonl`` records how each
-run was obtained.
+run was obtained. The dataset pair depends only on the dataset and the
+seed, so the groups of one seed (a batchnorm run beside its base and
+randomout runs, or every width of a width sweep) run back to back on one
+loaded pair.
 """
 
 import copy
@@ -22,7 +25,6 @@ import math
 import os
 import shutil
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -261,18 +263,19 @@ class _Group:
     Members differ only in condition (base or randomout) and RandomOut
     settings, so they share data, init and batch order, and their runs
     are identical batch for batch until one resets other filters than
-    another. The group loads the data once and hands each member's
+    another. The group loads the data once (or takes the pair an earlier
+    group of the same dataset and seed loaded) and hands each member's
     ``run_training`` call where its run stands: unclaimed (it trains from
     the start, carrying every other unclaimed member), forked (it resumes
     from a snapshot, carrying the rest of its part) or finished (it only
     writes files). Members must be called in group order.
     """
 
-    def __init__(self, cfgs):
+    def __init__(self, cfgs, data=None):
         self.unclaimed = list(cfgs)
         self.forks = {}  # hash -> (snapshot, followers, hash of the run it left)
         self.finished = {}  # hash -> (outcome, hash of the run that computed it)
-        self.data = None
+        self.data = data  # load_dataset_pair of the members, loaded at first need
         self.log = {}  # hash -> how the member's run was obtained
 
     def _note(self, cfg, how, first_batch=None, followed=None):
@@ -393,48 +396,58 @@ def run_training(cfg, out_dir, force=False, group=None):
     return RunResult(cfg, str(run_dir), summary, records)
 
 
-def _run_group(args):
-    """Run one group's members back to back; returns (result, sweep log line) pairs."""
-    cfgs, out_dir = args
-    group = _Group(cfgs)
-    out = []
-    for cfg in cfgs:
-        start = time.perf_counter()
-        result = run_training(cfg, out_dir, group=group)
-        s = result.summary
-        ro = cfg.randomout
-        line = {
-            "config_hash": cfg.config_hash(),
-            "condition": cfg.condition,
-            "seed": cfg.seed,
-            "tau": None if ro is None else ro.tau,
-            "p_active": None if ro is None else ro.p_active,
-            **group.log[cfg.config_hash()],
-            "batches_completed": s["batches_completed"],
-            "diverged": s["diverged"],
-            "wall_s": time.perf_counter() - start,
-        }
-        out.append((result, line))
+def _run_task(args):
+    """Run groups that share one dataset pair back to back; returns (result, sweep log line) pairs.
+
+    Each group takes the pair the group before it loaded, so the pair is
+    loaded at most once per task and freed when the task returns.
+    """
+    groups, out_dir = args
+    data, out = None, []
+    for cfgs in groups:
+        group = _Group(cfgs, data)
+        for cfg in cfgs:
+            start = time.perf_counter()
+            result = run_training(cfg, out_dir, group=group)
+            s = result.summary
+            ro = cfg.randomout
+            line = {
+                "config_hash": cfg.config_hash(),
+                "condition": cfg.condition,
+                "seed": cfg.seed,
+                "tau": None if ro is None else ro.tau,
+                "p_active": None if ro is None else ro.p_active,
+                **group.log[cfg.config_hash()],
+                "batches_completed": s["batches_completed"],
+                "diverged": s["diverged"],
+                "wall_s": time.perf_counter() - start,
+            }
+            out.append((result, line))
+        data = group.data
     return out
 
 
 def _run_many(cfgs, out_dir, jobs=1):
     """Run configs (deduplicated by hash) and return results in input order.
 
-    Configs that share a trajectory run as one group, back to back; with
-    ``jobs > 1`` each worker takes whole groups. Writes one line per
-    config to ``sweep_log.jsonl`` in out_dir.
+    Configs that share a trajectory form a group, and groups that share a
+    dataset and seed form a task: its groups run back to back on one
+    loaded dataset pair. With ``jobs > 1`` each worker takes whole tasks.
+    Writes one line per config to ``sweep_log.jsonl`` in out_dir, in
+    input order.
     """
     unique = {cfg.config_hash(): cfg for cfg in cfgs}  # ordered by first occurrence
-    groups = {}
-    for cfg in unique.values():
-        groups.setdefault(_group_key(cfg), []).append(cfg)
-    tasks = [(members, out_dir) for members in groups.values()]
+    tasks = {}
+    for cfg in unique.values():  # load_dataset_pair reads only cfg.dataset and cfg.seed
+        tasks.setdefault((cfg.dataset, cfg.seed), {}).setdefault(_group_key(cfg), []).append(cfg)
+    tasks = [(list(groups.values()), out_dir) for groups in tasks.values()]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: it imports multiprocessing
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = [pair for pairs in pool.map(_run_group, tasks) for pair in pairs]
+            done = [pair for pairs in pool.map(_run_task, tasks) for pair in pairs]
     else:
-        done = [pair for task in tasks for pair in _run_group(task)]
+        done = [pair for task in tasks for pair in _run_task(task)]
     by_hash = {line["config_hash"]: (result, line) for result, line in done}
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     with open(Path(out_dir) / SWEEP_LOG, "w") as f:

@@ -318,6 +318,14 @@ class BatchNorm2d(Layer):
     Train mode normalizes with biased batch statistics and updates the
     running mean/var with momentum 0.9; eval mode uses the running stats.
     Batches of size 1 are rejected in train mode (undefined variance).
+
+    The train forward computes its statistics in one pass the way numpy's
+    ``x.var`` does (the sum over (N, H, W) divided by m, then the sum of
+    squared deviations divided by m) and reuses the centered input as
+    xhat. The backward sums ``dout`` and ``dout * xhat`` once each, for
+    both the parameter gradients and dx. These are the float operations of
+    ``x.mean``, ``x.var`` and the two-pass formulas, on the same operands
+    and in the same order, so no result bit moves.
     """
 
     kind = "batchnorm"
@@ -335,30 +343,38 @@ class BatchNorm2d(Layer):
         g = self.gamma.value[None, :, None, None]
         b = self.beta.value[None, :, None, None]
         if mode == "eval":
-            xhat = (x - self.running_mean[None, :, None, None]) / np.sqrt(
-                self.running_var[None, :, None, None] + BN_EPS
-            )
-            return g * xhat + b, None
+            y = x - self.running_mean[None, :, None, None]
+            y /= np.sqrt(self.running_var[None, :, None, None] + BN_EPS)
+            np.multiply(g, y, out=y)
+            y += b
+            return y, None
         if x.shape[0] < 2:
             raise ValueError(f"batchnorm layer {self.layer_id}: train-mode batch of size 1 has undefined variance")
-        mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
-        self.running_mean = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mean
-        self.running_var = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
+        m = x.shape[0] * x.shape[2] * x.shape[3]
+        mean = np.add.reduce(x, axis=(0, 2, 3), keepdims=True) / m
+        xhat = x - mean  # centered now, normalized below
+        var = np.add.reduce(np.square(xhat), axis=(0, 2, 3), keepdims=True) / m
+        self.running_mean = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mean.reshape(-1)
+        self.running_var = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var.reshape(-1)
         istd = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x - mean[None, :, None, None]) * istd[None, :, None, None]
-        return g * xhat + b, (xhat, istd)
+        xhat *= istd
+        y = g * xhat
+        y += b
+        return y, (xhat, istd.reshape(-1))
 
     def backward(self, dout, cache):
         xhat, istd = cache
         m = dout.shape[0] * dout.shape[2] * dout.shape[3]
-        self.gamma.grad += (dout * xhat).sum(axis=(0, 2, 3))
-        self.beta.grad += dout.sum(axis=(0, 2, 3))
+        s1 = dout.sum(axis=(0, 2, 3))
+        s2 = (dout * xhat).sum(axis=(0, 2, 3))
+        self.gamma.grad += s2
+        self.beta.grad += s1
         # dx = gamma*istd/m * (m*dout - sum(dout) - xhat * sum(dout*xhat))
-        s1 = dout.sum(axis=(0, 2, 3))[None, :, None, None]
-        s2 = (dout * xhat).sum(axis=(0, 2, 3))[None, :, None, None]
-        g = self.gamma.value[None, :, None, None]
-        return g * istd[None, :, None, None] / m * (m * dout - s1 - xhat * s2)
+        coef = self.gamma.value[None, :, None, None] * istd[None, :, None, None] / m
+        dx = m * dout
+        dx -= s1[None, :, None, None]
+        dx -= xhat * s2[None, :, None, None]
+        return np.multiply(coef, dx, out=dx)
 
 
 def run_sequence(layers, x, mode):

@@ -67,7 +67,7 @@ class Model:
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-        x = np.asarray(x, dtype=tensor.DTYPE)
+        x = np.ascontiguousarray(x, dtype=tensor.DTYPE)  # conv patches are views of C-ordered planes
         if x.shape[1:] != self.input_shape:
             raise ValueError(f"model input shape {x.shape[1:]} does not match declared {self.input_shape}")
         logits, caches = run_sequence(self.layers, x, mode)

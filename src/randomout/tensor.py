@@ -13,7 +13,10 @@ Layout contract. A stride-1 conv works on row-flattened planes
 contiguous run ``xf[:, c, i*W+j : i*W+j+L]``, one "wide row" that steps over
 all Ho output rows at pitch W, ``L = (Ho-1)*W + Wo`` long. ``wide_patches``
 copies those runs into a C-contiguous ``[N, C*k*k, L]`` buffer (for k = 1
-the buffer is ``xf`` itself). A GEMM on it yields Ho rows of W columns whose
+the buffer is ``xf`` itself). It reads them through one 5-D view made with
+the ``np.ndarray`` constructor on xf's buffer, so xf must be C-contiguous;
+``x.reshape`` of a C-contiguous x, and any slice of its first axis, is. A
+GEMM on the buffer yields Ho rows of W columns whose
 last W-Wo columns wrap around into the next row and are dropped. The
 patches of images b are ``wide_patches(xf[b], ...)``, the rows b of the
 whole batch's buffer, so a caller may copy them one block of images at a
@@ -24,7 +27,6 @@ serve only stride > 1 convs.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 DTYPE = np.float64
 
@@ -54,16 +56,19 @@ def wide_patches(xf, k, pitch, length):
 
     Row (c, i, j) is ``xf[:, c, i*pitch+j : i*pitch+j+length]``. A run that
     would end past its plane (``(k-1)*(pitch+1) + length > S``) raises
-    ValueError. With k = 1 and length = S the only run is the plane itself,
-    and xf is returned without a copy.
+    ValueError, and so does an xf that is not C-contiguous: the runs are
+    read through a view built on xf's buffer. With k = 1 and length = S the
+    only run is the plane itself, and xf is returned without a copy.
     """
     n, c, size = xf.shape
     if (k - 1) * (pitch + 1) + length > size:
         raise ValueError(f"runs of length {length} at pitch {pitch} overrun planes of size {size}")
     if k == 1 and length == size:
         return xf
-    sn, sc, s = xf.strides
-    runs = as_strided(xf, (n, c, k, k, length), (sn, sc, pitch * s, s, s), writeable=False)
+    if not xf.flags.c_contiguous:
+        raise ValueError("wide_patches needs a C-contiguous xf")
+    s = xf.itemsize
+    runs = np.ndarray((n, c, k, k, length), xf.dtype, xf, 0, (c * size * s, size * s, pitch * s, s, s))
     return np.ascontiguousarray(runs).reshape(n, c * k * k, length)
 
 

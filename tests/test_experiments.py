@@ -3,6 +3,8 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import layer_oracles
-from randomout import experiments
+from randomout import experiments, tensor
 from randomout.config import TrainConfig
 from randomout.data import Dataset, write_cifar10_binary
 from randomout.experiments import (
@@ -26,7 +28,7 @@ from randomout.experiments import (
     seed_sweep,
     width_sweep,
 )
-from randomout.layers import AvgPool2d, ReLU, run_sequence
+from randomout.layers import AvgPool2d, BatchNorm2d, ReLU, run_sequence
 from randomout.metrics import read_metrics
 from randomout.model import conv_layers
 from randomout.models import build_cratercnn, build_mini_inception
@@ -204,6 +206,44 @@ def test_parallel_sweep_matches_serial_sweep_bytes(tmp_path, sweep, n_runs, arti
     for name in artifacts:
         assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "parallel" / name).read_bytes()
     assert sorted(p.name for p in (tmp_path / "parallel").iterdir() if ".tmp-" in p.name) == []
+
+
+def count_dataset_loads(monkeypatch):
+    """The seeds of every load_dataset_pair call a sweep makes from here on."""
+    seeds = []
+    real = experiments.load_dataset_pair
+
+    def load(cfg):
+        seeds.append(cfg.seed)
+        return real(cfg)
+
+    monkeypatch.setattr(experiments, "load_dataset_pair", load)
+    return seeds
+
+
+def test_seed_sweep_loads_each_seed_once(tmp_path, monkeypatch):
+    # base, randomout and batchnorm runs of a seed share one loaded pair
+    seeds = count_dataset_loads(monkeypatch)
+    conditions = ("base", "randomout", "batchnorm")
+    seed_sweep(tiny_cfg(), seeds=[0, 1, 2], conditions=conditions, out_dir=tmp_path)
+    assert seeds == [0, 1, 2]
+    seed_sweep(tiny_cfg(), seeds=[0, 1, 2], conditions=conditions, out_dir=tmp_path)  # all reused
+    assert seeds == [0, 1, 2]
+
+
+def test_width_sweep_loads_each_seed_once(tmp_path, monkeypatch):
+    seeds = count_dataset_loads(monkeypatch)
+    width_sweep(tiny_cfg(), widths=[1, 2], seeds=[0, 1], out_dir=tmp_path)
+    assert seeds == [0, 1]
+
+
+def test_import_leaves_multiprocessing_out():
+    # the process pool is imported only by a sweep that runs with jobs > 1
+    package_root = str(Path(experiments.__file__).resolve().parents[1])
+    code = "import sys, randomout; assert 'multiprocessing' not in sys.modules, 'multiprocessing imported'"
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_divergence_flagged_and_halts(tmp_path):
@@ -507,3 +547,20 @@ def test_runs_are_bitwise_the_reference_relu_and_pool(tmp_path, monkeypatch):
     for a, b in zip(engine, reference):
         for name in ("metrics.csv", "resets.csv"):
             assert (Path(a.run_dir) / name).read_bytes() == (Path(b.run_dir) / name).read_bytes(), name
+
+
+def test_batchnorm_runs_are_bitwise_the_reference(tmp_path, monkeypatch):
+    # BatchNorm's one-pass statistics and reused sums, and the patch view
+    # built without as_strided, must leave every result byte of the passes
+    # they replace: a cratercnn SGD run and a mini_inception Adam run.
+    cfgs = [cfg.replace(condition="batchnorm") for cfg in bit_guard_configs(tmp_path)]
+    assert [cfg.optimizer for cfg in cfgs] == ["sgd", "adam"]
+    engine = [run_training(cfg, tmp_path / "engine") for cfg in cfgs]
+    monkeypatch.setattr(BatchNorm2d, "forward", layer_oracles.batchnorm_forward)
+    monkeypatch.setattr(BatchNorm2d, "backward", layer_oracles.batchnorm_backward)
+    monkeypatch.setattr(tensor, "wide_patches", layer_oracles.wide_patches)
+    monkeypatch.setattr(ReLU, "forward", layer_oracles.relu_forward)
+    monkeypatch.setattr(AvgPool2d, "backward", layer_oracles.avgpool_backward)
+    reference = [run_training(cfg, tmp_path / "reference") for cfg in cfgs]
+    for a, b in zip(engine, reference):
+        assert (Path(a.run_dir) / "metrics.csv").read_bytes() == (Path(b.run_dir) / "metrics.csv").read_bytes()

@@ -216,6 +216,37 @@ def test_mini_inception_train_step_keeps_no_whole_batch_patches():
     assert peak < STEP_PEAK_BOUND, peak
 
 
+# tracemalloc peak of one cratercnn w4 batchnorm train step at batch 16 plus
+# one eval chunk of 16: 1.09 MB
+BN_STEP_PEAK_BOUND = 1_250_000
+
+
+def test_cratercnn_batchnorm_step_and_eval_chunk_stay_small():
+    model = build_cratercnn(4, init_rng(), with_batchnorm=True)
+    rng = np.random.default_rng(0)
+    x, x_eval = rng.uniform(size=(2, 16, 1, 15, 15))
+    labels = np.arange(16) % 2
+    tracemalloc.start()
+    try:
+        _, cache = model.forward(x)
+        model.backward(cache, labels)
+        del cache
+        model.forward(x_eval, "eval")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(isinstance(layer, BatchNorm2d) for layer in model.layers) == 2
+    assert peak < BN_STEP_PEAK_BOUND, peak
+
+
+def test_forward_takes_a_strided_input():
+    model = build_cratercnn(2, init_rng())
+    every_other = np.random.default_rng(1).normal(size=(8, 1, 15, 15))[::2]
+    for mode in ("train", "eval"):
+        want = model.forward(every_other.copy(), mode)[0]
+        assert model.forward(every_other, mode)[0].tobytes() == want.tobytes()
+
+
 def test_backward_after_eval_forward_raises():
     model = build_cratercnn(2, init_rng())
     _, cache = model.forward(np.zeros((2, 1, 15, 15)), "eval")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import layer_oracles
 from layer_oracles import avgpool_scatter, relu_forward
 from randomout import layers
 from randomout.layers import (
@@ -419,6 +420,41 @@ def test_batchnorm_rejects_singleton_train_batch():
     bn = BatchNorm2d(3, 2, make_alloc())
     with pytest.raises(ValueError, match="batchnorm layer 3"):
         bn.forward(np.zeros((1, 2, 2, 2)), "train")
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 5, 7), (2, 4, 9, 9), (2, 1, 3, 11), (3, 8, 7, 5)])
+def test_batchnorm_is_bitwise_the_two_pass_reference(shape):
+    # one-pass statistics and reused sums move no bit of the output, the
+    # cache, the grads or the running statistics, over two steps and an eval;
+    # the +1e3 offset makes the mean's rounding show in the variance
+    c = shape[1]
+    rng = np.random.default_rng(31)
+    gamma, beta = rng.normal(size=c), rng.normal(size=c)
+    engine, ref = BatchNorm2d(0, c, make_alloc()), BatchNorm2d(0, c, make_alloc())
+    for bn in (engine, ref):
+        bn.gamma.value[...] = gamma
+        bn.beta.value[...] = beta
+    for _ in range(2):
+        x = rng.normal(scale=3.0, size=shape) + 1e3
+        dout = rng.normal(size=shape)
+        dout.flags.writeable = False  # backward never writes into dout
+        y, cache = engine.forward(x, "train")
+        y_ref, cache_ref = layer_oracles.batchnorm_forward(ref, x, "train")
+        assert_same_bits(y, y_ref)
+        for a, b in zip(cache, cache_ref):
+            assert_same_bits(a, b)
+        assert_same_bits(engine.backward(dout, cache), layer_oracles.batchnorm_backward(ref, dout, cache_ref))
+        assert_same_bits(engine.gamma.grad, ref.gamma.grad)
+        assert_same_bits(engine.beta.grad, ref.beta.grad)
+        assert_same_bits(engine.running_mean, ref.running_mean)
+        assert_same_bits(engine.running_var, ref.running_var)
+    x = rng.normal(size=(1, *shape[1:])) + 1e3
+    assert_same_bits(engine.forward(x, "eval")[0], layer_oracles.batchnorm_forward(ref, x, "eval")[0])
 
 
 def test_softmax_ce_matches_manual_log_softmax():

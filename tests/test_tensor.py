@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import layer_oracles
 from randomout import tensor
 from randomout.layers import Conv2d
 
@@ -131,6 +132,24 @@ def test_wide_patches_k1_is_the_input_and_overruns_raise():
     assert tensor.wide_patches(xf, 2, 5, 14).shape == (2, 12, 14)
     with pytest.raises(ValueError, match="overrun"):
         tensor.wide_patches(xf, 2, 5, 15)
+
+
+@pytest.mark.parametrize("shape,k", [((2, 3, 9, 7), 3), ((2, 2, 11, 5), 4), ((3, 1, 15, 15), 2), ((2, 4, 5, 9), 1)])
+def test_wide_patches_are_bitwise_the_as_strided_copy(shape, k):
+    n, c, h, w = shape
+    xf = (np.random.default_rng(23).normal(size=shape) + 1e3).reshape(n, c, h * w)
+    span = (h - k) * w + w - k + 1
+    for block in (xf, xf[1:], xf[:1]):
+        got, want = tensor.wide_patches(block, k, w, span), layer_oracles.wide_patches(block, k, w, span)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+def test_wide_patches_reject_a_non_contiguous_input():
+    xf = np.random.default_rng(24).normal(size=(2, 6, 20))
+    for bad in (xf[:, ::2], xf[:, :, :16], np.asfortranarray(xf)):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            tensor.wide_patches(bad, 2, 4, 11)
 
 
 def test_col2im_is_im2col_adjoint():
