@@ -254,11 +254,9 @@ def synth_craters(n_pos, n_neg, seed):
 def split_50_50(dataset, seed):
     """Stratified disjoint halves after a seeded shuffle.
 
-    Per-class counts differ by at most 1 between halves (odd classes give
-    the extra example to the train half).
+    Per-class counts differ by at most 1 between halves (the train half
+    takes an odd class's extra example); an empty test half raises ValueError.
     """
-    if len(dataset) < 2:
-        raise ValueError(f"need at least 2 examples to split, got {len(dataset)}")
     rng = derive_stream(seed, "data_split")
     train_idx, test_idx = [], []
     for c in range(dataset.num_classes):
@@ -269,6 +267,8 @@ def split_50_50(dataset, seed):
         test_idx.append(idx[half:])
     train_idx = np.concatenate(train_idx)
     test_idx = np.concatenate(test_idx)
+    if test_idx.size == 0:
+        raise ValueError(f"the test half of {len(dataset)} examples is empty: no class has at least 2 examples")
 
     def subset(idx, split):
         return Dataset(dataset.images[idx], dataset.labels[idx], dataset.name, dataset.num_classes, split)

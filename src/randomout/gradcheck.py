@@ -88,7 +88,7 @@ def standard_suites(seed=20240001):
     add(
         "conv2d",
         [
-            LayerSpec("conv2d", out_channels=3, kernel_size=3, stride=2),
+            LayerSpec("conv2d", out_channels=3, kernel_size=3),
             LayerSpec("flatten"),
             LayerSpec("dense", units=2),
             LayerSpec("softmax_ce", units=2),

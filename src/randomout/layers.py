@@ -66,47 +66,34 @@ class Layer:
 
 
 class Conv2d(Layer):
-    """Valid cross-correlation with a [K,C,kH,kW] kernel and per-channel bias.
+    """Stride-1 valid cross-correlation with a [K,C,kH,kW] kernel and per-channel bias.
 
-    A stride-1 conv runs on row-flattened planes (see ``tensor``'s layout
-    contract): its patches are ``tensor.wide_patches`` of x, so every patch
-    row is one contiguous run, and one GEMM per image writes Ho rows of W
-    columns, of which the last W-Wo wrap around and are dropped. For k = 1
-    the patch buffer is x itself. A stride > 1 conv runs on
-    ``tensor.im2col``'s contiguous [N, C*kH*kW, Ho*Wo] buffer.
+    The conv runs on row-flattened planes (see ``tensor``'s layout
+    contract): its patches are ``tensor.wide_patches`` of x, and one GEMM
+    per image writes Ho rows of W columns, of which the last W-Wo wrap
+    around and are dropped. It works on blocks of consecutive images, each
+    as large as fits in ``PATCH_BLOCK_BYTES`` (see ``_block_step``), so a
+    block's patch copy and GEMMs stay in a core's L2 cache; every GEMM is
+    the per-image product, so the block size moves no result bit. The
+    train cache is x alone: the backward copies each block's patches again
+    (for k = 1 they are x's own view).
 
-    A stride-1 conv works on blocks of consecutive images, each as large as
-    fits in ``PATCH_BLOCK_BYTES`` (see ``_block_step``), so that a block's
-    patch copy and GEMMs stay in a core's L2 cache. The train cache keeps
-    no patches of its own, whatever the block count: the backward copies
-    each block's patches again from x (for k = 1 they are x's own view).
-    Every GEMM is the per-image product, so the block size moves no result
-    bit.
-
-    The input gradient takes one of two routes, picked from the stride:
-
-    - stride 1: ``dout`` is written at row pitch W into one zero buffer
-      with a (k-1)*(W+1) margin in front, so its wrap-around columns stay
-      zero. The kernel gradient reads that buffer against the patches, and
-      the input gradient is the correlation of the same buffer with the
-      flipped, channel-swapped kernel: one ``wide_patches`` and one GEMM
-      per block, already in x's [N, C, H*W] layout;
-    - stride > 1: one GEMM into patch columns, then ``tensor.col2im``'s
-      scatter-add.
-
-    ``input_grad`` is False only for a model's first layer, whose input
-    gradient nothing consumes; its backward then skips that work and
-    returns None.
+    The backward writes ``dout`` at row pitch W into one zero buffer with a
+    (k-1)*(W+1) margin in front, so its wrap-around columns stay zero. The
+    kernel gradient reads that buffer against the patches, and the input
+    gradient is its correlation with the flipped, channel-swapped kernel,
+    already in x's [N, C, H*W] layout. ``input_grad`` is False only for a
+    model's first layer, whose input gradient nothing consumes; its
+    backward then skips that work and returns None.
     """
 
     kind = "conv2d"
 
-    def __init__(self, layer_id, in_channels, out_channels, kernel_size, stride, rng, alloc):
+    def __init__(self, layer_id, in_channels, out_channels, kernel_size, rng, alloc):
         super().__init__(layer_id)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
-        self.stride = stride
         self.fan_in = in_channels * kernel_size * kernel_size
         self.fan_out = out_channels * kernel_size * kernel_size
         self.input_grad = True
@@ -116,7 +103,7 @@ class Conv2d(Layer):
         self.params = (self.kernel, self.bias)
 
     def _block_step(self, n, plane):
-        """Images per stride-1 block: the fewest blocks whose patches fit in PATCH_BLOCK_BYTES, balanced.
+        """Images per block: the fewest blocks whose patches fit in PATCH_BLOCK_BYTES, balanced.
 
         An image's largest buffer is its forward patches (C rows per tap) or,
         when ``input_grad`` is set, the input gradient's (K rows per tap),
@@ -130,14 +117,9 @@ class Conv2d(Layer):
 
     def forward(self, x, mode):
         n, c, h, w = x.shape
-        ks, k, s = self.kernel_size, self.out_channels, self.stride
-        ho = tensor.conv_output_size(h, ks, s)
-        wo = tensor.conv_output_size(w, ks, s)
+        ks, k = self.kernel_size, self.out_channels
+        ho, wo = h - ks + 1, w - ks + 1
         kmat = self.kernel.value.reshape(k, -1)
-        if s > 1:
-            cols = tensor.im2col(x, ks, ks, s).transpose(0, 2, 1)  # [N, C*kH*kW, Ho*Wo]
-            out = (kmat @ cols + self.bias.value[:, None]).reshape(n, k, ho, wo)
-            return out, (x, cols)
         span = (ho - 1) * w + wo
         xf = x.reshape(n, c, h * w)
         wide = np.empty((n, k, ho * w), dtype=tensor.DTYPE)
@@ -145,23 +127,14 @@ class Conv2d(Layer):
         for i in range(0, n, step):
             b = slice(i, i + step)
             np.matmul(kmat, tensor.wide_patches(xf[b], ks, w, span), out=wide[b, :, :span])
-        # a 1x1 conv's patches are x itself; a larger kernel's are copied again by the backward
-        return wide.reshape(n, k, ho, w)[..., :wo] + self.bias.value[:, None, None], (x, xf if ks == 1 else None)
+        return wide.reshape(n, k, ho, w)[..., :wo] + self.bias.value[:, None, None], x
 
-    def backward(self, dout, cache):
-        x, cols = cache  # stride 1: cols is None, or x's own view for k = 1
+    def backward(self, dout, x):
         n, k, ho, wo = dout.shape
-        dmat = dout.reshape(n, k, ho * wo)
-        kernel = self.kernel.value
-        self.bias.grad += dmat.sum(axis=(0, 2))
-        ks, s = self.kernel_size, self.stride
-        if s > 1:
-            self.kernel.grad += (dmat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
-            if not self.input_grad:
-                return None
-            dcols = kernel.reshape(k, -1).T @ dmat  # [N, C*kH*kW, Ho*Wo]
-            return tensor.col2im(dcols.transpose(0, 2, 1), x.shape, ks, ks, s)
         _, c, h, w = x.shape
+        ks = self.kernel_size
+        kernel = self.kernel.value
+        self.bias.grad += dout.reshape(n, k, ho * wo).sum(axis=(0, 2))
         margin = (ks - 1) * (w + 1)
         span = (ho - 1) * w + wo
         dz = np.zeros((n, k, margin + h * w), dtype=tensor.DTYPE)
@@ -381,7 +354,7 @@ def run_sequence(layers, x, mode):
     """Run layers in order; returns (y, caches), one cache per layer.
 
     An eval forward keeps no caches and returns None for them: each
-    layer's cache (conv patches, ReLU masks, ...) is dropped as soon as
+    layer's cache (conv inputs, ReLU masks, ...) is dropped as soon as
     that layer returns, so it never outlives the layer that made it.
     """
     if mode == "eval":
@@ -393,6 +366,13 @@ def run_sequence(layers, x, mode):
         x, c = layer.forward(x, mode)
         caches.append(c)
     return x, caches
+
+
+def backward_sequence(layers, dout, caches):
+    """Backpropagate dout through layers in reverse, given run_sequence's caches; returns the input gradient."""
+    for layer, c in zip(reversed(layers), reversed(caches)):
+        dout = layer.backward(dout, c)
+    return dout
 
 
 class Branches(Layer):
@@ -422,12 +402,8 @@ class Branches(Layer):
     def backward(self, dout, cache):
         caches, widths = cache
         dx = None
-        offset = 0
-        for seq, seq_cache, width in zip(self.branches, caches, widths):
-            d = dout[:, offset : offset + width]
-            offset += width
-            for layer, c in zip(reversed(seq), reversed(seq_cache)):
-                d = layer.backward(d, c)
+        for seq, seq_cache, d in zip(self.branches, caches, np.split(dout, np.cumsum(widths)[:-1], axis=1)):
+            d = backward_sequence(seq, d, seq_cache)
             dx = d if dx is None else dx + d
         return dx
 

@@ -16,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from . import tensor
-from .layers import AvgPool2d, BatchNorm2d, Branches, Conv2d, Dense, Flatten, ReLU, SoftmaxCrossEntropy, run_sequence
+from .layers import AvgPool2d, BatchNorm2d, Branches, Conv2d, Dense, Flatten, ReLU, SoftmaxCrossEntropy
+from .layers import backward_sequence, run_sequence
 
 LAYER_KINDS = ("conv2d", "relu", "dense", "softmax_ce", "batchnorm", "flatten", "avgpool", "concat")
 
@@ -25,9 +26,10 @@ LAYER_KINDS = ("conv2d", "relu", "dense", "softmax_ce", "batchnorm", "flatten", 
 class LayerSpec:
     """One layer declaration; dimension fields apply per kind.
 
-    conv2d: out_channels, kernel_size, stride. dense: units.
-    avgpool: window (None means global) and stride. concat: branches,
-    a list of LayerSpec sequences run in parallel on the same input.
+    conv2d: out_channels and kernel_size; every conv is stride 1, and
+    the builder rejects another stride. dense: units. avgpool: window
+    (None means global) and stride. concat: branches, a list of LayerSpec
+    sequences run in parallel on the same input.
     """
 
     kind: str
@@ -88,9 +90,7 @@ class Model:
         Returns the input gradient, or None when the first layer is a conv,
         which skips it.
         """
-        for layer, c in zip(reversed(self.layers), reversed(caches)):
-            dout = layer.backward(dout, c)
-        return dout
+        return backward_sequence(self.layers, dout, caches)
 
     def zero_grads(self):
         for p in self.params:
@@ -115,15 +115,14 @@ def _build_sequence(specs, in_shape, rng, next_layer_id, next_param_id):
         if spec.kind == "conv2d":
             if len(shape) != 3:
                 raise ValueError(f"layer {lid} (conv2d): needs [C,H,W] input, got {shape}")
+            if spec.stride != 1:
+                raise ValueError(f"layer {lid} (conv2d): stride must be 1, got {spec.stride}")
             c, h, w = shape
-            if spec.kernel_size > h or spec.kernel_size > w:
-                raise ValueError(f"layer {lid} (conv2d): kernel {spec.kernel_size} larger than input {h}x{w}")
-            layers.append(Conv2d(lid, c, spec.out_channels, spec.kernel_size, spec.stride, rng, next_param_id))
-            shape = (
-                spec.out_channels,
-                tensor.conv_output_size(h, spec.kernel_size, spec.stride),
-                tensor.conv_output_size(w, spec.kernel_size, spec.stride),
-            )
+            ks = spec.kernel_size
+            if ks > h or ks > w:
+                raise ValueError(f"layer {lid} (conv2d): kernel {ks} larger than input {h}x{w}")
+            layers.append(Conv2d(lid, c, spec.out_channels, ks, rng, next_param_id))
+            shape = (spec.out_channels, h - ks + 1, w - ks + 1)
         elif spec.kind == "relu":
             layers.append(ReLU(lid))
         elif spec.kind == "batchnorm":

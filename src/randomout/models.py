@@ -1,22 +1,22 @@
 """Desk-scale architectures.
 
-CraterCNN: two stride-1 4x4 conv+ReLU stages on 15x15 grayscale input,
-then a dense 2-class softmax head.
+CraterCNN: two 4x4 conv+ReLU stages on 15x15 grayscale input, then a
+dense 2-class softmax head.
 
 MiniInception: a small stand-in for a large inception-style network (the
 full topology is far beyond desk scale). It keeps the properties the
 filter-reset regularizer exercises: mixed 1x1/3x3 filters in parallel
 branches with channel concatenation, optional batchnorm after every
-conv, and a 10-class head. Because only valid (unpadded) convolution is
-supported, the 1x1 branch ends in a 3x3 stride-1 average pool so both
-branches reach the same spatial size before concatenation.
+conv, and a 10-class head. Because every conv is stride 1 and unpadded,
+the 1x1 branch ends in a 3x3 stride-1 average pool so both branches
+reach the same spatial size before concatenation.
 """
 
 from .model import LayerSpec, build_model
 
 
-def _conv_block(out_channels, kernel_size, with_batchnorm, stride=1):
-    specs = [LayerSpec("conv2d", out_channels=out_channels, kernel_size=kernel_size, stride=stride)]
+def _conv_block(out_channels, kernel_size, with_batchnorm):
+    specs = [LayerSpec("conv2d", out_channels=out_channels, kernel_size=kernel_size)]
     if with_batchnorm:
         specs.append(LayerSpec("batchnorm"))
     specs.append(LayerSpec("relu"))
@@ -32,7 +32,7 @@ def cratercnn_specs(width, with_batchnorm=False, num_classes=2):
 
 
 def build_cratercnn(width, rng, with_batchnorm=False, input_shape=(1, 15, 15), num_classes=2):
-    """conv(width,4x4,s1)+ReLU -> conv(width,4x4,s1)+ReLU -> dense(2) softmax."""
+    """conv(width,4x4)+ReLU -> conv(width,4x4)+ReLU -> dense(2) softmax."""
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
     return build_model(cratercnn_specs(width, with_batchnorm, num_classes), input_shape, rng)

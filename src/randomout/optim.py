@@ -7,8 +7,9 @@ moments of exactly the reinitialized weights.
 ``index_slice`` is any numpy index into the parameter's leading axis: a
 row number, a slice, or a boolean mask selecting several filters at once.
 Adam's timestep is kept per parameter (not per element), so a reset
-filter re-enters with the parameter's current bias correction; the
-moment reset dominates behaviour and this keeps state simple.
+filter restarts under the bias correction of a late step, not clean: a
+defect, measured at up to 4.2x lr right after a reset at t=500. ROADMAP
+open item 3 fixes it, which moves result bits.
 """
 
 import numpy as np

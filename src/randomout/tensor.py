@@ -5,10 +5,10 @@ numpy arrays of dtype float64. 64-bit precision is a hard requirement:
 the gradient checks resolve 1e-4 relative error, which float32 cannot.
 
 Convolution convention: cross-correlation (no kernel flip), valid padding
-only (no zero padding), output size (H - kH) // stride + 1. The conv layer
+only (no zero padding), stride 1, output size H - kH + 1. The conv layer
 in layers.py relies on exactly this convention.
 
-Layout contract. A stride-1 conv works on row-flattened planes
+Layout contract. Every conv works on row-flattened planes
 ``xf = x.reshape(N, C, H*W)``: the patch row for kernel tap (c, i, j) is the
 contiguous run ``xf[:, c, i*W+j : i*W+j+L]``, one "wide row" that steps over
 all Ho output rows at pitch W, ``L = (Ho-1)*W + Wo`` long. ``wide_patches``
@@ -23,7 +23,7 @@ whole batch's buffer, so a caller may copy them one block of images at a
 time (``layers.Conv2d`` does, to bound its buffers).
 ``im2col`` returns ``[N, Ho*Wo, C*kh*kw]`` as the transposed view of a
 C-contiguous ``[N, C*kh*kw, Ho*Wo]`` buffer; it and its adjoint ``col2im``
-serve only stride > 1 convs.
+have no runtime caller (see ``im2col``).
 """
 
 import numpy as np
@@ -76,7 +76,10 @@ def im2col(x, kh, kw, stride):
     """Unfold x[N,C,H,W] into patch columns [N, Ho*Wo, C*kh*kw].
 
     Column order within a patch is (channel, row, col), matching a
-    row-major reshape of a [C,kh,kw] kernel slab.
+    row-major reshape of a [C,kh,kw] kernel slab. No conv calls this or
+    ``col2im``: tests use them as oracles, and the benchmark's span tracer
+    wraps them by name, so moving them into ``tests/`` is a benchmark
+    change (ROADMAP open item 2).
     """
     n, c, h, w = x.shape
     ho = conv_output_size(h, kh, stride)
@@ -89,7 +92,7 @@ def im2col(x, kh, kw, stride):
 
 
 def col2im(cols, x_shape, kh, kw, stride):
-    """Scatter-add patch columns back to an input-shaped array (im2col adjoint)."""
+    """Scatter-add patch columns back to an input-shaped array (im2col adjoint; a test oracle, see im2col)."""
     n, c, h, w = x_shape
     ho = conv_output_size(h, kh, stride)
     wo = conv_output_size(w, kw, stride)

@@ -367,3 +367,19 @@ def test_gen_data_then_train_on_idx(tmp_path, capsys):
     )
     assert code == 0
     assert out.splitlines()[-1].startswith("final test_acc")
+
+
+def test_train_on_a_split_with_an_empty_test_half_is_one_error_line(tmp_path):
+    # 2 images, one per class: the 50/50 split gives both to the train half
+    package_root = str(Path(randomout.__file__).resolve().parent.parent)
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root}
+    cli = [sys.executable, "-m", "randomout"]
+    subprocess.run(cli + ["gen-data", "--kind", "idx", "--count", "2", "--out", "fx"], cwd=tmp_path, env=env, check=True)
+    proc = subprocess.run(
+        cli + ["train", "--dataset", "idx:fx/crater-images.idx,fx/crater-labels.idx", "--epochs", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("randomout: error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "test half" in proc.stderr

@@ -332,6 +332,15 @@ def test_split_deterministic_in_seed():
     assert not np.array_equal(t1.images, t3.images)
 
 
+def test_split_rejects_an_empty_test_half():
+    # one example per class: each goes to the train half
+    ds = Dataset(np.zeros((3, 1, 2, 2)), np.array([0, 1, 2]), "t", 3)
+    with pytest.raises(ValueError, match="test half of 3 examples is empty"):
+        split_50_50(ds, seed=0)
+    train, test = split_50_50(Dataset(np.zeros((3, 1, 2, 2)), np.array([0, 1, 1]), "t", 2), seed=0)
+    assert len(train) == 2 and len(test) == 1
+
+
 def test_split_needs_two_examples():
     ds = Dataset(np.zeros((1, 1, 2, 2)), np.array([0]), "t", 2)
     with pytest.raises(ValueError, match="at least 2"):

@@ -158,6 +158,18 @@ def test_conv2d_input_validation():
     assert model.layers[0].bias.value.shape == (3,)
 
 
+@pytest.mark.parametrize("nested,lid", [(False, 2), (True, 1)], ids=["top-level", "in-branch"])
+def test_build_model_rejects_a_conv_stride_other_than_1(nested, lid):
+    # every conv is stride 1; a pool keeps its stride
+    head = [LayerSpec("avgpool"), LayerSpec("flatten"), LayerSpec("dense", units=2), LayerSpec("softmax_ce", units=2)]
+    strided = LayerSpec("conv2d", out_channels=3, kernel_size=3, stride=2)
+    pool = LayerSpec("avgpool", window=2, stride=2)
+    body = [LayerSpec("concat", branches=[[strided], [pool]])] if nested else [pool, LayerSpec("relu"), strided]
+    with pytest.raises(ValueError, match=rf"^layer {lid} \(conv2d\): stride must be 1, got 2$"):
+        build_model(body + head, (2, 9, 9), init_rng())
+    assert build_model([pool] + head, (2, 9, 9), init_rng()).layers[0].stride == 2
+
+
 @pytest.mark.parametrize("input_shape", [(1, 12, 16), (1, 16, 12)])
 def test_mini_inception_global_pool_on_non_square_input(input_shape):
     width = 2
@@ -197,10 +209,18 @@ def conv_caches(layers, caches):
 STEP_PEAK_BOUND = 6_000_000
 
 
-def test_mini_inception_train_step_keeps_no_whole_batch_patches():
+def test_mini_inception_train_step_keeps_no_whole_batch_patches(monkeypatch):
     model = build_mini_inception(4, init_rng())
     x = np.random.default_rng(0).uniform(size=(16, 3, 32, 32))
     labels = np.arange(16) % 10
+    inputs = {}  # layer_id -> the input each conv's forward received
+    forward = Conv2d.forward
+
+    def recording_forward(conv, x_in, mode):
+        inputs[conv.layer_id] = x_in
+        return forward(conv, x_in, mode)
+
+    monkeypatch.setattr(Conv2d, "forward", recording_forward)
     tracemalloc.start()
     try:
         _, cache = model.forward(x)
@@ -210,9 +230,9 @@ def test_mini_inception_train_step_keeps_no_whole_batch_patches():
     finally:
         tracemalloc.stop()
     assert [conv.kernel_size for conv, _ in convs] == [3, 1, 3, 1, 3]
-    for conv, (x_in, cols) in convs:
-        # a 3x3 conv caches no patches; a 1x1 conv's patches are its input
-        assert cols is None if conv.kernel_size > 1 else np.shares_memory(cols, x_in)
+    for conv, c in convs:
+        # no conv caches patches: its train cache is its input
+        assert c is inputs[conv.layer_id]
     assert peak < STEP_PEAK_BOUND, peak
 
 

@@ -114,7 +114,7 @@ def test_dense_backward_accumulates_gradients():
 
 def test_conv2d_bias_gradient_is_spatial_sum():
     rng = derive_stream(9, "init")
-    conv = Conv2d(0, 1, 2, 2, 1, rng, make_alloc())
+    conv = Conv2d(0, 1, 2, 2, rng, make_alloc())
     x = np.random.default_rng(0).normal(size=(3, 1, 4, 4))
     _, cache = conv.forward(x, "train")
     dout = np.random.default_rng(1).normal(size=(3, 2, 3, 3))
@@ -124,7 +124,7 @@ def test_conv2d_bias_gradient_is_spatial_sum():
 
 def test_conv2d_kernel_gradient_matches_loop_oracle():
     rng = derive_stream(10, "init")
-    conv = Conv2d(0, 2, 2, 2, 1, rng, make_alloc())
+    conv = Conv2d(0, 2, 2, 2, rng, make_alloc())
     x = np.random.default_rng(2).normal(size=(2, 2, 4, 4))
     _, cache = conv.forward(x, "train")
     dout = np.random.default_rng(3).normal(size=(2, 2, 3, 3))
@@ -142,8 +142,8 @@ def test_conv2d_kernel_gradient_matches_loop_oracle():
     np.testing.assert_allclose(conv.kernel.grad, expected, rtol=1e-10, atol=1e-12)
 
 
-def loop_conv_grads(x, kernel, dout, stride):
-    """Kernel, bias and input gradients of a valid cross-correlation, one product at a time."""
+def loop_conv_grads(x, kernel, dout):
+    """Kernel, bias and input gradients of a valid stride-1 cross-correlation, one product at a time."""
     dkernel, dx = np.zeros_like(kernel), np.zeros_like(x)
     k, c, kh, kw = kernel.shape
     for ni in range(x.shape[0]):
@@ -154,38 +154,37 @@ def loop_conv_grads(x, kernel, dout, stride):
                     for ci in range(c):
                         for ii in range(kh):
                             for jj in range(kw):
-                                dkernel[ki, ci, ii, jj] += g * x[ni, ci, oi * stride + ii, oj * stride + jj]
-                                dx[ni, ci, oi * stride + ii, oj * stride + jj] += g * kernel[ki, ci, ii, jj]
+                                dkernel[ki, ci, ii, jj] += g * x[ni, ci, oi + ii, oj + jj]
+                                dx[ni, ci, oi + ii, oj + jj] += g * kernel[ki, ci, ii, jj]
     return dkernel, dout.sum(axis=(0, 2, 3)), dx
 
 
 @pytest.mark.parametrize(
-    "in_ch,out_ch,ks,stride,hw,n",
+    "in_ch,out_ch,ks,hw,n",
     [
-        # ids "1" and "2" are the original stride-1 and stride-2 cases
-        pytest.param(2, 3, 3, 1, (8, 7), 2, id="1"),
-        pytest.param(2, 3, 3, 2, (8, 7), 2, id="2"),
-        pytest.param(5, 3, 1, 1, (6, 5), 2, id="1x1-c5-to-3"),
-        pytest.param(3, 5, 1, 1, (6, 6), 2, id="1x1-c3-to-5"),
-        pytest.param(3, 2, 4, 1, (9, 9), 2, id="4x4-c3-to-2"),
-        pytest.param(2, 6, 4, 1, (7, 10), 2, id="4x4-c2-to-6-nonsquare"),
-        pytest.param(6, 2, 3, 1, (5, 9), 2, id="3x3-c6-to-2-nonsquare"),
+        # id "1" is the original case
+        pytest.param(2, 3, 3, (8, 7), 2, id="1"),
+        pytest.param(5, 3, 1, (6, 5), 2, id="1x1-c5-to-3"),
+        pytest.param(3, 5, 1, (6, 6), 2, id="1x1-c3-to-5"),
+        pytest.param(3, 2, 4, (9, 9), 2, id="4x4-c3-to-2"),
+        pytest.param(2, 6, 4, (7, 10), 2, id="4x4-c2-to-6-nonsquare"),
+        pytest.param(6, 2, 3, (5, 9), 2, id="3x3-c6-to-2-nonsquare"),
         # the workload shapes, where every output row wraps into the next
-        pytest.param(1, 3, 4, 1, (15, 15), 3, id="crater-conv1-15x15-k4"),
-        pytest.param(3, 3, 4, 1, (12, 12), 2, id="crater-conv2-12x12-k4"),
-        pytest.param(2, 2, 3, 1, (32, 32), 2, id="inception-stem-32x32-k3"),
-        pytest.param(2, 3, 3, 1, (11, 6), 3, id="3x3-tall-w-lt-h"),
-        pytest.param(2, 2, 4, 1, (6, 13), 3, id="4x4-wide-w-gt-h"),
-        pytest.param(3, 2, 1, 1, (7, 4), 3, id="1x1-tall-w-lt-h"),
+        pytest.param(1, 3, 4, (15, 15), 3, id="crater-conv1-15x15-k4"),
+        pytest.param(3, 3, 4, (12, 12), 2, id="crater-conv2-12x12-k4"),
+        pytest.param(2, 2, 3, (32, 32), 2, id="inception-stem-32x32-k3"),
+        pytest.param(2, 3, 3, (11, 6), 3, id="3x3-tall-w-lt-h"),
+        pytest.param(2, 2, 4, (6, 13), 3, id="4x4-wide-w-gt-h"),
+        pytest.param(3, 2, 1, (7, 4), 3, id="1x1-tall-w-lt-h"),
     ],
 )
-def test_conv2d_input_gradient_matches_loop_oracle(in_ch, out_ch, ks, stride, hw, n):
-    conv = Conv2d(0, in_ch, out_ch, ks, stride, derive_stream(11, "init"), make_alloc())
+def test_conv2d_input_gradient_matches_loop_oracle(in_ch, out_ch, ks, hw, n):
+    conv = Conv2d(0, in_ch, out_ch, ks, derive_stream(11, "init"), make_alloc())
     x = np.random.default_rng(4).normal(size=(n, in_ch, *hw))
     y, cache = conv.forward(x, "train")
     dout = np.random.default_rng(5).normal(size=y.shape)
     dx = conv.backward(dout, cache)
-    dkernel, dbias, expected = loop_conv_grads(x, conv.kernel.value, dout, stride)
+    dkernel, dbias, expected = loop_conv_grads(x, conv.kernel.value, dout)
     np.testing.assert_allclose(dx, expected, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(conv.kernel.grad, dkernel, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(conv.bias.grad, dbias, rtol=1e-10, atol=1e-12)
@@ -193,13 +192,13 @@ def test_conv2d_input_gradient_matches_loop_oracle(in_ch, out_ch, ks, stride, hw
 
 @pytest.mark.parametrize("ks", [1, 3, 4])
 def test_conv2d_stride_1_backward_never_scatters(monkeypatch, ks):
-    # a stride-1 conv neither unfolds nor scatters: forward and backward run on wide rows
+    # no conv unfolds or scatters: forward and backward run on wide rows
     def forbidden(*args):
-        raise AssertionError("stride-1 conv called im2col or col2im")
+        raise AssertionError("conv called im2col or col2im")
 
     monkeypatch.setattr(layers.tensor, "im2col", forbidden)
     monkeypatch.setattr(layers.tensor, "col2im", forbidden)
-    conv = Conv2d(0, 3, 4, ks, 1, derive_stream(13, "init"), make_alloc())
+    conv = Conv2d(0, 3, 4, ks, derive_stream(13, "init"), make_alloc())
     # one block of 2 images, then 5 images in blocks of one
     for n, budget in ((2, layers.PATCH_BLOCK_BYTES), (5, 1)):
         monkeypatch.setattr(layers, "PATCH_BLOCK_BYTES", budget)
@@ -233,24 +232,24 @@ def conv_pass(conv, x, dout):
     ids=["3x3-nonsquare", "1x1", "crater-conv1"],
 )
 def test_conv2d_blocks_are_bitwise_one_block(monkeypatch, split, step, in_ch, out_ch, ks, hw):
-    conv = Conv2d(0, in_ch, out_ch, ks, 1, derive_stream(15, "init"), make_alloc())
+    conv = Conv2d(0, in_ch, out_ch, ks, derive_stream(15, "init"), make_alloc())
     rng = np.random.default_rng(11)
     x = rng.normal(size=(16, in_ch, *hw))
     dout = rng.normal(size=(16, out_ch, hw[0] - ks + 1, hw[1] - ks + 1))
     monkeypatch.setattr(layers, "PATCH_BLOCK_BYTES", 1 << 40)
-    whole, (_, cols) = conv_pass(conv, x, dout)
-    # no block count caches patches of its own: a 1x1 conv's are x, a larger kernel's are copied again
-    assert cols is None if ks > 1 else np.shares_memory(cols, x)
+    whole, cache = conv_pass(conv, x, dout)
+    # no block count caches patches: the train cache is x, and the backward copies patches again
+    assert cache is x
     # a budget of 1 byte leaves one image per block; 3 images' bytes split 16 as 3+3+3+3+3+1.
     # conv_pass leaves input_grad False, so an image's bytes are its C forward patch rows per tap.
     per_image = 8 * in_ch * ks * ks * hw[0] * hw[1]
     monkeypatch.setattr(layers, "PATCH_BLOCK_BYTES", 1 if split == "one-image" else 3 * per_image)
     assert not conv.input_grad and conv._block_step(16, hw[0] * hw[1]) == step
-    blocked, (_, cols) = conv_pass(conv, x, dout)
-    assert cols is None if ks > 1 else np.shares_memory(cols, x)
+    blocked, cache = conv_pass(conv, x, dout)
+    assert cache is x
     for name, a, b in zip(("y", "dx", "dkernel", "dbias", "dkernel-no-input-grad"), whole, blocked):
         assert a.tobytes() == b.tobytes(), name
-    dkernel, dbias, dx = loop_conv_grads(x, conv.kernel.value, dout, 1)
+    dkernel, dbias, dx = loop_conv_grads(x, conv.kernel.value, dout)
     _, got_dx, got_dkernel, got_dbias, got_dkernel_only = blocked
     np.testing.assert_allclose(got_dx, dx, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(got_dkernel, dkernel, rtol=1e-10, atol=1e-12)
@@ -265,7 +264,7 @@ def test_conv2d_blocks_are_bitwise_one_block(monkeypatch, split, step, in_ch, ou
 )
 def test_conv2d_block_step_counts_input_gradient_rows_only_when_needed(in_ch, out_ch, ks, hw, blocks):
     # a first conv (input_grad False) never allocates the K-row input-gradient patches
-    conv = Conv2d(0, in_ch, out_ch, ks, 1, derive_stream(15, "init"), make_alloc())
+    conv = Conv2d(0, in_ch, out_ch, ks, derive_stream(15, "init"), make_alloc())
     for input_grad, expected in zip((False, True), blocks):
         conv.input_grad = input_grad
         assert -(-16 // conv._block_step(16, hw * hw)) == expected
@@ -274,11 +273,11 @@ def test_conv2d_block_step_counts_input_gradient_rows_only_when_needed(in_ch, ou
 # the two 1x1 conv inputs of mini_inception width 4 at batch 16
 @pytest.mark.parametrize("shape", [(16, 4, 30, 30), (16, 8, 28, 28)], ids=["block1", "block2"])
 def test_conv2d_1x1_forward_is_bitwise_the_im2col_route(shape):
-    conv = Conv2d(0, shape[1], 4, 1, 1, derive_stream(14, "init"), make_alloc())
+    conv = Conv2d(0, shape[1], 4, 1, derive_stream(14, "init"), make_alloc())
     x = np.random.default_rng(8).normal(size=shape)
-    y, (_, cols) = conv.forward(x, "train")
+    y, cache = conv.forward(x, "train")
+    assert cache is x
     patches = layers.tensor.im2col(x, 1, 1, 1).transpose(0, 2, 1)
-    assert cols.tobytes() == patches.tobytes()
     expected = conv.kernel.value.reshape(4, -1) @ patches + conv.bias.value[:, None]
     assert y.tobytes() == expected.reshape(y.shape).tobytes()
 
@@ -295,7 +294,7 @@ def test_model_first_conv_gradients_without_input_gradient():
         d = layer.backward(d, c)
     model.zero_grads()
     assert model.backward_from(dlogits, caches) is None
-    dkernel, dbias, _ = loop_conv_grads(x, first.kernel.value, d, first.stride)
+    dkernel, dbias, _ = loop_conv_grads(x, first.kernel.value, d)
     np.testing.assert_allclose(first.kernel.grad, dkernel, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(first.bias.grad, dbias, rtol=1e-10, atol=1e-12)
 
