@@ -158,7 +158,16 @@ class TrainConfig:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def config_hash(self):
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:HASH_CHARS]
+        """The sha256 of ``canonical_json()``, cut to HASH_CHARS; computed once per config.
+
+        The config is frozen, so its hash is kept on the instance, outside
+        the dataclass fields (equality, ``to_dict`` and ``replace`` never
+        see it)."""
+        h = self.__dict__.get("_config_hash")
+        if h is None:
+            h = hashlib.sha256(self.canonical_json().encode()).hexdigest()[:HASH_CHARS]
+            object.__setattr__(self, "_config_hash", h)
+        return h
 
     def replace(self, **kw):
         d = self.to_dict()

@@ -19,7 +19,6 @@ randomout runs, or every width of a width sweep) run back to back on one
 loaded pair.
 """
 
-import copy
 import json
 import math
 import os
@@ -147,13 +146,16 @@ class _Snapshot:
     """A trajectory after one batch's backward and before its scan.
 
     ``done`` is that batch's index and ``pending`` its loss, train accuracy
-    and CGN vectors. Restoring copies everything out, so the parts of one
-    split can all restore the same snapshot.
+    and CGN vectors (fresh arrays, which no later batch writes). The
+    model's flat values and grads and the optimizer's ``flat_state`` are
+    copied whole, and restoring copies them back in place, so the
+    optimizer's per-param state views stay views of its flat moments and
+    the parts of one split can all restore the same snapshot.
     """
 
-    values: list
-    grads: list
-    optimizer_state: dict
+    values: np.ndarray
+    grads: np.ndarray
+    optimizer_state: list
     rng_state: dict
     records: list
     events: list
@@ -163,9 +165,9 @@ class _Snapshot:
     @classmethod
     def take(cls, model, optimizer, rng, records, events, done, pending):
         return cls(
-            [p.value.copy() for p in model.params],
-            [p.grad.copy() for p in model.params],
-            copy.deepcopy(optimizer.state),
+            model.values.copy(),
+            model.grads.copy(),
+            [a.copy() for a in optimizer.flat_state],
             rng.bit_generator.state,
             list(records),
             list(events),
@@ -175,10 +177,10 @@ class _Snapshot:
 
     def restore(self, model, optimizer, rng):
         """Load the snapshot into a freshly built run; returns its records, events, done and pending."""
-        for p, value, grad in zip(model.params, self.values, self.grads):
-            p.value[...] = value
-            p.grad[...] = grad
-        optimizer.state = copy.deepcopy(self.optimizer_state)
+        model.values[...] = self.values
+        model.grads[...] = self.grads
+        for a, saved in zip(optimizer.flat_state, self.optimizer_state):
+            a[...] = saved
         rng.bit_generator.state = self.rng_state
         return list(self.records), list(self.events), self.done, self.pending
 
@@ -222,7 +224,7 @@ def _train(cfg, train, test, snapshot, followers):
                 if pending is None:
                     logits, cache = model.forward(train.images[idx], mode="train")
                     loss = model.backward(cache, train.labels[idx])
-                    train_acc = float(np.mean(np.argmax(logits, axis=1) == train.labels[idx]))
+                    train_acc = np.count_nonzero(np.argmax(logits, axis=1) == train.labels[idx]) / len(idx)
                     if not math.isfinite(loss):
                         records.append(MetricsRecord(epoch, batch_no, loss, train_acc, None, 0.0, 0, 0, True))
                         diverged = True
@@ -231,8 +233,9 @@ def _train(cfg, train, test, snapshot, followers):
                 else:
                     loss, train_acc, scores = pending
                     pending = None
-                mean_cgn = float(np.mean(np.concatenate(scores)))
-                below = sum(int((s < cfg.telemetry_tau).sum()) for s in scores)
+                all_scores = np.concatenate(scores)
+                mean_cgn = float(np.mean(all_scores))
+                below = int(np.count_nonzero(all_scores < cfg.telemetry_tau))
                 progress = done / plan.total_batches
                 if followers:
                     parts = {}

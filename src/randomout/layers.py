@@ -30,7 +30,11 @@ PATCH_BLOCK_BYTES = 1 << 20
 
 @dataclass
 class ParamNode:
-    """A trainable array paired with its gradient accumulator."""
+    """A trainable array paired with its gradient accumulator.
+
+    Once ``pack``ed (every built Model packs its params), ``value`` and
+    ``grad`` are views into flat buffers: write them in place, never rebind.
+    """
 
     id: int
     value: np.ndarray
@@ -45,8 +49,47 @@ class ParamNode:
 
     @classmethod
     def create(cls, pid, value, role):
-        value = np.asarray(value, dtype=tensor.DTYPE)
+        value = np.array(value, dtype=tensor.DTYPE)  # owned, so that ``pack`` may move it
         return cls(pid, value, np.zeros_like(value), role)
+
+
+def _arena(arrays):
+    """The flat buffer holding ``arrays`` back to back in order and nothing else, or None."""
+    base = arrays[0].base if arrays else None
+    if base is None or base.ndim != 1 or base.size != sum(a.size for a in arrays):
+        return None
+    address = base.ctypes.data
+    for a in arrays:
+        if a.base is not base or a.ctypes.data != address or not a.flags.c_contiguous:
+            return None
+        address += a.nbytes
+    return base
+
+
+def pack(params):
+    """Two flat float64 buffers holding every param's value and every grad, in order.
+
+    Each node's ``value`` and ``grad`` become views into them with the
+    same shapes, so a pass over a buffer updates every param at once.
+    Packing is idempotent: params packed together before get their
+    buffers back, with nothing copied. A param that is a view into some
+    other buffer raises ValueError, because rebinding it would cut it
+    off from that buffer.
+    """
+    values, grads = _arena([p.value for p in params]), _arena([p.grad for p in params])
+    if values is not None and grads is not None:
+        return values, grads
+    if any(p.value.base is not None or p.grad.base is not None for p in params):
+        raise ValueError("params are views into another buffer; pack them only together, in that buffer's order")
+    size = sum(p.value.size for p in params)
+    values, grads = np.empty(size, dtype=tensor.DTYPE), np.empty(size, dtype=tensor.DTYPE)
+    start = 0
+    for p in params:
+        end = start + p.value.size
+        values[start:end], grads[start:end] = p.value.reshape(-1), p.grad.reshape(-1)
+        p.value, p.grad = values[start:end].reshape(p.value.shape), grads[start:end].reshape(p.grad.shape)
+        start = end
+    return values, grads
 
 
 class Layer:

@@ -8,6 +8,14 @@ so a (seed, spec) pair always yields bit-identical parameters.
 ``conv_layers`` is the one walk over a model's conv layers, branches
 included, in layer_id order; the filter scores, the reset scan and the
 filter count all follow it.
+
+A built model is one parameter arena: ``layers.pack`` moves every
+ParamNode's value and grad into two flat buffers, ``Model.values`` and
+``Model.grads``, in ``params`` order, and leaves each node with views of
+its slices in its own shape. Layers update those views in place, and
+nothing rebinds a node's ``value`` or ``grad`` after that, so a pass over
+a buffer (zeroing the grads, an optimizer step, a snapshot's copy) covers
+the whole model at once.
 """
 
 from dataclasses import dataclass
@@ -17,7 +25,7 @@ import numpy as np
 
 from . import tensor
 from .layers import AvgPool2d, BatchNorm2d, Branches, Conv2d, Dense, Flatten, ReLU, SoftmaxCrossEntropy
-from .layers import backward_sequence, run_sequence
+from .layers import backward_sequence, pack, run_sequence
 
 LAYER_KINDS = ("conv2d", "relu", "dense", "softmax_ce", "batchnorm", "flatten", "avgpool", "concat")
 
@@ -46,7 +54,11 @@ class LayerSpec:
 
 
 class Model:
-    """A built layer stack with its loss head and parameter registry."""
+    """A built layer stack with its loss head and parameter arena.
+
+    ``params`` lists every ParamNode in layer order; ``values`` and
+    ``grads`` are the flat buffers their values and grads are views of.
+    """
 
     def __init__(self, layers, input_shape, num_classes):
         self.layers = layers
@@ -56,6 +68,7 @@ class Model:
         self.params = []
         for layer in layers:
             self.params.extend(layer.params)
+        self.values, self.grads = pack(self.params)
         if layers and isinstance(layers[0], Conv2d):
             layers[0].input_grad = False  # nothing consumes d(loss)/d(model input)
 
@@ -93,8 +106,7 @@ class Model:
         return backward_sequence(self.layers, dout, caches)
 
     def zero_grads(self):
-        for p in self.params:
-            p.grad[...] = 0.0
+        self.grads.fill(0.0)
 
 
 class _Counter:

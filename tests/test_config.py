@@ -1,5 +1,6 @@
 """Config round-trips, strictness, and content hashing."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -69,6 +70,18 @@ def test_hash_changes_with_any_value():
         ro.config_hash()
         != TrainConfig(condition="randomout", randomout={"tau": 1e-7}).config_hash()
     )
+
+
+def test_memoized_hash_is_the_canonical_json_digest():
+    cfg = TrainConfig(seed=4, condition="randomout")
+    digest = hashlib.sha256(cfg.canonical_json().encode()).hexdigest()[:HASH_CHARS]
+    assert cfg.config_hash() == digest
+    assert cfg.config_hash() == digest  # the kept value, read again
+    other = cfg.replace(seed=5)
+    assert other.config_hash() == hashlib.sha256(other.canonical_json().encode()).hexdigest()[:HASH_CHARS]
+    assert other.config_hash() != digest
+    assert cfg.replace(seed=4).config_hash() == digest
+    assert "_config_hash" not in cfg.to_dict() and cfg == TrainConfig(seed=4, condition="randomout")
 
 
 def test_hash_stable_across_processes():

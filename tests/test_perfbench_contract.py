@@ -70,6 +70,8 @@ def test_tracer_counts_match_run_summary(spans, tmp_path):
     assert tracer.counts["regularizer.resets"] == summary["total_resets"]
     assert tracer.counts["regularizer.filters_scanned"] == summary["filter_count"] * scans
     assert tracer.calls["regularizer.cgn_telemetry"] == 2 * scans  # once per conv layer per batch
+    assert tracer.calls["optim.step"] == summary["batches_completed"]
+    assert tracer.calls["model.zero_grads"] == summary["batches_completed"]
 
 
 def test_meter_sees_one_fresh_call_per_config_of_a_sharing_sweep(meter_module, tmp_path, monkeypatch):
