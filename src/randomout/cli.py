@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: train, sweep-seeds, grid, width-sweep, gen-data, gradcheck.
+Subcommands: train, sweep-seeds, grid, width-sweep, gen-data.
 Option precedence is explicit flag > config file > built-in default.
 Exit codes: 0 success, 1 usage error, 2 runtime error. Output carries no
 timestamps or timings, so identical invocations on the same run store
@@ -17,7 +17,6 @@ import numpy as np
 from .config import ModelCfg, RandomOutCfg, TrainConfig, read_config_json
 from .data import synth_craters, write_cifar10_binary, write_idx_images, write_idx_labels
 from .experiments import grid_search, run_training, seed_sweep, sweep_tally, width_sweep
-from .gradcheck import TOLERANCE, run_all_checks
 from .rng import derive_stream
 
 DEFAULT_TAUS = "1e-14,1e-12,1e-10,1e-8,1e-6,1e-4"
@@ -93,9 +92,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument("--out", metavar="DIR", default="fixtures", help="output directory")
     p.set_defaults(run=cmd_gen_data, parser=p)
-
-    p = sub.add_parser("gradcheck", help="finite-difference checks for all layers and models", formatter_class=_formatter)
-    p.set_defaults(run=cmd_gradcheck, parser=p)
     return parser
 
 
@@ -210,11 +206,13 @@ def cmd_train(args, parser):
 
 
 def _sweep_args(args, parser):
-    """A sweep's base config and seeds; a bad --jobs is a usage error."""
+    """A sweep's base config and seeds; a bad --jobs or seed is a usage error."""
     cfg = _config_from_args(args, parser)
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    return cfg, _parse_range(args.seeds, parser, "--seeds")
+    seeds = _parse_range(args.seeds, parser, "--seeds")
+    _check_each(seeds, lambda seed: cfg.replace(seed=seed), parser, "--seeds")
+    return cfg, seeds
 
 
 def cmd_sweep_seeds(args, parser):
@@ -292,13 +290,6 @@ def cmd_gen_data(args, parser):
         write_cifar10_binary(out / "cifar10-fixture.bin", images, labels)
         print(f"wrote {out / 'cifar10-fixture.bin'}")
     return 0
-
-
-def cmd_gradcheck(args, parser):
-    errors = run_all_checks()
-    for name, err in errors.items():
-        print(f"{name}: max relative error {err:.3e} {'ok' if err < TOLERANCE else 'FAIL'}")
-    return 0 if all(err < TOLERANCE for err in errors.values()) else 2
 
 
 def main(argv=None):

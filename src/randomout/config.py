@@ -127,8 +127,12 @@ class TrainConfig:
                 raise ValueError(f"train field {name!r} must be an object, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.seed >= 2**64:  # the random streams key on a 64-bit seed
+            raise ValueError(f"seed must be < 2**64, got {self.seed}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError(f"epochs and batch_size must be >= 1, got {self.epochs}, {self.batch_size}")
+        if self.condition == "batchnorm" and self.batch_size < 2:
+            raise ValueError(f"batchnorm needs batch_size >= 2, got {self.batch_size}")
         _check_finite("lr", self.lr)
         _check_finite("telemetry_tau", self.telemetry_tau)
         if self.lr <= 0:

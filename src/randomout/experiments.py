@@ -206,6 +206,10 @@ def _train(cfg, train, test, snapshot, followers):
     outcome, the followers still aboard at the end, and the list of
     ``(snapshot, part)`` splits.
     """
+    if cfg.condition == "batchnorm" and len(train) % cfg.batch_size == 1:
+        raise ValueError(
+            f"batchnorm cannot train on a last batch of 1: n_train {len(train)} with batch_size {cfg.batch_size}"
+        )
     model = build_for(cfg, train)
     convs = conv_layers(model)
     optimizer = make_optimizer(cfg.optimizer, model.params, cfg.lr)

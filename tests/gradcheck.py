@@ -1,4 +1,4 @@
-"""Central finite-difference gradient checking, shared by tests and the CLI.
+"""Finite-difference gradient oracle for the tests (criterion 01 and test_gradcheck).
 
 The numeric gradient perturbs every parameter element by +-eps and takes
 the centered difference of the loss; the analytic gradient comes from one
@@ -6,9 +6,9 @@ backward pass. Relative error uses a 1e-6 floor in the denominator so
 exactly-dead paths (both gradients ~0) compare cleanly.
 """
 
-from .model import LayerSpec, build_model
-from .models import build_cratercnn, build_mini_inception
-from .rng import derive_stream
+from randomout.model import LayerSpec, build_model
+from randomout.models import build_cratercnn, build_mini_inception
+from randomout.rng import derive_stream
 
 EPS = 1e-5
 TOLERANCE = 1e-4

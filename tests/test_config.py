@@ -122,6 +122,10 @@ def test_field_validation_messages():
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         TrainConfig(seed=-1)
+    with pytest.raises(ValueError, match=r"seed must be < 2\*\*64, got 18446744073709551616"):
+        TrainConfig(seed=2**64)
+    with pytest.raises(ValueError, match="batchnorm needs batch_size >= 2, got 1"):
+        TrainConfig(batch_size=1).replace(condition="batchnorm")
     with pytest.raises(ValueError, match="unknown model"):
         ModelCfg(name="vgg")
     with pytest.raises(ValueError, match="base_width must be >= 2, got 1"):

@@ -439,6 +439,15 @@ def test_batchnorm_condition_runs(tmp_path):
     assert result.summary["total_resets"] == 0
 
 
+def test_batchnorm_split_with_a_last_batch_of_one_fails_before_training(tmp_path, monkeypatch):
+    # 9 + 9 examples split 5 + 5 to train: batches of 3, 3, 3 and then 1
+    cfg = tiny_cfg(condition="batchnorm", batch_size=3, dataset={"kind": "synth", "n_pos": 9, "n_neg": 9})
+    monkeypatch.setattr(BatchNorm2d, "forward", lambda *args: pytest.fail("a batch was trained"))
+    with pytest.raises(ValueError, match="last batch of 1: n_train 10 with batch_size 3"):
+        run_training(cfg, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def eval_model(name, input_shape, num_classes):
     """cratercnn with batchnorm, trained a few steps so its running statistics
     have moved off their initial values; mini_inception as built."""

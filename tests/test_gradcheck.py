@@ -1,8 +1,9 @@
-"""Gradient-check utilities (the full suite sweep runs in test_acceptance)."""
+"""The gradient-check oracle in tests/gradcheck.py (its full suite sweep is criterion 01 in test_acceptance)."""
 
 import numpy as np
 
-from randomout.gradcheck import EPS, TOLERANCE, model_max_rel_error, relative_error
+from gradcheck import EPS, TOLERANCE, model_max_rel_error, relative_error, standard_suites
+from randomout.layers import ReLU
 from randomout.model import LayerSpec, build_model, conv_layers
 from randomout.models import build_cratercnn, build_mini_inception
 from randomout.rng import derive_stream
@@ -78,3 +79,11 @@ def test_kink_margin_walks_every_inception_branch():
 def test_perturbation_scale_smaller_than_tolerance_regime():
     # eps must leave room for the centered difference to resolve 1e-4 errors
     assert EPS == 1e-5 and TOLERANCE == 1e-4
+
+
+def test_oracle_flags_a_wrong_backward(monkeypatch):
+    suites = {name: (model, x, y) for name, model, x, y in standard_suites()}
+    model, x, labels = suites["relu_composition"]
+    assert model_max_rel_error(model, x, labels) < TOLERANCE
+    monkeypatch.setattr(ReLU, "backward", lambda self, dout, cache: dout)  # the mask dropped
+    assert model_max_rel_error(model, x, labels) > TOLERANCE
