@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ModelCfg, RandomOutCfg, TrainConfig, read_config_json
 from .data import synth_craters, write_cifar10_binary, write_idx_images, write_idx_labels
-from .experiments import grid_search, run_training, seed_sweep, sweep_tally, width_sweep
+from .experiments import check_last_batch, grid_search, run_training, seed_sweep, sweep_tally, width_sweep
 from .rng import derive_stream
 
 DEFAULT_TAUS = "1e-14,1e-12,1e-10,1e-8,1e-6,1e-4"
@@ -201,6 +201,7 @@ def _print_run(result):
 
 def cmd_train(args, parser):
     cfg = _config_from_args(args, parser)
+    _check_each([cfg], check_last_batch, parser, "--batch-size")
     _print_run(run_training(cfg, args.out))
     return 0
 
@@ -222,6 +223,7 @@ def cmd_sweep_seeds(args, parser):
     conditions = ["base"]
     if cfg.condition != "base":
         conditions.append(cfg.condition)
+    _check_each([cfg], check_last_batch, parser, "--batch-size")
     summary = seed_sweep(cfg, seeds, conditions, args.out, args.jobs)
     for run in summary["runs"]:
         acc = "-" if run["final_test_acc"] is None else f"{run['final_test_acc']:.4f}"

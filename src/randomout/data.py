@@ -25,7 +25,15 @@ CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3*32*32 pixel bytes
 
 @dataclass
 class Dataset:
-    """Images in [0,1] as [N,C,H,W] float64 plus integer labels."""
+    """Images as [N,C,H,W] pixels as stored, plus integer labels.
+
+    File datasets (IDX, CIFAR-10) keep their uint8 bytes: pixel value v
+    stands for v / 255, so no range check is needed. Any other input is
+    converted to float64 and must be finite and in [0, 1] (the synthetic
+    set). ``batch(sel)`` returns the float64 pixels a model takes, made
+    only for the examples selected, so a uint8 pool never exists as
+    float64 whole.
+    """
 
     images: np.ndarray
     labels: np.ndarray
@@ -34,16 +42,18 @@ class Dataset:
     split: str = "full"
 
     def __post_init__(self):
-        self.images = np.asarray(self.images, dtype=DTYPE)
+        self.images = np.asarray(self.images)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.images.ndim != 4:
             raise ValueError(f"images must be [N,C,H,W], got shape {self.images.shape}")
         if self.labels.shape != (self.images.shape[0],):
             raise ValueError(f"labels shape {self.labels.shape} does not match {self.images.shape[0]} images")
-        if not np.isfinite(self.images).all():
-            raise ValueError("images contain non-finite values")
-        if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
-            raise ValueError("images must be scaled to [0, 1]")
+        if self.images.dtype != np.uint8:
+            self.images = self.images.astype(DTYPE, copy=False)
+            if not np.isfinite(self.images).all():
+                raise ValueError("images contain non-finite values")
+            if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
+                raise ValueError("images must be scaled to [0, 1]")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise ValueError(f"labels out of range [0, {self.num_classes})")
 
@@ -53,6 +63,12 @@ class Dataset:
     @property
     def sample_shape(self):
         return self.images.shape[1:]
+
+    def batch(self, sel):
+        """Float64 pixels in [0,1] of the examples ``sel`` selects (uint8 ones divided by 255)."""
+        if self.images.dtype == np.uint8:
+            return self.images[sel] / 255.0
+        return self.images[sel]
 
 
 def _read_be_u32(data, offset, path):
@@ -82,7 +98,7 @@ def read_idx(path):
 
 
 def load_idx(images_path, labels_path, name="idx"):
-    """Load an IDX image/label file pair; pixels are scaled by 1/255."""
+    """Load an IDX image/label file pair; pixels stay uint8 (see Dataset)."""
     images = read_idx(images_path)
     labels = read_idx(labels_path)
     if images.ndim != 3:
@@ -95,7 +111,7 @@ def load_idx(images_path, labels_path, name="idx"):
         )
     n, h, w = images.shape
     num_classes = int(labels.max()) + 1 if labels.size else 2
-    return Dataset(images.reshape(n, 1, h, w) / 255.0, labels, name, max(num_classes, 2))
+    return Dataset(images.reshape(n, 1, h, w), labels, name, max(num_classes, 2))
 
 
 def write_idx_images(path, images_u8):
@@ -118,7 +134,7 @@ def load_cifar10_binary(path, max_per_class=None, name="cifar10"):
     """Load CIFAR-10 binary records (1 label byte + 3072 RGB-plane bytes).
 
     max_per_class caps each class for desk-scale subsets; records are
-    taken in file order.
+    taken in file order. Pixels stay uint8 (see Dataset).
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -138,7 +154,7 @@ def load_cifar10_binary(path, max_per_class=None, name="cifar10"):
         keep = rank < max_per_class
         records = records[keep]
         labels = labels[keep]
-    images = records[:, 1:].reshape(-1, 3, 32, 32) / 255.0
+    images = records[:, 1:].reshape(-1, 3, 32, 32)
     return Dataset(images, labels, name, 10)
 
 
@@ -251,18 +267,24 @@ def synth_craters(n_pos, n_neg, seed):
     return Dataset(images, labels, f"synth(seed={seed})", 2)
 
 
+def train_half(count):
+    """How many of a class's ``count`` examples ``split_50_50`` puts in the train half."""
+    return (count + 1) // 2
+
+
 def split_50_50(dataset, seed):
     """Stratified disjoint halves after a seeded shuffle.
 
     Per-class counts differ by at most 1 between halves (the train half
-    takes an odd class's extra example); an empty test half raises ValueError.
+    takes an odd class's extra example, ``train_half``); an empty test
+    half raises ValueError. Both halves keep the pool's pixel dtype.
     """
     rng = derive_stream(seed, "data_split")
     train_idx, test_idx = [], []
     for c in range(dataset.num_classes):
         idx = np.flatnonzero(dataset.labels == c)
         idx = idx[rng.permutation(idx.size)]
-        half = (idx.size + 1) // 2
+        half = train_half(idx.size)
         train_idx.append(idx[:half])
         test_idx.append(idx[half:])
     train_idx = np.concatenate(train_idx)

@@ -19,6 +19,7 @@ randomout runs, or every width of a width sweep) run back to back on one
 loaded pair.
 """
 
+import ctypes
 import json
 import math
 import os
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import TrainConfig
-from .data import BatchPlan, load_cifar10_binary, load_idx, split_50_50, synth_craters
+from .data import BatchPlan, load_cifar10_binary, load_idx, split_50_50, synth_craters, train_half
 from .metrics import MetricsRecord, read_metrics, read_summary, write_csv, write_metrics, write_summary
 from .model import conv_layers, filter_groups
 from .models import build_cratercnn, build_mini_inception
@@ -60,6 +61,29 @@ WIDTH_COLUMNS = ("width", "base_mean", "base_std", "randomout_mean", "randomout_
 SWEEP_LOG = "sweep_log.jsonl"
 
 
+def _pin_malloc_thresholds():
+    """Fix glibc's mmap and trim thresholds where its dynamic rule ends up.
+
+    A training step allocates and frees arrays of a few hundred KB to a few
+    MB. At glibc's start values (128 KiB each) each of them is mmapped, or
+    trimmed, and faulted in again, which makes runs several times slower.
+    glibc raises both thresholds only after the process frees a large
+    mmapped chunk, so speed would hang on what was allocated before
+    training. These are the values that rule reaches after freeing a 32 MiB
+    chunk (DEFAULT_MMAP_THRESHOLD_MAX on 64-bit; the trim threshold is twice
+    the mmap threshold). A chunk above 32 MiB, such as a full CIFAR-10 pool,
+    never raises them. Does nothing where libc has no mallopt.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_pin_malloc_thresholds()
+
+
 def load_dataset_pair(cfg):
     ds = cfg.dataset
     if ds.kind == "synth":
@@ -85,6 +109,25 @@ def build_for(cfg, train):
     return model
 
 
+def check_last_batch(cfg, n_train=None):
+    """Raise ValueError if cfg is a batchnorm run whose epochs end on a batch of one.
+
+    ``n_train`` is the train half's size. Without it the check uses the
+    size a synthetic split has, which follows from the config alone; a file
+    dataset's size is known only once it is loaded, so it passes here.
+    """
+    if cfg.condition != "batchnorm":
+        return
+    if n_train is None:
+        if cfg.dataset.kind != "synth":
+            return
+        n_train = train_half(cfg.dataset.n_pos) + train_half(cfg.dataset.n_neg)
+    if n_train % cfg.batch_size == 1:
+        raise ValueError(
+            f"batchnorm cannot train on a last batch of 1: n_train {n_train} with batch_size {cfg.batch_size}"
+        )
+
+
 def chance_level(labels, num_classes):
     """Majority-class rate: the accuracy of a constant prediction."""
     counts = np.bincount(labels, minlength=num_classes)
@@ -95,9 +138,9 @@ def evaluate(model, dataset):
     """Accuracy of a forward-only eval pass, EVAL_CHUNK examples at a time."""
     correct = 0
     for start in range(0, len(dataset), EVAL_CHUNK):
-        x = dataset.images[start : start + EVAL_CHUNK]
-        logits, _ = model.forward(x, mode="eval")
-        correct += int(np.sum(np.argmax(logits, axis=1) == dataset.labels[start : start + EVAL_CHUNK]))
+        chunk = slice(start, start + EVAL_CHUNK)
+        logits, _ = model.forward(dataset.batch(chunk), mode="eval")
+        correct += int(np.sum(np.argmax(logits, axis=1) == dataset.labels[chunk]))
     return correct / len(dataset)
 
 
@@ -206,10 +249,7 @@ def _train(cfg, train, test, snapshot, followers):
     outcome, the followers still aboard at the end, and the list of
     ``(snapshot, part)`` splits.
     """
-    if cfg.condition == "batchnorm" and len(train) % cfg.batch_size == 1:
-        raise ValueError(
-            f"batchnorm cannot train on a last batch of 1: n_train {len(train)} with batch_size {cfg.batch_size}"
-        )
+    check_last_batch(cfg, len(train))
     model = build_for(cfg, train)
     convs = conv_layers(model)
     optimizer = make_optimizer(cfg.optimizer, model.params, cfg.lr)
@@ -226,9 +266,10 @@ def _train(cfg, train, test, snapshot, followers):
                 if epoch * plan.batches_per_epoch + batch_no < done:
                     continue  # trained before the snapshot
                 if pending is None:
-                    logits, cache = model.forward(train.images[idx], mode="train")
-                    loss = model.backward(cache, train.labels[idx])
-                    train_acc = np.count_nonzero(np.argmax(logits, axis=1) == train.labels[idx]) / len(idx)
+                    x, y = train.batch(idx), train.labels[idx]
+                    logits, cache = model.forward(x, mode="train")
+                    loss = model.backward(cache, y)
+                    train_acc = np.count_nonzero(np.argmax(logits, axis=1) == y) / len(idx)
                     if not math.isfinite(loss):
                         records.append(MetricsRecord(epoch, batch_no, loss, train_acc, None, 0.0, 0, 0, True))
                         diverged = True
@@ -441,9 +482,12 @@ def _run_many(cfgs, out_dir, jobs=1):
     dataset and seed form a task: its groups run back to back on one
     loaded dataset pair. With ``jobs > 1`` each worker takes whole tasks.
     Writes one line per config to ``sweep_log.jsonl`` in out_dir, in
-    input order.
+    input order. A config that ``check_last_batch`` rejects stops the sweep
+    before any run.
     """
     unique = {cfg.config_hash(): cfg for cfg in cfgs}  # ordered by first occurrence
+    for cfg in unique.values():
+        check_last_batch(cfg)
     tasks = {}
     for cfg in unique.values():  # load_dataset_pair reads only cfg.dataset and cfg.seed
         tasks.setdefault((cfg.dataset, cfg.seed), {}).setdefault(_group_key(cfg), []).append(cfg)

@@ -78,10 +78,13 @@ class Model:
         A train forward returns the cache that ``backward`` needs: the logits
         and one cache per top-level layer. An eval forward is forward-only:
         it drops each layer's cache as soon as the layer returns and returns
-        ``(logits, None)``.
+        ``(logits, None)``. Integer and bool inputs raise ValueError.
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+        x = np.asarray(x)
+        if x.dtype.kind in "biu":  # raw pixels would train unscaled: take Dataset.batch's floats
+            raise ValueError(f"model input must be floating point in [0, 1], got dtype {x.dtype}")
         x = np.ascontiguousarray(x, dtype=tensor.DTYPE)  # conv patches are views of C-ordered planes
         if x.shape[1:] != self.input_shape:
             raise ValueError(f"model input shape {x.shape[1:]} does not match declared {self.input_shape}")

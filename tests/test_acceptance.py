@@ -306,7 +306,7 @@ def test_criterion_11_format_round_trips(tmp_path, dead_sweep):
     lab = tmp_path / "l.idx"
     lab.write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, 2) + bytes([1, 0]))
     ds = load_idx(img, lab)
-    idx_ok = ds.images.shape == (2, 1, 3, 3) and ds.images[1, 0, 2, 2] == 17 / 255.0 and ds.labels.tolist() == [1, 0]
+    idx_ok = ds.images.shape == (2, 1, 3, 3) and ds.batch(1)[0, 2, 2] == 17 / 255.0 and ds.labels.tolist() == [1, 0]
 
     # CIFAR-10: single binary record
     rec = tmp_path / "c.bin"

@@ -235,6 +235,21 @@ def test_bad_train_config_exits_1_before_any_run(tmp_path, capsys, argv, message
     assert list(tmp_path.iterdir()) == []  # no run directory was started
 
 
+@pytest.mark.parametrize("command", [["train"], ["sweep-seeds", "--seeds", "0..2"]], ids=["train", "sweep-seeds"])
+def test_batchnorm_last_batch_of_one_exits_1_before_any_run(tmp_path, capsys, command):
+    # 9 + 9 examples split 5 + 5 to train: batches of 3, 3, 3 and then 1
+    config = tmp_path / "bn.json"
+    config.write_text(
+        json.dumps({"condition": "batchnorm", "batch_size": 3, "dataset": {"kind": "synth", "n_pos": 9, "n_neg": 9}})
+    )
+    out = tmp_path / "runs"
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--config", str(config), "--epochs", "1", "--out", str(out)])
+    assert exc.value.code == 1
+    assert "last batch of 1: n_train 10 with batch_size 3" in capsys.readouterr().err
+    assert not out.exists()  # not even the seed's base run
+
+
 def test_missing_config_file_exits_1(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])

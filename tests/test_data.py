@@ -20,6 +20,7 @@ from randomout.data import (
     read_idx,
     split_50_50,
     synth_craters,
+    train_half,
     write_cifar10_binary,
     write_idx_images,
     write_idx_labels,
@@ -43,6 +44,20 @@ def test_dataset_validation():
         Dataset(np.full((1, 1, 2, 2), 1.5), np.array([0]), "t", 2)
     with pytest.raises(ValueError, match="labels out of range"):
         Dataset(np.zeros((1, 1, 2, 2)), np.array([2]), "t", 2)
+
+
+def test_dataset_keeps_uint8_pixels_and_scales_each_batch():
+    u8 = np.array([[[[0, 1], [128, 255]]], [[[7, 7], [7, 7]]]], dtype=np.uint8)
+    ds = Dataset(u8, np.array([0, 1]), "t", 2)
+    assert ds.images.dtype == np.uint8 and ds.sample_shape == (1, 2, 2)
+    x = ds.batch([0])
+    assert x.dtype == np.float64 and x.shape == (1, 1, 2, 2)
+    assert x.ravel().tolist() == [0.0, 1 / 255.0, 128 / 255.0, 1.0]
+    # any other dtype is stored as float64 and checked, and its batches are its own values
+    floats = Dataset(np.full((2, 1, 2, 2), 0.5, dtype=np.float32), np.array([0, 1]), "t", 2)
+    assert floats.images.dtype == np.float64 and floats.batch(slice(1, 2)).tolist() == [[[[0.5, 0.5], [0.5, 0.5]]]]
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        Dataset(np.full((1, 1, 2, 2), 3, dtype=np.int64), np.array([0]), "t", 2)
 
 
 # --- IDX round trip and rejection ---
@@ -70,8 +85,8 @@ def test_load_idx_scales_and_shapes(tmp_path):
     img_path, lab_path = hand_built_idx_pair(tmp_path)
     ds = load_idx(img_path, lab_path)
     assert ds.images.shape == (2, 1, 3, 3)
-    assert ds.images.dtype == np.float64
-    assert ds.images[1, 0, 2, 2] == pytest.approx(17 / 255.0)
+    assert ds.images.dtype == np.uint8
+    assert ds.batch(slice(None))[1, 0, 2, 2] == pytest.approx(17 / 255.0)
     assert ds.labels.tolist() == [1, 0]
 
 
@@ -81,7 +96,7 @@ def test_idx_255_maps_to_one(tmp_path):
     lp = tmp_path / "l.idx"
     lp.write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, 1) + bytes([0]))
     ds = load_idx(p, lp)
-    assert ds.images.max() == 1.0
+    assert ds.batch(slice(None)).max() == 1.0
 
 
 def test_idx_writer_reader_round_trip(tmp_path):
@@ -134,7 +149,7 @@ def test_cifar_single_record(tmp_path):
     assert len(ds) == 1 and ds.labels[0] == 7 and ds.num_classes == 10
     assert ds.images.shape == (1, 3, 32, 32)
     # plane order: first 1024 payload bytes are the red plane
-    assert ds.images[0, 0, 0, 1] == pytest.approx(1 / 255.0)
+    assert ds.batch(slice(None))[0, 0, 0, 1] == pytest.approx(1 / 255.0)
 
 
 def test_cifar_writer_reader_round_trip(tmp_path):
@@ -144,7 +159,7 @@ def test_cifar_writer_reader_round_trip(tmp_path):
     p = tmp_path / "four.bin"
     write_cifar10_binary(p, images, labels)
     ds = load_cifar10_binary(p)
-    np.testing.assert_array_equal(np.round(ds.images * 255).astype(np.uint8), images)
+    np.testing.assert_array_equal(np.round(ds.batch(slice(None)) * 255).astype(np.uint8), images)
     assert ds.labels.tolist() == [3, 9, 0, 3]
 
 
@@ -195,7 +210,7 @@ def test_cifar_max_per_class_matches_loop(tmp_path_factory, labels, max_per_clas
     write_cifar10_binary(path, images, np.array(labels))
     ds = load_cifar10_binary(path, max_per_class=max_per_class)
     keep = max_per_class_loop(labels, max_per_class)
-    assert np.round(ds.images[:, 0, 0, 0] * 255).astype(int).tolist() == keep
+    assert np.round(ds.batch(slice(None))[:, 0, 0, 0] * 255).astype(int).tolist() == keep
     assert ds.labels.tolist() == [labels[i] for i in keep]
 
 
@@ -207,7 +222,7 @@ def test_cifar_max_per_class_takes_file_order(tmp_path):
     write_cifar10_binary(p, images, labels)
     ds = load_cifar10_binary(p, max_per_class=2)
     assert len(ds) == 4
-    tags = np.round(ds.images[:, 0, 0, 0] * 255).astype(int).tolist()
+    tags = np.round(ds.batch(slice(None))[:, 0, 0, 0] * 255).astype(int).tolist()
     assert tags == [10, 20, 40, 50]
 
 
@@ -229,6 +244,34 @@ def test_cifar_rejects_bad_label_with_position(tmp_path):
     p.write_bytes(good + bad)
     with pytest.raises(ValueError, match=rf"label 11 out of range at record 1 \(byte {CIFAR_RECORD_BYTES}\)"):
         load_cifar10_binary(p)
+
+
+# --- uint8 storage is the float64 pool, bit for bit ---
+
+
+def test_file_batches_are_the_old_float64_pixels(tmp_path):
+    rng = np.random.default_rng(4)
+    u8 = rng.integers(0, 256, size=(30, 5, 7), dtype=np.uint8)
+    labels = np.arange(30) % 3
+    write_idx_images(tmp_path / "i.idx", u8)
+    write_idx_labels(tmp_path / "l.idx", labels)
+    cifar_u8 = rng.integers(0, 256, size=(30, 3, 32, 32), dtype=np.uint8)
+    write_cifar10_binary(tmp_path / "c.bin", cifar_u8, np.arange(30) % 10)
+    loaded = [
+        (load_idx(tmp_path / "i.idx", tmp_path / "l.idx"), u8.reshape(30, 1, 5, 7) / 255.0),
+        (load_cifar10_binary(tmp_path / "c.bin"), cifar_u8 / 255.0),
+    ]
+    for ds, old in loaded:  # old: the whole float64 pool, divided up front
+        assert ds.images.dtype == np.uint8 and ds.images.nbytes * 8 == old.nbytes
+        assert ds.batch(slice(None)).tobytes() == old.tobytes()
+        sel = rng.permutation(30)[:16]
+        assert ds.batch(sel).tobytes() == old[sel].tobytes()
+        # the split of the uint8 pool scales to the split of the float64 pool
+        old_halves = split_50_50(Dataset(old, ds.labels, ds.name, ds.num_classes), seed=3)
+        for half, old_half in zip(split_50_50(ds, seed=3), old_halves):
+            assert half.images.dtype == np.uint8 and len(half) == len(old_half)
+            assert half.batch(slice(None)).tobytes() == old_half.images.tobytes()
+            np.testing.assert_array_equal(half.labels, old_half.labels)
 
 
 # --- synthetic generator ---
@@ -366,7 +409,7 @@ def test_split_halves_partition_any_pool(n_pos, n_neg, seed):
         tr = int((train.labels == c).sum())
         te = int((test.labels == c).sum())
         assert tr + te == count
-        assert tr - te in (0, 1)
+        assert tr == train_half(count) and tr - te in (0, 1)
 
 
 # --- batch plan ---

@@ -1,5 +1,6 @@
 """Training runs and sweep protocols: determinism, resumption, summaries."""
 
+import ctypes
 import json
 import os
 import shutil
@@ -14,7 +15,7 @@ import pytest
 import layer_oracles
 from randomout import experiments, tensor
 from randomout.config import TrainConfig
-from randomout.data import Dataset, write_cifar10_binary
+from randomout.data import Dataset, synth_craters, write_cifar10_binary, write_idx_images, write_idx_labels
 from randomout.experiments import (
     ENGINE_VERSION,
     EVAL_CHUNK,
@@ -246,6 +247,27 @@ def test_import_leaves_multiprocessing_out():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="libc has no mallopt")
+def test_import_pins_the_malloc_thresholds():
+    # Five 784 KiB arrays a round, as a conv step allocates and frees. At
+    # glibc's start thresholds each is mmapped and faulted in afresh (about
+    # 38,000 minor faults over 50 rounds); pinned, the heap keeps the pages
+    # (about 1,000).
+    package_root = str(Path(experiments.__file__).resolve().parents[1])
+    code = (
+        "import resource, numpy as np, randomout\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(50):\n"
+        "    arrays = [np.ones((16, 8, 28, 28)) for _ in range(5)]\n"
+        "    del arrays\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 5000, f"{proc.stdout.strip()} minor faults"
+
+
 def test_divergence_flagged_and_halts(tmp_path):
     # lr huge enough that the second step's products overflow float64 to nan
     cfg = tiny_cfg(lr=1e150, epochs=5)
@@ -448,6 +470,15 @@ def test_batchnorm_split_with_a_last_batch_of_one_fails_before_training(tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sweep_rejects_a_batchnorm_last_batch_of_one_before_any_run(tmp_path, monkeypatch):
+    # the synth split's size follows from the config, so the seed's base runs never start
+    cfg = tiny_cfg(batch_size=3, dataset={"kind": "synth", "n_pos": 9, "n_neg": 9})
+    seeds = count_dataset_loads(monkeypatch)
+    with pytest.raises(ValueError, match="last batch of 1: n_train 10 with batch_size 3"):
+        seed_sweep(cfg, seeds=[0, 1, 2], conditions=("base", "batchnorm"), out_dir=tmp_path)
+    assert seeds == [] and list(tmp_path.iterdir()) == []
+
+
 def eval_model(name, input_shape, num_classes):
     """cratercnn with batchnorm, trained a few steps so its running statistics
     have moved off their initial values; mini_inception as built."""
@@ -573,3 +604,51 @@ def test_batchnorm_runs_are_bitwise_the_reference(tmp_path, monkeypatch):
     reference = [run_training(cfg, tmp_path / "reference") for cfg in cfgs]
     for a, b in zip(engine, reference):
         assert (Path(a.run_dir) / "metrics.csv").read_bytes() == (Path(b.run_dir) / "metrics.csv").read_bytes()
+
+
+def float64_stored(load):
+    """``load`` with its uint8 pool replaced by the float64 pool u8 / 255.0, divided up front."""
+
+    def wrapped(*args):
+        ds = load(*args)
+        assert ds.images.dtype == np.uint8
+        return Dataset(ds.images / 255.0, ds.labels, ds.name, ds.num_classes)
+
+    return wrapped
+
+
+def test_file_runs_are_bitwise_the_float64_stored_runs(tmp_path, monkeypatch):
+    # uint8 pools scaled per batch must leave every result byte of float64
+    # pools: a cratercnn SGD run on an IDX file and a mini_inception Adam run
+    # on a CIFAR-10 file, both under RandomOut.
+    crater_u8 = synth_craters(32, 32, seed=3)
+    write_idx_images(tmp_path / "images.idx", np.round(crater_u8.images[:, 0] * 255).astype(np.uint8))
+    write_idx_labels(tmp_path / "labels.idx", crater_u8.labels)
+    crater, inception = bit_guard_configs(tmp_path)
+    idx_paths = [str(tmp_path / "images.idx"), str(tmp_path / "labels.idx")]
+    cfgs = [crater.replace(dataset={"kind": "idx", "paths": idx_paths}), inception]
+    engine = [run_training(cfg, tmp_path / "engine") for cfg in cfgs]
+    monkeypatch.setattr(experiments, "load_idx", float64_stored(experiments.load_idx))
+    monkeypatch.setattr(experiments, "load_cifar10_binary", float64_stored(experiments.load_cifar10_binary))
+    reference = [run_training(cfg, tmp_path / "reference") for cfg in cfgs]
+    assert all(r.summary["total_resets"] > 0 for r in engine)  # the reset path ran
+    for a, b in zip(engine, reference):
+        for name in ("metrics.csv", "resets.csv", "summary.json"):
+            assert (Path(a.run_dir) / name).read_bytes() == (Path(b.run_dir) / name).read_bytes(), name
+
+
+def test_a_cifar_pair_holds_its_pixels_as_bytes(tmp_path):
+    # 200 images: the pair holds 200 * 3072 bytes of pixels, and loading it
+    # never holds a float64 pool (200 * 3072 * 8 bytes = 4.9 MB)
+    n = 200
+    images = derive_stream(0, "data_synth").integers(0, 256, size=(n, 3, 32, 32), dtype=np.uint8)
+    write_cifar10_binary(tmp_path / "cifar.bin", images, np.arange(n) % 10)
+    cfg = bit_guard_configs(tmp_path)[1].replace(dataset={"kind": "cifar10", "paths": [str(tmp_path / "cifar.bin")]})
+    tracemalloc.start()
+    try:
+        train, test = load_dataset_pair(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert train.images.nbytes + test.images.nbytes == n * 3072
+    assert peak < n * 3072 * 8, f"peak {peak / 1e6:.2f} MB"

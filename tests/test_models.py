@@ -144,6 +144,16 @@ def test_rejects_wrong_input_shape():
         model.forward(np.zeros((1, 1, 14, 14)))
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.bool_])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_forward_rejects_integer_and_bool_inputs(dtype, mode):
+    # raw uint8 pixels would otherwise train unscaled, 255 times too bright
+    model = build_cratercnn(2, init_rng())
+    with pytest.raises(ValueError, match=f"dtype {np.dtype(dtype).name}"):
+        model.forward(np.ones((1, 1, 15, 15), dtype=dtype), mode)
+    model.forward(np.ones((1, 1, 15, 15), dtype=np.float32), mode)  # floats of any width pass
+
+
 def test_conv2d_input_validation():
     # the conv layer trusts its input: the builder and Model.forward reject bad shapes
     head = [LayerSpec("flatten"), LayerSpec("dense", units=2), LayerSpec("softmax_ce", units=2)]
