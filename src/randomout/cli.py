@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ModelCfg, RandomOutCfg, TrainConfig, read_config_json
 from .data import synth_craters, write_cifar10_binary, write_idx_images, write_idx_labels
-from .experiments import check_last_batch, grid_search, run_training, seed_sweep, sweep_tally, width_sweep
+from .experiments import check_base_vs_randomout, grid_search, run_training, seed_sweep, sweep_tally, width_sweep
 from .rng import derive_stream
 
 DEFAULT_TAUS = "1e-14,1e-12,1e-10,1e-8,1e-6,1e-4"
@@ -201,7 +201,6 @@ def _print_run(result):
 
 def cmd_train(args, parser):
     cfg = _config_from_args(args, parser)
-    _check_each([cfg], check_last_batch, parser, "--batch-size")
     _print_run(run_training(cfg, args.out))
     return 0
 
@@ -223,7 +222,6 @@ def cmd_sweep_seeds(args, parser):
     conditions = ["base"]
     if cfg.condition != "base":
         conditions.append(cfg.condition)
-    _check_each([cfg], check_last_batch, parser, "--batch-size")
     summary = seed_sweep(cfg, seeds, conditions, args.out, args.jobs)
     for run in summary["runs"]:
         acc = "-" if run["final_test_acc"] is None else f"{run['final_test_acc']:.4f}"
@@ -242,6 +240,7 @@ def cmd_sweep_seeds(args, parser):
 
 def cmd_grid(args, parser):
     cfg, seeds = _sweep_args(args, parser)
+    _check_each([cfg], check_base_vs_randomout, parser, "condition")
     taus = _parse_floats(args.taus, parser, "--taus")
     ps = _parse_floats(args.ps, parser, "--ps")
     _check_each(taus, lambda tau: RandomOutCfg(tau=tau), parser, "--taus")
@@ -258,6 +257,7 @@ def cmd_grid(args, parser):
 
 def cmd_width_sweep(args, parser):
     cfg, seeds = _sweep_args(args, parser)
+    _check_each([cfg], check_base_vs_randomout, parser, "condition")
     widths = _parse_range(args.widths, parser, "--widths")
     _check_each(widths, lambda width: ModelCfg(cfg.model.name, width), parser, "--widths")
     result = width_sweep(cfg, widths, seeds, args.out, args.jobs)

@@ -7,6 +7,8 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import get_args
 
+from .data import check_last_batch, train_half
+
 CONDITIONS = ("base", "randomout", "batchnorm")
 MODEL_NAMES = ("cratercnn", "mini_inception")
 OPTIMIZERS = ("sgd", "adam")
@@ -133,6 +135,9 @@ class TrainConfig:
             raise ValueError(f"epochs and batch_size must be >= 1, got {self.epochs}, {self.batch_size}")
         if self.condition == "batchnorm" and self.batch_size < 2:
             raise ValueError(f"batchnorm needs batch_size >= 2, got {self.batch_size}")
+        if self.condition == "batchnorm" and self.dataset.kind == "synth":
+            # a synth split's size follows from the config; a file dataset's is checked once loaded
+            check_last_batch(train_half(self.dataset.n_pos) + train_half(self.dataset.n_neg), self.batch_size)
         _check_finite("lr", self.lr)
         _check_finite("telemetry_tau", self.telemetry_tau)
         if self.lr <= 0:

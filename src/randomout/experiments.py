@@ -14,9 +14,9 @@ config that leaves resumes from a snapshot of that batch. Each config
 still gets its own ``run_training`` call and run directory, with the
 bytes a run of it alone writes, and ``sweep_log.jsonl`` records how each
 run was obtained. The dataset pair depends only on the dataset and the
-seed, so the groups of one seed (a batchnorm run beside its base and
-randomout runs, or every width of a width sweep) run back to back on one
-loaded pair.
+seed, so a sweep schedules one group per dataset and seed, which loads
+its pair once: a batchnorm run, every width of a width sweep and each
+base trajectory with its randomout followers all run on it, back to back.
 """
 
 import ctypes
@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import TrainConfig
-from .data import BatchPlan, load_cifar10_binary, load_idx, split_50_50, synth_craters, train_half
+from .data import BatchPlan, check_last_batch, load_cifar10_binary, load_idx, split_50_50, synth_craters
 from .metrics import MetricsRecord, read_metrics, read_summary, write_csv, write_metrics, write_summary
 from .model import conv_layers, filter_groups
 from .models import build_cratercnn, build_mini_inception
@@ -107,25 +107,6 @@ def build_for(cfg, train):
     if cfg.dead_first_layer:
         conv_layers(model)[0].bias.value += DEAD_BIAS_OFFSET
     return model
-
-
-def check_last_batch(cfg, n_train=None):
-    """Raise ValueError if cfg is a batchnorm run whose epochs end on a batch of one.
-
-    ``n_train`` is the train half's size. Without it the check uses the
-    size a synthetic split has, which follows from the config alone; a file
-    dataset's size is known only once it is loaded, so it passes here.
-    """
-    if cfg.condition != "batchnorm":
-        return
-    if n_train is None:
-        if cfg.dataset.kind != "synth":
-            return
-        n_train = train_half(cfg.dataset.n_pos) + train_half(cfg.dataset.n_neg)
-    if n_train % cfg.batch_size == 1:
-        raise ValueError(
-            f"batchnorm cannot train on a last batch of 1: n_train {n_train} with batch_size {cfg.batch_size}"
-        )
 
 
 def chance_level(labels, num_classes):
@@ -249,7 +230,8 @@ def _train(cfg, train, test, snapshot, followers):
     outcome, the followers still aboard at the end, and the list of
     ``(snapshot, part)`` splits.
     """
-    check_last_batch(cfg, len(train))
+    if cfg.condition == "batchnorm":  # a file dataset's size is known only here
+        check_last_batch(len(train), cfg.batch_size)
     model = build_for(cfg, train)
     convs = conv_layers(model)
     optimizer = make_optimizer(cfg.optimizer, model.params, cfg.lr)
@@ -306,37 +288,40 @@ def _train(cfg, train, test, snapshot, followers):
 
 
 class _Group:
-    """Configs that train as one trajectory until their reset masks differ.
+    """The configs of one dataset and seed, run on one dataset pair.
 
-    Members differ only in condition (base or randomout) and RandomOut
-    settings, so they share data, init and batch order, and their runs
-    are identical batch for batch until one resets other filters than
-    another. The group loads the data once (or takes the pair an earlier
-    group of the same dataset and seed loaded) and hands each member's
-    ``run_training`` call where its run stands: unclaimed (it trains from
-    the start, carrying every other unclaimed member), forked (it resumes
-    from a snapshot, carrying the rest of its part) or finished (it only
-    writes files). Members must be called in group order.
+    Configs with equal ``_group_key`` differ only in condition (base or
+    randomout) and RandomOut settings, so they share data, init and batch
+    order, and their runs are identical batch for batch until one resets
+    other filters than another. ``members`` lists each key's configs back
+    to back, keys in first-occurrence order, and their ``run_training``
+    calls must come in that order. Each call finds its config's run
+    pending (it trains from the start, or resumes from a snapshot where it
+    left another run, carrying the rest of its part) or finished (it only
+    writes files). The pair is loaded at first need.
     """
 
-    def __init__(self, cfgs, data=None):
-        self.unclaimed = list(cfgs)
-        self.forks = {}  # hash -> (snapshot, followers, hash of the run it left)
+    def __init__(self, cfgs):
+        by_key = {}
+        for cfg in cfgs:
+            by_key.setdefault(_group_key(cfg), []).append(cfg)
+        self.members = [cfg for part in by_key.values() for cfg in part]
+        # hash -> (snapshot, or None at the start; followers; hash of the run it left)
+        self.pending = {part[0].config_hash(): (None, part[1:], None) for part in by_key.values()}
         self.finished = {}  # hash -> (outcome, hash of the run that computed it)
-        self.data = data  # load_dataset_pair of the members, loaded at first need
+        self.data = None  # load_dataset_pair of the members, loaded at first need
         self.log = {}  # hash -> how the member's run was obtained
 
     def _note(self, cfg, how, first_batch=None, followed=None):
         self.log[cfg.config_hash()] = {"how": how, "first_batch": first_batch, "followed": followed}
 
     def skip(self, cfg):
-        """cfg's run is already on disk: hand its place on to the members that waited for it."""
+        """cfg's run is already on disk: hand its place on to the first member that waited for it."""
         h = cfg.config_hash()
-        self.unclaimed = [c for c in self.unclaimed if c.config_hash() != h]
         self.finished.pop(h, None)
-        snapshot, followers, followed = self.forks.pop(h, (None, [], None))
+        snapshot, followers, followed = self.pending.pop(h, (None, [], None))
         if followers:
-            self.forks[followers[0].config_hash()] = (snapshot, followers[1:], followed)
+            self.pending[followers[0].config_hash()] = (snapshot, followers[1:], followed)
         self._note(cfg, "reused")
 
     def outcome(self, cfg):
@@ -346,20 +331,18 @@ class _Group:
             outcome, followed = self.finished.pop(h)
             self._note(cfg, "shared", followed=followed)
             return outcome
-        if h in self.forks:
-            snapshot, followers, followed = self.forks.pop(h)
-            self._note(cfg, "forked", snapshot.done, followed)
-        else:
-            snapshot, followers = None, [c for c in self.unclaimed if c.config_hash() != h]
-            self.unclaimed = []
+        snapshot, followers, followed = self.pending.pop(h)
+        if snapshot is None:
             self._note(cfg, "computed", 0)
+        else:
+            self._note(cfg, "forked", snapshot.done, followed)
         if self.data is None:
             self.data = load_dataset_pair(cfg)
         outcome, followers, splits = _train(cfg, *self.data, snapshot, followers)
         for follower in followers:
             self.finished[follower.config_hash()] = (outcome, h)
         for snap, part in splits:
-            self.forks[part[0].config_hash()] = (snap, part[1:], h)
+            self.pending[part[0].config_hash()] = (snap, part[1:], h)
         return outcome
 
 
@@ -370,7 +353,7 @@ def _group_key(cfg):
     return cfg.replace(condition="base").config_hash()
 
 
-def run_training(cfg, out_dir, force=False, group=None):
+def run_training(cfg, out_dir, group=None):
     """Execute one training run; reuse the artifact if it already exists.
 
     Per batch: forward, backward, telemetry, optional reset scan, optimizer
@@ -387,19 +370,18 @@ def run_training(cfg, out_dir, force=False, group=None):
 
     The run's files are written into ``<hash>.tmp-<pid>/`` beside the run
     directory, which then moves into place with one ``os.replace``. A
-    directory left by an older engine version, a partial write or
-    ``force`` is replaced; one that another process completed meanwhile is
-    returned instead.
+    directory left by an older engine version or a partial write is
+    replaced; one that another process completed meanwhile is returned
+    instead.
     """
 
     run_dir = Path(out_dir) / cfg.config_hash()
     if group is None:
         group = _Group([cfg])
-    if not force:
-        done_run = _completed_run(cfg, run_dir)
-        if done_run is not None:
-            group.skip(cfg)
-            return done_run
+    done_run = _completed_run(cfg, run_dir)
+    if done_run is not None:
+        group.skip(cfg)
+        return done_run
 
     outcome = group.outcome(cfg)
     train, test = group.data
@@ -430,8 +412,8 @@ def run_training(cfg, out_dir, force=False, group=None):
     with open(tmp_dir / "config.json", "w") as f:
         f.write(cfg.canonical_json() + "\n")
     write_summary(tmp_dir / "summary.json", summary)
-    if force or _completed_run(cfg, run_dir) is None:
-        shutil.rmtree(run_dir, ignore_errors=True)  # stale, partial or forced
+    if _completed_run(cfg, run_dir) is None:
+        shutil.rmtree(run_dir, ignore_errors=True)  # stale or partial
     try:
         os.replace(tmp_dir, run_dir)  # fails if run_dir is not empty
     except OSError:
@@ -445,53 +427,47 @@ def run_training(cfg, out_dir, force=False, group=None):
 
 
 def _run_task(args):
-    """Run groups that share one dataset pair back to back; returns (result, sweep log line) pairs.
+    """Run the configs of one dataset and seed as one group; returns (result, sweep log line) pairs.
 
-    Each group takes the pair the group before it loaded, so the pair is
-    loaded at most once per task and freed when the task returns.
+    The group loads the dataset pair at most once, and the pair is freed
+    when the task returns.
     """
-    groups, out_dir = args
-    data, out = None, []
-    for cfgs in groups:
-        group = _Group(cfgs, data)
-        for cfg in cfgs:
-            start = time.perf_counter()
-            result = run_training(cfg, out_dir, group=group)
-            s = result.summary
-            ro = cfg.randomout
-            line = {
-                "config_hash": cfg.config_hash(),
-                "condition": cfg.condition,
-                "seed": cfg.seed,
-                "tau": None if ro is None else ro.tau,
-                "p_active": None if ro is None else ro.p_active,
-                **group.log[cfg.config_hash()],
-                "batches_completed": s["batches_completed"],
-                "diverged": s["diverged"],
-                "wall_s": time.perf_counter() - start,
-            }
-            out.append((result, line))
-        data = group.data
+    cfgs, out_dir = args
+    group = _Group(cfgs)
+    out = []
+    for cfg in group.members:
+        start = time.perf_counter()
+        result = run_training(cfg, out_dir, group=group)
+        s = result.summary
+        ro = cfg.randomout
+        line = {
+            "config_hash": cfg.config_hash(),
+            "condition": cfg.condition,
+            "seed": cfg.seed,
+            "tau": None if ro is None else ro.tau,
+            "p_active": None if ro is None else ro.p_active,
+            **group.log[cfg.config_hash()],
+            "batches_completed": s["batches_completed"],
+            "diverged": s["diverged"],
+            "wall_s": time.perf_counter() - start,
+        }
+        out.append((result, line))
     return out
 
 
 def _run_many(cfgs, out_dir, jobs=1):
     """Run configs (deduplicated by hash) and return results in input order.
 
-    Configs that share a trajectory form a group, and groups that share a
-    dataset and seed form a task: its groups run back to back on one
-    loaded dataset pair. With ``jobs > 1`` each worker takes whole tasks.
-    Writes one line per config to ``sweep_log.jsonl`` in out_dir, in
-    input order. A config that ``check_last_batch`` rejects stops the sweep
-    before any run.
+    The configs of one dataset and seed form a task, run as one ``_Group``
+    on one loaded dataset pair. With ``jobs > 1`` each worker takes whole
+    tasks. Writes one line per config to ``sweep_log.jsonl`` in out_dir, in
+    input order.
     """
     unique = {cfg.config_hash(): cfg for cfg in cfgs}  # ordered by first occurrence
-    for cfg in unique.values():
-        check_last_batch(cfg)
     tasks = {}
     for cfg in unique.values():  # load_dataset_pair reads only cfg.dataset and cfg.seed
-        tasks.setdefault((cfg.dataset, cfg.seed), {}).setdefault(_group_key(cfg), []).append(cfg)
-    tasks = [(list(groups.values()), out_dir) for groups in tasks.values()]
+        tasks.setdefault((cfg.dataset, cfg.seed), []).append(cfg)
+    tasks = [(task, out_dir) for task in tasks.values()]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: it imports multiprocessing
 
@@ -574,6 +550,12 @@ def seed_sweep(base_cfg, seeds, conditions=("base", "randomout"), out_dir="runs"
     return _write_sweep(out_dir, "sweep_results.csv", rows, "sweep_summary.json", result)
 
 
+def check_base_vs_randomout(cfg):
+    """Raise ValueError for a batchnorm cfg, which grid and width sweeps would replace by base and randomout."""
+    if cfg.condition == "batchnorm":
+        raise ValueError("grid and width sweeps run base and randomout only; they cannot run condition 'batchnorm'")
+
+
 def grid_search(base_cfg, taus, ps, seeds, out_dir="runs", jobs=1):
     """Mean paired accuracy gain for every (tau, p_active) cell.
 
@@ -582,6 +564,7 @@ def grid_search(base_cfg, taus, ps, seeds, out_dir="runs", jobs=1):
     Emits grid.csv with one tau per row and one p_active per column.
     """
 
+    check_base_vs_randomout(base_cfg)
     taus = list(taus)
     ps = list(ps)
     seeds = list(seeds)
@@ -638,6 +621,7 @@ def width_sweep(base_cfg, widths, seeds, out_dir="runs", jobs=1):
     filters statistic: for each width k, the smallest width k2 at which the
     base condition matches the filter-reset condition's accuracy at k."""
 
+    check_base_vs_randomout(base_cfg)
     widths = list(widths)
     seeds = list(seeds)
     if not widths or not seeds:

@@ -127,9 +127,9 @@ def _build_sequence(specs, in_shape, rng, next_layer_id, next_param_id):
     shape = in_shape
     for spec in specs:
         lid = next_layer_id()
+        if spec.kind in ("conv2d", "batchnorm", "avgpool", "concat") and len(shape) != 3:
+            raise ValueError(f"layer {lid} ({spec.kind}): needs [C,H,W] input, got {shape}")
         if spec.kind == "conv2d":
-            if len(shape) != 3:
-                raise ValueError(f"layer {lid} (conv2d): needs [C,H,W] input, got {shape}")
             if spec.stride != 1:
                 raise ValueError(f"layer {lid} (conv2d): stride must be 1, got {spec.stride}")
             c, h, w = shape
@@ -141,12 +141,8 @@ def _build_sequence(specs, in_shape, rng, next_layer_id, next_param_id):
         elif spec.kind == "relu":
             layers.append(ReLU(lid))
         elif spec.kind == "batchnorm":
-            if len(shape) != 3:
-                raise ValueError(f"layer {lid} (batchnorm): needs [C,H,W] input, got {shape}")
             layers.append(BatchNorm2d(lid, shape[0], next_param_id))
         elif spec.kind == "avgpool":
-            if len(shape) != 3:
-                raise ValueError(f"layer {lid} (avgpool): needs [C,H,W] input, got {shape}")
             c, h, w = shape
             window = spec.window
             if window is None:
@@ -165,8 +161,6 @@ def _build_sequence(specs, in_shape, rng, next_layer_id, next_param_id):
             layers.append(Dense(lid, shape[0], spec.units, rng, next_param_id))
             shape = (spec.units,)
         elif spec.kind == "concat":
-            if len(shape) != 3:
-                raise ValueError(f"layer {lid} (concat): needs [C,H,W] input, got {shape}")
             branch_layers, out_shapes = [], []
             for seq in spec.branches:
                 sub, sub_shape = _build_sequence(seq, shape, rng, next_layer_id, next_param_id)

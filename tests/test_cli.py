@@ -250,6 +250,21 @@ def test_batchnorm_last_batch_of_one_exits_1_before_any_run(tmp_path, capsys, co
     assert not out.exists()  # not even the seed's base run
 
 
+@pytest.mark.parametrize("command", [["grid"], ["width-sweep", "--widths", "1..3"]], ids=["grid", "width-sweep"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_batchnorm_grid_or_width_sweep_exits_1_before_any_run(tmp_path, capsys, command, source):
+    # both sweeps run each seed as base and randomout, so a batchnorm condition would be dropped
+    config = tmp_path / "bn.json"
+    config.write_text(json.dumps({"condition": "batchnorm", "dataset": {"kind": "synth", "n_pos": 16, "n_neg": 16}}))
+    flags = ["--batchnorm"] if source == "flag" else ["--config", str(config)]
+    out = tmp_path / "runs"
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--seeds", "0..2", *flags, "--epochs", "1", "--batch-size", "8", "--out", str(out)])
+    assert exc.value.code == 1
+    assert "cannot run condition 'batchnorm'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_1(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])

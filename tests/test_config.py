@@ -126,6 +126,8 @@ def test_field_validation_messages():
         TrainConfig(seed=2**64)
     with pytest.raises(ValueError, match="batchnorm needs batch_size >= 2, got 1"):
         TrainConfig(batch_size=1).replace(condition="batchnorm")
+    with pytest.raises(ValueError, match="batchnorm cannot train on a last batch of 1: n_train 10 with batch_size 3"):
+        TrainConfig(batch_size=3, dataset={"kind": "synth", "n_pos": 9, "n_neg": 9}).replace(condition="batchnorm")
     with pytest.raises(ValueError, match="unknown model"):
         ModelCfg(name="vgg")
     with pytest.raises(ValueError, match="base_width must be >= 2, got 1"):

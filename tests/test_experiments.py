@@ -14,6 +14,7 @@ import pytest
 
 import layer_oracles
 from randomout import experiments, tensor
+from randomout.cli import main
 from randomout.config import TrainConfig
 from randomout.data import Dataset, synth_craters, write_cifar10_binary, write_idx_images, write_idx_labels
 from randomout.experiments import (
@@ -91,8 +92,6 @@ def test_existing_run_is_reused(tmp_path):
     assert marker.stat().st_mtime_ns == stamp  # nothing rewritten
     assert second.summary == first.summary
     assert second.records == first.records
-    forced = run_training(cfg, tmp_path, force=True)
-    assert forced.summary == first.summary
 
 
 def _older_version(text):
@@ -461,13 +460,23 @@ def test_batchnorm_condition_runs(tmp_path):
     assert result.summary["total_resets"] == 0
 
 
-def test_batchnorm_split_with_a_last_batch_of_one_fails_before_training(tmp_path, monkeypatch):
-    # 9 + 9 examples split 5 + 5 to train: batches of 3, 3, 3 and then 1
-    cfg = tiny_cfg(condition="batchnorm", batch_size=3, dataset={"kind": "synth", "n_pos": 9, "n_neg": 9})
+def test_batchnorm_split_with_a_last_batch_of_one_fails_before_training():
+    # 9 + 9 examples split 5 + 5 to train: batches of 3, 3, 3 and then 1. The synth
+    # split's size follows from the config, so the config itself is rejected
+    with pytest.raises(ValueError, match="last batch of 1: n_train 10 with batch_size 3"):
+        tiny_cfg(condition="batchnorm", batch_size=3, dataset={"kind": "synth", "n_pos": 9, "n_neg": 9})
+    tiny_cfg(condition="base", batch_size=3, dataset={"kind": "synth", "n_pos": 9, "n_neg": 9})  # no batchnorm: fine
+
+
+def test_batchnorm_file_split_with_a_last_batch_of_one_fails_before_training(tmp_path, monkeypatch):
+    # an idx file of 9 + 9 examples: its size is known only once loaded, so the run checks it
+    assert main(["gen-data", "--kind", "idx", "--count", "18", "--out", str(tmp_path / "data")]) == 0
+    paths = [str(tmp_path / "data" / "crater-images.idx"), str(tmp_path / "data" / "crater-labels.idx")]
+    cfg = tiny_cfg(condition="batchnorm", batch_size=3, dataset={"kind": "idx", "paths": paths})
     monkeypatch.setattr(BatchNorm2d, "forward", lambda *args: pytest.fail("a batch was trained"))
     with pytest.raises(ValueError, match="last batch of 1: n_train 10 with batch_size 3"):
-        run_training(cfg, tmp_path)
-    assert list(tmp_path.iterdir()) == []
+        run_training(cfg, tmp_path / "runs")
+    assert not (tmp_path / "runs").exists()
 
 
 def test_sweep_rejects_a_batchnorm_last_batch_of_one_before_any_run(tmp_path, monkeypatch):
@@ -476,6 +485,18 @@ def test_sweep_rejects_a_batchnorm_last_batch_of_one_before_any_run(tmp_path, mo
     seeds = count_dataset_loads(monkeypatch)
     with pytest.raises(ValueError, match="last batch of 1: n_train 10 with batch_size 3"):
         seed_sweep(cfg, seeds=[0, 1, 2], conditions=("base", "batchnorm"), out_dir=tmp_path)
+    assert seeds == [] and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sweep", ["grid", "width"])
+def test_grid_and_width_sweeps_reject_a_batchnorm_base_config_before_any_run(tmp_path, monkeypatch, sweep):
+    cfg = tiny_cfg(condition="batchnorm")
+    seeds = count_dataset_loads(monkeypatch)
+    with pytest.raises(ValueError, match="cannot run condition 'batchnorm'"):
+        if sweep == "grid":
+            grid_search(cfg, taus=[1e-8], ps=[1.0], seeds=[0, 1], out_dir=tmp_path)
+        else:
+            width_sweep(cfg, widths=[1, 2], seeds=[0, 1], out_dir=tmp_path)
     assert seeds == [] and list(tmp_path.iterdir()) == []
 
 

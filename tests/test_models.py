@@ -168,6 +168,22 @@ def test_conv2d_input_validation():
     assert model.layers[0].bias.value.shape == (3,)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        LayerSpec("conv2d", out_channels=3, kernel_size=1),
+        LayerSpec("batchnorm"),
+        LayerSpec("avgpool"),
+        LayerSpec("concat", branches=[[LayerSpec("relu")]]),
+    ],
+    ids=lambda spec: spec.kind,
+)
+def test_build_model_rejects_a_spatial_layer_after_flatten(spec):
+    head = [LayerSpec("dense", units=2), LayerSpec("softmax_ce", units=2)]
+    with pytest.raises(ValueError, match=rf"^layer 1 \({spec.kind}\): needs \[C,H,W\] input, got \(50,\)$"):
+        build_model([LayerSpec("flatten"), spec] + head, (2, 5, 5), init_rng())
+
+
 @pytest.mark.parametrize("nested,lid", [(False, 2), (True, 1)], ids=["top-level", "in-branch"])
 def test_build_model_rejects_a_conv_stride_other_than_1(nested, lid):
     # every conv is stride 1; a pool keeps its stride

@@ -11,10 +11,14 @@ from pathlib import Path
 
 import pytest
 
+from randomout import experiments
 from randomout.config import TrainConfig
 from randomout.experiments import SWEEP_LOG, grid_search, run_training, seed_sweep, width_sweep
 
 RUN_FILES = ("metrics.csv", "resets.csv", "summary.json")
+# Each sweep below's sweep_log.jsonl lines without wall_s: how every run is
+# obtained, pinned so that a change of scheduler cannot move them.
+RECORDED_LOGS = json.loads((Path(__file__).parent / "data" / "sharing_sweep_logs.json").read_text())
 
 
 def small_cfg(**kw):
@@ -31,7 +35,7 @@ def small_cfg(**kw):
     return TrainConfig.from_dict(base)
 
 
-def seed_sweep_three_conditions(out):
+def seed_sweep_three_conditions(out, conditions=("base", "randomout", "batchnorm")):
     # SGD, checking every other batch: seed 0 leaves its base run at batch 4,
     # seed 1 at batch 0, and seed 2 never resets
     cfg = small_cfg(
@@ -42,7 +46,7 @@ def seed_sweep_three_conditions(out):
         randomout={"tau": 0.3, "p_active": 1.0, "check_every": 2},
         dataset={"kind": "synth", "n_pos": 24, "n_neg": 24},
     )
-    seed_sweep(cfg, seeds=[0, 1, 2], conditions=("base", "randomout", "batchnorm"), out_dir=out)
+    seed_sweep(cfg, seeds=[0, 1, 2], conditions=conditions, out_dir=out)
 
 
 def adam_grid(out):
@@ -56,8 +60,15 @@ def width_sweep_two_widths(out):
     width_sweep(cfg, widths=[1, 2], seeds=[0, 1], out_dir=out)
 
 
+SWEEPS = {"seeds": seed_sweep_three_conditions, "grid": adam_grid, "width": width_sweep_two_widths}
+
+
 def sweep_log(out):
     return [json.loads(line) for line in (Path(out) / SWEEP_LOG).read_text().splitlines()]
+
+
+def without_wall_s(lines):
+    return [{k: v for k, v in line.items() if k != "wall_s"} for line in lines]
 
 
 def assert_runs_match_solo_runs(out, solo):
@@ -65,17 +76,47 @@ def assert_runs_match_solo_runs(out, solo):
     assert run_dirs
     for run_dir in run_dirs:
         cfg = TrainConfig.from_dict(json.loads((run_dir / "config.json").read_text()))
-        alone = Path(run_training(cfg, solo, force=True).run_dir)
+        alone = Path(run_training(cfg, solo).run_dir)
         for name in RUN_FILES:
             assert (run_dir / name).read_bytes() == (alone / name).read_bytes(), (run_dir.name, name)
 
 
-@pytest.mark.parametrize(
-    "sweep", [seed_sweep_three_conditions, adam_grid, width_sweep_two_widths], ids=["seeds", "grid", "width"]
-)
+@pytest.mark.parametrize("sweep", SWEEPS.values(), ids=SWEEPS)
 def test_shared_runs_are_byte_identical_to_solo_runs(tmp_path, sweep):
     sweep(tmp_path / "sweep")
     assert {line["how"] for line in sweep_log(tmp_path / "sweep")} >= {"computed", "shared"}
+    assert_runs_match_solo_runs(tmp_path / "sweep", tmp_path / "solo")
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_sweep_logs_match_the_recorded_schedule(tmp_path, name):
+    SWEEPS[name](tmp_path)
+    assert without_wall_s(sweep_log(tmp_path)) == RECORDED_LOGS[name]
+
+
+def test_seed_sweep_loads_each_seed_once_whatever_the_condition_order(tmp_path, monkeypatch):
+    # a seed's configs come as base, batchnorm, randomout, and its group runs
+    # them as base, randomout (which follows base), batchnorm
+    loads = []
+    real = experiments.load_dataset_pair
+    monkeypatch.setattr(experiments, "load_dataset_pair", lambda cfg: loads.append(cfg.seed) or real(cfg))
+    calls = []
+    real_run = experiments.run_training
+
+    def run(cfg, *args, **kwargs):
+        calls.append((cfg.condition, cfg.seed))
+        return real_run(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_training", run)
+    seed_sweep_three_conditions(tmp_path / "sweep", ("base", "batchnorm", "randomout"))
+    assert loads == [0, 1, 2]
+    assert calls == [(c, seed) for seed in (0, 1, 2) for c in ("base", "randomout", "batchnorm")]
+    log = without_wall_s(sweep_log(tmp_path / "sweep"))
+    assert [(line["condition"], line["seed"]) for line in log] == [
+        (c, seed) for c in ("base", "batchnorm", "randomout") for seed in (0, 1, 2)
+    ]
+    recorded = {line["config_hash"]: line for line in RECORDED_LOGS["seeds"]}
+    assert {line["config_hash"]: line for line in log} == recorded
     assert_runs_match_solo_runs(tmp_path / "sweep", tmp_path / "solo")
 
 
