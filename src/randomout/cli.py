@@ -276,6 +276,7 @@ def cmd_gen_data(args, parser):
     least = 2 if args.kind == "idx" else 1  # a crater set holds at least one image of each class
     if args.count < least:
         parser.error(f"--count must be >= {least} for --kind {args.kind}, got {args.count}")
+    _check_each([args.seed], lambda seed: derive_stream(seed, "data_synth"), parser, "--seed")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.kind == "idx":

@@ -78,6 +78,9 @@ class DatasetCfg:
     def __post_init__(self):
         if self.kind not in ("synth", "idx", "cifar10"):
             raise ValueError(f"unknown dataset kind {self.kind!r}")
+        if not isinstance(self.paths, (list, tuple)) or not all(isinstance(p, str) and p for p in self.paths):
+            # a bare string would split into one-letter paths, and open(0) reads stdin
+            raise ValueError(f"dataset paths must be a list of non-empty strings, got {self.paths!r}")
         if self.kind == "synth" and (self.n_pos < 2 or self.n_neg < 2):
             raise ValueError(f"synth needs n_pos and n_neg >= 2, got {self.n_pos}, {self.n_neg}")
         if self.kind == "idx" and len(self.paths) != 2:

@@ -42,7 +42,7 @@ from .rng import derive_stream
 
 # Recorded in every summary.json; a run directory is reused only when it
 # matches. Bump it in every change that moves any result bit.
-ENGINE_VERSION = 2
+ENGINE_VERSION = 3
 # Added to the first conv layer's bias by dead_first_layer; large enough to
 # keep every pre-activation negative for any Xavier draw at widths 1..10.
 DEAD_BIAS_OFFSET = -10.0

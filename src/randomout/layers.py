@@ -27,6 +27,14 @@ BN_MOMENTUM = 0.9
 # cache. A 2 MiB budget measured slower on every benchmark workload.
 PATCH_BLOCK_BYTES = 1 << 20
 
+# Shortest wide row (``span``) whose kernel gradient is taken one tap at a
+# time, straight from x, instead of from patches of x. Batch 16 on a 2-core
+# VM, µs per backward, patches -> taps: 332 -> 265 on mini_inception's stem
+# (3->4, 32x32), 634 -> 552 at 4->4 30x30, 904 -> 694 at 8->4 28x28 (spans
+# 726-958), but 176 -> 198 on cratercnn's 4->4 12x12 k4 (span 105). A
+# single input channel (1->8 at 15x15: 88 -> 175) stays on patches too.
+TAP_SPAN_MIN = 256
+
 
 @dataclass
 class ParamNode:
@@ -118,14 +126,26 @@ class Conv2d(Layer):
     as large as fits in ``PATCH_BLOCK_BYTES`` (see ``_block_step``), so a
     block's patch copy and GEMMs stay in a core's L2 cache; every GEMM is
     the per-image product, so the block size moves no result bit. The
-    train cache is x alone: the backward copies each block's patches again
-    (for k = 1 they are x's own view).
+    train cache is x alone. A 1x1 conv has no wrap-around columns: its
+    patches are x's own view, and the GEMMs' buffer, plus the bias in
+    place, is the output.
 
     The backward writes ``dout`` at row pitch W into one zero buffer with a
-    (k-1)*(W+1) margin in front, so its wrap-around columns stay zero. The
-    kernel gradient reads that buffer against the patches, and the input
-    gradient is its correlation with the flipped, channel-swapped kernel,
-    already in x's [N, C, H*W] layout. ``input_grad`` is False only for a
+    (k-1)*(W+1) margin in front, so its wrap-around columns stay zero; for
+    k = 1 that buffer is ``dout`` itself. The input gradient is the
+    buffer's correlation with the flipped, channel-swapped kernel, already
+    in x's [N, C, H*W] layout. The kernel gradient takes one of two routes,
+    by the layer's shape:
+
+    - per tap, when k > 1, C > 1 and the wide row is at least
+      ``TAP_SPAN_MIN`` long: tap (i, j) is one batched GEMM of the buffer
+      against x's run at offset i*W+j, read in place, so x is never copied;
+    - otherwise from each block's patches of x, copied again (short rows
+      and single channels make GEMMs too thin to pay for skipping the copy).
+
+    Both sum the per-image products over the batch in image order, but
+    OpenBLAS picks its kernel by GEMM shape, so the two routes agree to the
+    last bit only at some shapes. ``input_grad`` is False only for a
     model's first layer, whose input gradient nothing consumes; its
     backward then skips that work and returns None.
     """
@@ -170,6 +190,9 @@ class Conv2d(Layer):
         for i in range(0, n, step):
             b = slice(i, i + step)
             np.matmul(kmat, tensor.wide_patches(xf[b], ks, w, span), out=wide[b, :, :span])
+        if ks == 1:  # no wrap-around columns: wide is the output
+            wide += self.bias.value[:, None]
+            return wide.reshape(n, k, ho, wo), x
         return wide.reshape(n, k, ho, w)[..., :wo] + self.bias.value[:, None, None], x
 
     def backward(self, dout, x):
@@ -180,22 +203,35 @@ class Conv2d(Layer):
         self.bias.grad += dout.reshape(n, k, ho * wo).sum(axis=(0, 2))
         margin = (ks - 1) * (w + 1)
         span = (ho - 1) * w + wo
-        dz = np.zeros((n, k, margin + h * w), dtype=tensor.DTYPE)
-        dz[..., margin : margin + ho * w].reshape(n, k, ho, w)[..., :wo] = dout
+        if ks == 1:
+            dz = np.ascontiguousarray(dout).reshape(n, k, h * w)
+        else:
+            dz = np.zeros((n, k, margin + h * w), dtype=tensor.DTYPE)
+            dz[..., margin : margin + ho * w].reshape(n, k, ho, w)[..., :wo] = dout
         dwide = dz[..., margin : margin + span]  # dout at row pitch W, wrap-around columns zero
         flipped = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
         xf = x.reshape(n, c, h * w)
-        prods = np.empty((n, k, c * ks * ks), dtype=tensor.DTYPE)  # per-image kernel gradients
         dx = np.empty((n, c, h * w), dtype=tensor.DTYPE) if self.input_grad else None
+        per_tap = ks > 1 and c > 1 and span >= TAP_SPAN_MIN
+        if per_tap:
+            taps = np.empty((ks * ks, n, k, c), dtype=tensor.DTYPE)  # per-tap, per-image kernel gradients
+            for t in range(ks * ks):
+                o = (t // ks) * w + t % ks
+                np.matmul(dwide, xf[:, :, o : o + span].transpose(0, 2, 1), out=taps[t])
+            self.kernel.grad += taps.sum(axis=1).transpose(1, 2, 0).reshape(kernel.shape)
+        else:
+            prods = np.empty((n, k, c * ks * ks), dtype=tensor.DTYPE)  # per-image kernel gradients
         step = self._block_step(n, h * w)
         for i in range(0, n, step):
             b = slice(i, i + step)
-            patches = tensor.wide_patches(xf[b], ks, w, span)
-            np.matmul(dwide[b], patches.transpose(0, 2, 1), out=prods[b])
-            del patches  # free this block's copy before the input gradient's
+            if not per_tap:
+                patches = tensor.wide_patches(xf[b], ks, w, span)
+                np.matmul(dwide[b], patches.transpose(0, 2, 1), out=prods[b])
+                del patches  # free this block's copy before the input gradient's
             if dx is not None:
                 np.matmul(flipped, tensor.wide_patches(dz[b], ks, w, h * w), out=dx[b])
-        self.kernel.grad += prods.sum(axis=0).reshape(kernel.shape)
+        if not per_tap:
+            self.kernel.grad += prods.sum(axis=0).reshape(kernel.shape)
         return None if dx is None else dx.reshape(x.shape)
 
 
@@ -257,8 +293,14 @@ class Flatten(Layer):
 class AvgPool2d(Layer):
     """Valid average pooling over window x window patches; window None pools all of HxW.
 
-    A window is summed separably: ``window`` strided row slices, then
-    ``window`` strided column slices.
+    The forward sums a window separably on the flat batch, as long
+    contiguous runs: ``window`` row shifts (offsets of W), then ``window``
+    column shifts (offsets of 1) into one buffer of x's size, whose values
+    at the window starts (rows and columns at the pool stride) are divided
+    by window**2. Shifted runs also cross row and plane ends, but only into
+    sums no window starts at, which are never read. So every output adds
+    the terms of strided row and then column slices in their order, bit for
+    bit. The global window is ``mean``.
 
     Backward is the adjoint of that sum on row-flattened planes, the way
     ``Conv2d.backward`` builds its ``dz``: ``dout / window**2`` is written
@@ -288,14 +330,13 @@ class AvgPool2d(Layer):
         _, _, h, w = x.shape
         ho = tensor.conv_output_size(h, win, s)
         wo = tensor.conv_output_size(w, win, s)
-        rows = x[:, :, 0 : s * ho : s].copy()
-        for i in range(1, win):
-            rows += x[:, :, i : i + s * ho : s]
-        out = rows[..., 0 : s * wo : s].copy()
-        for j in range(1, win):
-            out += rows[..., j : j + s * wo : s]
-        out /= win * win
-        return out, x.shape
+        sums = x.reshape(-1)
+        if win > 1:
+            rows = _sum_runs(sums, range(0, win * w, w), sums.size - (win - 1) * w)
+            sums = np.empty(x.size, dtype=tensor.DTYPE)
+            _sum_runs(rows, range(win), rows.size - (win - 1), out=sums[: rows.size - (win - 1)])
+        # window sums at the pool stride; the tail of sums, where no window starts, is never read
+        return np.divide(sums.reshape(x.shape)[:, :, : s * ho : s, : s * wo : s], win * win), x.shape
 
     def backward(self, dout, cache):
         n, c, h, w = cache
@@ -311,20 +352,15 @@ class AvgPool2d(Layer):
         if win == 1:
             return dz.reshape(cache)
         # column sums keep (win-1)*W zeros in front: the rows above the first plane
-        drows = _shifted_sum(dz, 1, win, (win - 1) * w + size)
-        return _shifted_sum(drows, w, win, size).reshape(cache)
+        drows = _sum_runs(dz, range(win - 1, -1, -1), (win - 1) * w + size)
+        return _sum_runs(drows, range((win - 1) * w, -1, -w), size).reshape(cache)
 
 
-def _shifted_sum(buf, offset, count, length):
-    """Sum of ``buf`` shifted back by t*offset for t = 0..count-1 (count >= 2), added in t order.
-
-    Term t is the run ``buf[(count-1-t)*offset :]`` of ``length`` values, so
-    the result's first value lines up with ``buf[(count-1)*offset]``.
-    """
-    end = (count - 1) * offset
-    out = np.add(buf[end : end + length], buf[end - offset : end - offset + length])
-    for t in range(2, count):
-        out += buf[end - t * offset : end - t * offset + length]
+def _sum_runs(buf, starts, length, out=None):
+    """Sum of the runs ``buf[s : s + length]`` for s in ``starts`` (at least two), added in that order."""
+    out = np.add(buf[starts[0] : starts[0] + length], buf[starts[1] : starts[1] + length], out=out)
+    for s in starts[2:]:
+        out += buf[s : s + length]
     return out
 
 

@@ -1,6 +1,9 @@
 """Reference layer passes that the engine's faster ones must equal bit for bit.
 
 - ``ReLU.forward``: a branchy select;
+- ``Conv2d.backward``: every kernel gradient from patches of x, and a 1x1
+  conv's ``dout`` copied into a zero buffer like a larger kernel's;
+- the windowed ``AvgPool2d.forward``: strided row and column copies and adds;
 - the windowed ``AvgPool2d.backward``: a strided scatter-add;
 - ``BatchNorm2d``'s forward and backward: ``x.mean``/``x.var`` statistics
   and the two-pass formulas, each sum computed where it is used;
@@ -14,12 +17,53 @@ the reference way.
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from randomout import tensor
 from randomout.layers import BN_EPS, BN_MOMENTUM
 
 
 def relu_forward(layer, x, mode):
     mask = x > 0
     return np.where(mask, x, 0.0), mask
+
+
+def conv_backward(layer, dout, x):
+    n, k, ho, wo = dout.shape
+    _, c, h, w = x.shape
+    ks = layer.kernel_size
+    kernel = layer.kernel.value
+    layer.bias.grad += dout.reshape(n, k, ho * wo).sum(axis=(0, 2))
+    margin = (ks - 1) * (w + 1)
+    span = (ho - 1) * w + wo
+    dz = np.zeros((n, k, margin + h * w))
+    dz[..., margin : margin + ho * w].reshape(n, k, ho, w)[..., :wo] = dout
+    dwide = dz[..., margin : margin + span]
+    flipped = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+    xf = x.reshape(n, c, h * w)
+    prods = np.empty((n, k, c * ks * ks))
+    dx = np.empty((n, c, h * w)) if layer.input_grad else None
+    step = layer._block_step(n, h * w)
+    for i in range(0, n, step):
+        b = slice(i, i + step)
+        np.matmul(dwide[b], tensor.wide_patches(xf[b], ks, w, span).transpose(0, 2, 1), out=prods[b])
+        if dx is not None:
+            np.matmul(flipped, tensor.wide_patches(dz[b], ks, w, h * w), out=dx[b])
+    layer.kernel.grad += prods.sum(axis=0).reshape(kernel.shape)
+    return None if dx is None else dx.reshape(x.shape)
+
+
+def avgpool_forward(layer, x, mode):
+    if layer.window is None:
+        return x.mean(axis=(2, 3), keepdims=True), x.shape
+    win, s = layer.window, layer.stride
+    ho, wo = (x.shape[2] - win) // s + 1, (x.shape[3] - win) // s + 1
+    rows = x[:, :, 0 : s * ho : s].copy()
+    for i in range(1, win):
+        rows += x[:, :, i : i + s * ho : s]
+    out = rows[..., 0 : s * wo : s].copy()
+    for j in range(1, win):
+        out += rows[..., j : j + s * wo : s]
+    out /= win * win
+    return out, x.shape
 
 
 def avgpool_scatter(dout, shape, window, stride):

@@ -239,7 +239,7 @@ def test_criterion_07_grid_structure(acc_dir, dead_sweep):
 
 def test_criterion_08_width_sweep_direction(acc_dir):
     out = acc_dir / "width"
-    result = width_sweep(standard_cfg(), widths=range(1, 11), seeds=range(4), out_dir=out)
+    result = width_sweep(standard_cfg(), widths=range(1, 11), seeds=range(4), out_dir=out, jobs=2)
     wins = sum(r["randomout_wins"] for r in result["rows"])
     header = (out / "width_sweep.csv").read_text().splitlines()[0]
     emitted = header.endswith("effective_extra_filters") and "effective_extra_filters" in result

@@ -404,6 +404,27 @@ def test_gen_data_count_too_small_exits_1_before_writing(tmp_path, capsys, kind,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_gen_data_bad_seed_exits_1_before_writing(tmp_path, capsys, seed):
+    out = tmp_path / "fixtures"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", "--kind", "cifar10", "--seed", seed, "--out", str(out)])
+    assert exc.value.code == 1
+    assert f"--seed: seed must be a 64-bit unsigned int, got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dataset", [{"kind": "cifar10", "paths": [0]}, {"kind": "idx", "paths": "ab"}])
+def test_bad_dataset_paths_config_exits_1(tmp_path, capsys, dataset):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"dataset": dataset}))
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(p), "--out", str(tmp_path / "runs")])
+    assert exc.value.code == 1
+    assert "dataset paths must be a list of non-empty strings" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_gen_data_then_train_on_idx(tmp_path, capsys):
     run_main(["gen-data", "--kind", "idx", "--count", "32", "--out", str(tmp_path)], capsys)
     images = tmp_path / "crater-images.idx"

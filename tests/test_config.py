@@ -140,6 +140,18 @@ def test_field_validation_messages():
         DatasetCfg(kind="idx", paths=("only-one",))
     with pytest.raises(ValueError, match="batch_file"):
         DatasetCfg(kind="cifar10", paths=())
+    with pytest.raises(ValueError, match=r"paths must be a list of non-empty strings, got \[0\]"):
+        DatasetCfg(kind="cifar10", paths=[0])  # open(0) would read stdin
+    with pytest.raises(ValueError, match="paths must be a list of non-empty strings, got 'ab'"):
+        DatasetCfg(kind="idx", paths="ab")  # not the paths 'a' and 'b'
+    with pytest.raises(ValueError, match="paths must be a list of non-empty strings"):
+        DatasetCfg(kind="cifar10", paths=[""])
+
+
+def test_file_dataset_hashes_are_unchanged_by_path_checks():
+    idx = TrainConfig.from_dict({"dataset": {"kind": "idx", "paths": ["images.idx", "labels.idx"]}})
+    cifar = TrainConfig.from_dict({"dataset": {"kind": "cifar10", "paths": ["data_batch_1.bin"]}})
+    assert (idx.config_hash(), cifar.config_hash()) == ("99115a973955", "b5a892dc26f0")
 
 
 NONFINITE = [float("nan"), float("inf"), float("-inf")]

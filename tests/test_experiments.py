@@ -30,7 +30,7 @@ from randomout.experiments import (
     seed_sweep,
     width_sweep,
 )
-from randomout.layers import AvgPool2d, BatchNorm2d, ReLU, run_sequence
+from randomout.layers import AvgPool2d, BatchNorm2d, Conv2d, ReLU, run_sequence
 from randomout.metrics import read_metrics
 from randomout.model import conv_layers
 from randomout.models import build_cratercnn, build_mini_inception
@@ -438,11 +438,9 @@ def test_synth_task_learnable_at_width_4(tmp_path):
             dataset={"kind": "synth", "n_pos": 500, "n_neg": 500},
         )
     )
-    cleared = 0
-    for seed in range(10):
-        result = run_training(cfg.replace(seed=seed), tmp_path)
-        if not result.summary["diverged"] and result.summary["final_test_acc"] >= 0.90:
-            cleared += 1
+    runs = seed_sweep(cfg, range(10), conditions=("base",), out_dir=tmp_path, jobs=2)["runs"]
+    assert [r["config_hash"] for r in runs] == [cfg.replace(seed=seed).config_hash() for seed in range(10)]
+    cleared = sum(not r["diverged"] and r["final_test_acc"] >= 0.90 for r in runs)
     assert cleared > 5, f"only {cleared}/10 seeds reached 0.90"
 
 
@@ -597,12 +595,16 @@ def bit_guard_configs(data_dir):
 
 
 def test_runs_are_bitwise_the_reference_relu_and_pool(tmp_path, monkeypatch):
-    # The engine's branch-free ReLU forward and wide-row pool backward must
-    # leave every result byte of the select and the scatter-add they replace.
+    # The engine's branch-free ReLU forward, wide-row pool forward and
+    # backward, and per-tap and 1x1 conv backward must leave every result
+    # byte of the select, the strided sums, the scatter-add and the patch
+    # route they replace (mini_inception width 4 keeps the per-tap bits).
     cfgs = bit_guard_configs(tmp_path)
     engine = [run_training(cfg, tmp_path / "engine") for cfg in cfgs]
     monkeypatch.setattr(ReLU, "forward", layer_oracles.relu_forward)
+    monkeypatch.setattr(AvgPool2d, "forward", layer_oracles.avgpool_forward)
     monkeypatch.setattr(AvgPool2d, "backward", layer_oracles.avgpool_backward)
+    monkeypatch.setattr(Conv2d, "backward", layer_oracles.conv_backward)
     reference = [run_training(cfg, tmp_path / "reference") for cfg in cfgs]
     assert all(r.summary["total_resets"] > 0 for r in engine)  # the reset path ran
     for a, b in zip(engine, reference):

@@ -173,6 +173,8 @@ def loop_conv_grads(x, kernel, dout):
         pytest.param(1, 3, 4, (15, 15), 3, id="crater-conv1-15x15-k4"),
         pytest.param(3, 3, 4, (12, 12), 2, id="crater-conv2-12x12-k4"),
         pytest.param(2, 2, 3, (32, 32), 2, id="inception-stem-32x32-k3"),
+        # per-tap kernel gradient where its bits differ from the patch route's: the width-2 stem
+        pytest.param(3, 2, 3, (32, 32), 2, id="inception-w2-stem-32x32-k3"),
         pytest.param(2, 3, 3, (11, 6), 3, id="3x3-tall-w-lt-h"),
         pytest.param(2, 2, 4, (6, 13), 3, id="4x4-wide-w-gt-h"),
         pytest.param(3, 2, 1, (7, 4), 3, id="1x1-tall-w-lt-h"),
@@ -209,6 +211,48 @@ def test_conv2d_stride_1_backward_never_scatters(monkeypatch, ks):
         assert conv.backward(np.ones_like(y), cache).shape == x.shape
         conv.input_grad = False
         assert conv.backward(np.ones_like(y), cache) is None
+
+
+# mini_inception's 3x3 convs at widths 4 and 8, batch 16: (in, out, H=W, input_grad)
+PER_TAP_SHAPES = [(3, 4, 32, False), (4, 4, 30, True), (8, 4, 28, True), (3, 8, 32, False), (8, 8, 30, True), (16, 8, 28, True)]
+
+
+@pytest.mark.parametrize("in_ch,out_ch,hw,input_grad", PER_TAP_SHAPES)
+def test_conv2d_per_tap_kernel_gradient_is_bitwise_the_patch_route(in_ch, out_ch, hw, input_grad):
+    conv = Conv2d(0, in_ch, out_ch, 3, derive_stream(16, "init"), make_alloc())
+    conv.input_grad = input_grad
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(16, in_ch, hw, hw))
+    dout = rng.normal(size=(16, out_ch, hw - 2, hw - 2))
+    assert (hw - 3) * hw + hw - 2 >= layers.TAP_SPAN_MIN
+    got = [conv.backward(dout, x), conv.kernel.grad.copy(), conv.bias.grad.copy()]
+    assert (got[0] is None) != input_grad
+    conv.kernel.grad[...] = 0
+    conv.bias.grad[...] = 0
+    expected = [layer_oracles.conv_backward(conv, dout, x), conv.kernel.grad, conv.bias.grad]
+    for name, a, b in zip(("dx", "dkernel", "dbias"), got, expected):
+        assert a is b is None or a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "in_ch,out_ch,ks,hw,copies_x",
+    [(3, 4, 3, 32, False), (8, 4, 3, 28, False), (1, 4, 4, 15, True), (4, 4, 4, 12, True)],
+    ids=["inception-stem", "inception-block2", "crater-conv1", "crater-conv2"],
+)
+def test_conv2d_per_tap_backward_copies_no_patches_of_x(monkeypatch, in_ch, out_ch, ks, hw, copies_x):
+    conv = Conv2d(0, in_ch, out_ch, ks, derive_stream(17, "init"), make_alloc())
+    x = np.random.default_rng(14).normal(size=(16, in_ch, hw, hw))
+    y, cache = conv.forward(x, "train")
+    copied = []
+    copy = layers.tensor.wide_patches
+    monkeypatch.setattr(layers.tensor, "wide_patches", lambda xf, *a: copied.append(xf) or copy(xf, *a))
+    for input_grad in (False, True):
+        conv.input_grad = input_grad
+        copied.clear()
+        conv.backward(np.ones_like(y), cache)
+        of_x = sum(np.shares_memory(xf, x) for xf in copied)
+        assert (of_x > 0) == copies_x
+        assert (len(copied) > of_x) == input_grad  # the input gradient's patches of dz
 
 
 def conv_pass(conv, x, dout):
@@ -280,6 +324,25 @@ def test_conv2d_1x1_forward_is_bitwise_the_im2col_route(shape):
     patches = layers.tensor.im2col(x, 1, 1, 1).transpose(0, 2, 1)
     expected = conv.kernel.value.reshape(4, -1) @ patches + conv.bias.value[:, None]
     assert y.tobytes() == expected.reshape(y.shape).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(16, 4, 30, 30), (16, 8, 28, 28)], ids=["block1", "block2"])
+@pytest.mark.parametrize("split", [False, True], ids=["contiguous", "split-view"])
+def test_conv2d_1x1_backward_is_bitwise_the_zero_buffer_route(shape, split):
+    conv = Conv2d(0, shape[1], 4, 1, derive_stream(14, "init"), make_alloc())
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=shape)
+    y, cache = conv.forward(x, "train")
+    d = rng.normal(size=(16, 8, *y.shape[2:]))
+    # Branches.backward hands each branch an np.split view of its gradient
+    dout = np.split(d, 2, axis=1)[1] if split else d[:, 4:].copy()
+    assert dout.flags.c_contiguous != split
+    got = [conv.backward(dout, cache), conv.kernel.grad.copy(), conv.bias.grad.copy()]
+    conv.kernel.grad[...] = 0
+    conv.bias.grad[...] = 0
+    expected = [layer_oracles.conv_backward(conv, dout, cache), conv.kernel.grad, conv.bias.grad]
+    for name, a, b in zip(("dx", "dkernel", "dbias"), got, expected):
+        assert a.tobytes() == b.tobytes(), name
 
 
 def test_model_first_conv_gradients_without_input_gradient():
@@ -375,6 +438,21 @@ def test_avgpool_backward_is_bitwise_the_scatter(window, stride, shape):
     dout[0, 0] = -0.0
     dx = pool.backward(dout, cache)
     assert dx.shape == shape and dx.tobytes() == avgpool_scatter(dout, shape, window, stride).tobytes()
+
+
+@pytest.mark.parametrize(
+    "window,stride,shape",
+    POOL_CASES + [(3, 1, (16, 4, 30, 30)), (3, 1, (16, 4, 28, 28))],  # + mini_inception width 4's pool inputs
+)
+def test_avgpool_forward_is_bitwise_the_strided_sums(window, stride, shape):
+    pool = AvgPool2d(0, window, stride)
+    x = np.random.default_rng(15).normal(size=shape)
+    x[0, 0, :2, :5] = [[-0.0, np.nan, np.inf, -np.inf, 5e-324], [-0.0, -5e-324, 5e-324, -0.0, 1.0]]
+    x[1, -1] = -0.0
+    with np.errstate(invalid="ignore"):
+        y, cache = pool.forward(x, "train")
+        expected, _ = layer_oracles.avgpool_forward(pool, x, "train")
+    assert cache == shape and y.shape == expected.shape and y.tobytes() == expected.tobytes()
 
 
 def test_flatten_round_trip():
