@@ -32,7 +32,11 @@ PATCH_BLOCK_BYTES = 1 << 20
 # VM, µs per backward, patches -> taps: 332 -> 265 on mini_inception's stem
 # (3->4, 32x32), 634 -> 552 at 4->4 30x30, 904 -> 694 at 8->4 28x28 (spans
 # 726-958), but 176 -> 198 on cratercnn's 4->4 12x12 k4 (span 105). A
-# single input channel (1->8 at 15x15: 88 -> 175) stays on patches too.
+# single input channel stays on patches at any span (no input gradient,
+# median of 3 alternating rounds): 209 -> 234 at 1->4 28x28 k4 (span 697),
+# 293 -> 382 at 1->8 28x28 k4, 232 -> 311 at 1->4 32x32 k4 (span 925),
+# 132 -> 140 at 1->4 28x28 k3, 244 -> 254 at 1->8 28x28 k3, 328 -> 351 at
+# 1->8 32x32 k3.
 TAP_SPAN_MIN = 256
 
 
@@ -141,11 +145,12 @@ class Conv2d(Layer):
       ``TAP_SPAN_MIN`` long: tap (i, j) is one batched GEMM of the buffer
       against x's run at offset i*W+j, read in place, so x is never copied;
     - otherwise from each block's patches of x, copied again (short rows
-      and single channels make GEMMs too thin to pay for skipping the copy).
+      and single channels make GEMMs too thin to pay for skipping the copy;
+      see ``TAP_SPAN_MIN`` for the measurements).
 
     Both sum the per-image products over the batch in image order, but
-    OpenBLAS picks its kernel by GEMM shape, so the two routes agree to the
-    last bit only at some shapes. ``input_grad`` is False only for a
+    OpenBLAS picks its kernel by GEMM shape and CPU, so the two routes agree
+    to the last bit only at some shapes and on some CPUs. ``input_grad`` is False only for a
     model's first layer, whose input gradient nothing consumes; its
     backward then skips that work and returns None.
     """

@@ -596,15 +596,22 @@ def bit_guard_configs(data_dir):
 
 def test_runs_are_bitwise_the_reference_relu_and_pool(tmp_path, monkeypatch):
     # The engine's branch-free ReLU forward, wide-row pool forward and
-    # backward, and per-tap and 1x1 conv backward must leave every result
-    # byte of the select, the strided sums, the scatter-add and the patch
-    # route they replace (mini_inception width 4 keeps the per-tap bits).
+    # backward, and 1x1 conv backward must leave every result byte of the
+    # select, the strided sums, the scatter-add and the zero-buffer route
+    # they replace. The per-tap kernel gradient is not swapped out: its
+    # GEMMs differ in shape from the patch route's, so whether their bits
+    # agree depends on the OpenBLAS kernel.
     cfgs = bit_guard_configs(tmp_path)
     engine = [run_training(cfg, tmp_path / "engine") for cfg in cfgs]
     monkeypatch.setattr(ReLU, "forward", layer_oracles.relu_forward)
     monkeypatch.setattr(AvgPool2d, "forward", layer_oracles.avgpool_forward)
     monkeypatch.setattr(AvgPool2d, "backward", layer_oracles.avgpool_backward)
-    monkeypatch.setattr(Conv2d, "backward", layer_oracles.conv_backward)
+    conv_backward = Conv2d.backward
+    monkeypatch.setattr(
+        Conv2d,
+        "backward",
+        lambda conv, dout, x: (layer_oracles.conv_backward if conv.kernel_size == 1 else conv_backward)(conv, dout, x),
+    )
     reference = [run_training(cfg, tmp_path / "reference") for cfg in cfgs]
     assert all(r.summary["total_resets"] > 0 for r in engine)  # the reset path ran
     for a, b in zip(engine, reference):

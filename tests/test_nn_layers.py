@@ -218,7 +218,11 @@ PER_TAP_SHAPES = [(3, 4, 32, False), (4, 4, 30, True), (8, 4, 28, True), (3, 8, 
 
 
 @pytest.mark.parametrize("in_ch,out_ch,hw,input_grad", PER_TAP_SHAPES)
-def test_conv2d_per_tap_kernel_gradient_is_bitwise_the_patch_route(in_ch, out_ch, hw, input_grad):
+def test_conv2d_per_tap_kernel_gradient_matches_the_patch_route(in_ch, out_ch, hw, input_grad):
+    # dx and dbias run the same code on both routes, so they keep their bytes.
+    # The kernel gradient's GEMMs change shape, and OpenBLAS picks its kernel
+    # by shape and CPU: bits held on some kernels (SkylakeX, Haswell) and not
+    # on others (Nehalem), so it is checked to a tolerance.
     conv = Conv2d(0, in_ch, out_ch, 3, derive_stream(16, "init"), make_alloc())
     conv.input_grad = input_grad
     rng = np.random.default_rng(13)
@@ -230,14 +234,15 @@ def test_conv2d_per_tap_kernel_gradient_is_bitwise_the_patch_route(in_ch, out_ch
     conv.kernel.grad[...] = 0
     conv.bias.grad[...] = 0
     expected = [layer_oracles.conv_backward(conv, dout, x), conv.kernel.grad, conv.bias.grad]
-    for name, a, b in zip(("dx", "dkernel", "dbias"), got, expected):
+    for name, a, b in zip(("dx", "dbias"), got[::2], expected[::2]):
         assert a is b is None or a.tobytes() == b.tobytes(), name
+    np.testing.assert_allclose(got[1], expected[1], rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize(
     "in_ch,out_ch,ks,hw,copies_x",
-    [(3, 4, 3, 32, False), (8, 4, 3, 28, False), (1, 4, 4, 15, True), (4, 4, 4, 12, True)],
-    ids=["inception-stem", "inception-block2", "crater-conv1", "crater-conv2"],
+    [(3, 4, 3, 32, False), (8, 4, 3, 28, False), (1, 4, 4, 15, True), (4, 4, 4, 12, True), (1, 4, 4, 28, True)],
+    ids=["inception-stem", "inception-block2", "crater-conv1", "crater-conv2", "one-channel-span-697"],
 )
 def test_conv2d_per_tap_backward_copies_no_patches_of_x(monkeypatch, in_ch, out_ch, ks, hw, copies_x):
     conv = Conv2d(0, in_ch, out_ch, ks, derive_stream(17, "init"), make_alloc())
