@@ -9,6 +9,7 @@ obtained (``experiments.sweep_tally``), so a resumed sweep shows as one.
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -56,6 +57,13 @@ def _add_run_flags(p):
     p.add_argument("--out", metavar="DIR", default="runs", help="output directory")
 
 
+def _add_jobs_flag(p):
+    # no argparse default, so --help shows no machine-dependent number; _sweep_args fills it in
+    p.add_argument(
+        "--jobs", type=int, default=argparse.SUPPRESS, help="parallel runs (default: the CPUs this process may use)"
+    )
+
+
 def build_parser():
     parser = _Parser(prog="randomout", description=__doc__.splitlines()[0], formatter_class=_formatter)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
@@ -68,7 +76,7 @@ def build_parser():
     p = sub.add_parser("sweep-seeds", help="paired-seed comparison of conditions", formatter_class=_formatter)
     _add_run_flags(p)
     p.add_argument("--seeds", metavar="A..B", required=True, help="half-open seed range")
-    p.add_argument("--jobs", type=int, default=1, help="parallel runs")
+    _add_jobs_flag(p)
     p.set_defaults(run=cmd_sweep_seeds, parser=p)
 
     p = sub.add_parser("grid", help="tau x p_active gain table", formatter_class=_formatter)
@@ -76,14 +84,14 @@ def build_parser():
     p.add_argument("--seeds", metavar="A..B", required=True, help="half-open seed range")
     p.add_argument("--taus", default=DEFAULT_TAUS, help="comma-separated thresholds")
     p.add_argument("--ps", default=DEFAULT_PS, help="comma-separated active fractions")
-    p.add_argument("--jobs", type=int, default=1, help="parallel runs")
+    _add_jobs_flag(p)
     p.set_defaults(run=cmd_grid, parser=p)
 
     p = sub.add_parser("width-sweep", help="accuracy vs filter count per condition", formatter_class=_formatter)
     _add_run_flags(p)
     p.add_argument("--seeds", metavar="A..B", required=True, help="half-open seed range")
     p.add_argument("--widths", metavar="A..B", default="1..11", help="half-open width range")
-    p.add_argument("--jobs", type=int, default=1, help="parallel runs")
+    _add_jobs_flag(p)
     p.set_defaults(run=cmd_width_sweep, parser=p)
 
     p = sub.add_parser("gen-data", help="write fixture data files", formatter_class=_formatter)
@@ -155,7 +163,10 @@ def _config_from_args(args, parser):
     if args.model is not None:
         raw["model"] = {**raw.get("model", {}), "name": args.model.replace("-", "_")}
     if args.dataset is not None:
-        raw["dataset"] = {**raw.get("dataset", {}), **_parse_dataset(args.dataset, parser)}
+        flag, old = _parse_dataset(args.dataset, parser), raw.get("dataset")
+        # another kind reads other fields: keep the file's only for the same kind
+        same_kind = isinstance(old, dict) and old.get("kind", "synth") == flag["kind"]
+        raw["dataset"] = {**old, **flag} if same_kind else flag
     for key in ("epochs", "batch_size", "lr", "optimizer"):
         value = getattr(args, key)
         if value is not None:
@@ -208,6 +219,8 @@ def cmd_train(args, parser):
 def _sweep_args(args, parser):
     """A sweep's base config and seeds; a bad --jobs or seed is a usage error."""
     cfg = _config_from_args(args, parser)
+    if "jobs" not in args:  # the CPUs this process may use (all of them where the OS cannot say)
+        args.jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
     seeds = _parse_range(args.seeds, parser, "--seeds")

@@ -13,6 +13,9 @@ CONDITIONS = ("base", "randomout", "batchnorm")
 MODEL_NAMES = ("cratercnn", "mini_inception")
 OPTIMIZERS = ("sgd", "adam")
 HASH_CHARS = 12
+# The DatasetCfg fields each kind reads besides ``kind``; the others must keep
+# their defaults, since they would rename the run without changing its data.
+DATASET_FIELDS = {"synth": ("n_pos", "n_neg"), "idx": ("paths",), "cifar10": ("paths", "max_per_class")}
 
 
 # Accepted JSON values per scalar field type. A float field takes an int
@@ -67,7 +70,8 @@ class DatasetCfg:
     """Data source. kind 'synth' generates crater-like images on the fly
     (n_pos ring + n_neg blob examples, then a stratified 50/50 split);
     'idx' and 'cifar10' read the files named in `paths` and split the same
-    way. max_per_class caps cifar10 loading for desk-scale subsets."""
+    way. max_per_class caps cifar10 loading for desk-scale subsets. A field
+    the kind does not read (see DATASET_FIELDS) must keep its default."""
 
     kind: str = "synth"
     n_pos: int = 128
@@ -76,11 +80,15 @@ class DatasetCfg:
     max_per_class: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("synth", "idx", "cifar10"):
+        if self.kind not in DATASET_FIELDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if not isinstance(self.paths, (list, tuple)) or not all(isinstance(p, str) and p for p in self.paths):
             # a bare string would split into one-letter paths, and open(0) reads stdin
             raise ValueError(f"dataset paths must be a list of non-empty strings, got {self.paths!r}")
+        object.__setattr__(self, "paths", tuple(self.paths))
+        for f in fields(self):
+            if f.name not in ("kind", *DATASET_FIELDS[self.kind]) and getattr(self, f.name) != f.default:
+                raise ValueError(f"dataset kind {self.kind!r} does not read {f.name!r}, got {getattr(self, f.name)!r}")
         if self.kind == "synth" and (self.n_pos < 2 or self.n_neg < 2):
             raise ValueError(f"synth needs n_pos and n_neg >= 2, got {self.n_pos}, {self.n_neg}")
         if self.kind == "idx" and len(self.paths) != 2:
@@ -89,7 +97,6 @@ class DatasetCfg:
             raise ValueError("cifar10 dataset needs paths=(batch_file,)")
         if self.max_per_class is not None and self.max_per_class < 1:
             raise ValueError(f"max_per_class must be >= 1, got {self.max_per_class}")
-        object.__setattr__(self, "paths", tuple(self.paths))
 
 
 @dataclass(frozen=True)

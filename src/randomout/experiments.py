@@ -34,7 +34,7 @@ import numpy as np
 from .config import TrainConfig
 from .data import BatchPlan, check_last_batch, load_cifar10_binary, load_idx, split_50_50, synth_craters
 from .metrics import MetricsRecord, read_metrics, read_summary, write_csv, write_metrics, write_summary
-from .model import conv_layers, filter_groups
+from .model import conv_layers
 from .models import build_cratercnn, build_mini_inception
 from .optim import make_optimizer
 from .regularizer import cgn, dead_masks, scan_and_reset
@@ -234,7 +234,7 @@ def _train(cfg, train, test, snapshot, followers):
         check_last_batch(len(train), cfg.batch_size)
     model = build_for(cfg, train)
     convs = conv_layers(model)
-    optimizer = make_optimizer(cfg.optimizer, model.params, cfg.lr)
+    optimizer = make_optimizer(cfg.optimizer, model, cfg.lr)
     ro_rng = derive_stream(cfg.seed, "randomout")
     plan = BatchPlan(len(train), cfg.epochs, cfg.batch_size, cfg.seed)
     records, events, done, pending = [], [], 0, None
@@ -284,7 +284,7 @@ def _train(cfg, train, test, snapshot, followers):
             if diverged:
                 break
             records[-1].test_acc = evaluate(model, test)
-    return _Outcome(records, events, done, diverged, len(filter_groups(model))), followers, splits
+    return _Outcome(records, events, done, diverged, sum(conv.out_channels for conv in convs)), followers, splits
 
 
 class _Group:
@@ -460,14 +460,15 @@ def _run_many(cfgs, out_dir, jobs=1):
 
     The configs of one dataset and seed form a task, run as one ``_Group``
     on one loaded dataset pair. With ``jobs > 1`` each worker takes whole
-    tasks. Writes one line per config to ``sweep_log.jsonl`` in out_dir, in
-    input order.
+    tasks, and no more workers start than there are tasks. Writes one line
+    per config to ``sweep_log.jsonl`` in out_dir, in input order.
     """
     unique = {cfg.config_hash(): cfg for cfg in cfgs}  # ordered by first occurrence
     tasks = {}
     for cfg in unique.values():  # load_dataset_pair reads only cfg.dataset and cfg.seed
         tasks.setdefault((cfg.dataset, cfg.seed), []).append(cfg)
     tasks = [(task, out_dir) for task in tasks.values()]
+    jobs = min(jobs, len(tasks))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: it imports multiprocessing
 

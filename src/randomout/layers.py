@@ -18,8 +18,6 @@ import numpy as np
 from . import tensor
 from .rng import xavier_init
 
-PARAM_ROLES = ("conv_kernel", "conv_bias", "dense_weight", "dense_bias", "bn_gamma", "bn_beta")
-
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 
@@ -51,56 +49,40 @@ class ParamNode:
     id: int
     value: np.ndarray
     grad: np.ndarray
-    role: str
 
     def __post_init__(self):
-        if self.role not in PARAM_ROLES:
-            raise ValueError(f"unknown param role {self.role!r}")
         if self.grad.shape != self.value.shape:
             raise ValueError(f"grad shape {self.grad.shape} != value shape {self.value.shape}")
 
     @classmethod
-    def create(cls, pid, value, role):
+    def create(cls, pid, value):
         value = np.array(value, dtype=tensor.DTYPE)  # owned, so that ``pack`` may move it
-        return cls(pid, value, np.zeros_like(value), role)
+        return cls(pid, value, np.zeros_like(value))
 
 
-def _arena(arrays):
-    """The flat buffer holding ``arrays`` back to back in order and nothing else, or None."""
-    base = arrays[0].base if arrays else None
-    if base is None or base.ndim != 1 or base.size != sum(a.size for a in arrays):
-        return None
-    address = base.ctypes.data
-    for a in arrays:
-        if a.base is not base or a.ctypes.data != address or not a.flags.c_contiguous:
-            return None
-        address += a.nbytes
-    return base
+def param_views(flat, params):
+    """Each param's slice of ``flat``, in the param's shape: the layout ``pack`` gives a model's buffers."""
+    views, start = [], 0
+    for p in params:
+        end = start + p.value.size
+        views.append(flat[start:end].reshape(p.value.shape))
+        start = end
+    return views
 
 
 def pack(params):
     """Two flat float64 buffers holding every param's value and every grad, in order.
 
-    Each node's ``value`` and ``grad`` become views into them with the
-    same shapes, so a pass over a buffer updates every param at once.
-    Packing is idempotent: params packed together before get their
-    buffers back, with nothing copied. A param that is a view into some
-    other buffer raises ValueError, because rebinding it would cut it
-    off from that buffer.
+    Each node's ``value`` and ``grad`` are copied in and become views of
+    their ``param_views`` slices, with the same shapes, so a pass over a
+    buffer updates every param at once. ``Model`` packs its params once,
+    when it is built.
     """
-    values, grads = _arena([p.value for p in params]), _arena([p.grad for p in params])
-    if values is not None and grads is not None:
-        return values, grads
-    if any(p.value.base is not None or p.grad.base is not None for p in params):
-        raise ValueError("params are views into another buffer; pack them only together, in that buffer's order")
     size = sum(p.value.size for p in params)
     values, grads = np.empty(size, dtype=tensor.DTYPE), np.empty(size, dtype=tensor.DTYPE)
-    start = 0
-    for p in params:
-        end = start + p.value.size
-        values[start:end], grads[start:end] = p.value.reshape(-1), p.grad.reshape(-1)
-        p.value, p.grad = values[start:end].reshape(p.value.shape), grads[start:end].reshape(p.grad.shape)
-        start = end
+    for p, value, grad in zip(params, param_views(values, params), param_views(grads, params)):
+        value[...], grad[...] = p.value, p.grad
+        p.value, p.grad = value, grad
     return values, grads
 
 
@@ -130,9 +112,10 @@ class Conv2d(Layer):
     as large as fits in ``PATCH_BLOCK_BYTES`` (see ``_block_step``), so a
     block's patch copy and GEMMs stay in a core's L2 cache; every GEMM is
     the per-image product, so the block size moves no result bit. The
-    train cache is x alone. A 1x1 conv has no wrap-around columns: its
-    patches are x's own view, and the GEMMs' buffer, plus the bias in
-    place, is the output.
+    train cache is x alone. The output is the GEMMs' buffer cropped to its
+    first Wo columns per row, copied contiguous, with the bias added in
+    place. A 1x1 conv has no wrap-around columns: its patches are x's own
+    view, and its crop is the whole buffer, so nothing is copied.
 
     The backward writes ``dout`` at row pitch W into one zero buffer with a
     (k-1)*(W+1) margin in front, so its wrap-around columns stay zero; for
@@ -166,8 +149,8 @@ class Conv2d(Layer):
         self.fan_out = out_channels * kernel_size * kernel_size
         self.input_grad = True
         shape = (out_channels, in_channels, kernel_size, kernel_size)
-        self.kernel = ParamNode.create(alloc(), xavier_init(shape, self.fan_in, self.fan_out, rng), "conv_kernel")
-        self.bias = ParamNode.create(alloc(), np.zeros(out_channels), "conv_bias")
+        self.kernel = ParamNode.create(alloc(), xavier_init(shape, self.fan_in, self.fan_out, rng))
+        self.bias = ParamNode.create(alloc(), np.zeros(out_channels))
         self.params = (self.kernel, self.bias)
 
     def _block_step(self, n, plane):
@@ -195,10 +178,9 @@ class Conv2d(Layer):
         for i in range(0, n, step):
             b = slice(i, i + step)
             np.matmul(kmat, tensor.wide_patches(xf[b], ks, w, span), out=wide[b, :, :span])
-        if ks == 1:  # no wrap-around columns: wide is the output
-            wide += self.bias.value[:, None]
-            return wide.reshape(n, k, ho, wo), x
-        return wide.reshape(n, k, ho, w)[..., :wo] + self.bias.value[:, None, None], x
+        y = np.ascontiguousarray(wide.reshape(n, k, ho, w)[..., :wo])  # a 1x1 conv's is wide itself
+        y += self.bias.value[:, None, None]
+        return y, x
 
     def backward(self, dout, x):
         n, k, ho, wo = dout.shape
@@ -270,10 +252,8 @@ class Dense(Layer):
         super().__init__(layer_id)
         self.in_features = in_features
         self.units = units
-        self.weight = ParamNode.create(
-            alloc(), xavier_init((in_features, units), in_features, units, rng), "dense_weight"
-        )
-        self.bias = ParamNode.create(alloc(), np.zeros(units), "dense_bias")
+        self.weight = ParamNode.create(alloc(), xavier_init((in_features, units), in_features, units, rng))
+        self.bias = ParamNode.create(alloc(), np.zeros(units))
         self.params = (self.weight, self.bias)
 
     def forward(self, x, mode):
@@ -390,8 +370,8 @@ class BatchNorm2d(Layer):
     def __init__(self, layer_id, channels, alloc):
         super().__init__(layer_id)
         self.channels = channels
-        self.gamma = ParamNode.create(alloc(), np.ones(channels), "bn_gamma")
-        self.beta = ParamNode.create(alloc(), np.zeros(channels), "bn_beta")
+        self.gamma = ParamNode.create(alloc(), np.ones(channels))
+        self.beta = ParamNode.create(alloc(), np.zeros(channels))
         self.params = (self.gamma, self.beta)
         self.running_mean = np.zeros(channels, dtype=tensor.DTYPE)
         self.running_var = np.ones(channels, dtype=tensor.DTYPE)
@@ -462,7 +442,8 @@ def backward_sequence(layers, dout, caches):
 class Branches(Layer):
     """Parallel layer sequences over one input, concatenated channel-wise.
 
-    In eval mode the branches keep no caches and the cache returned is None.
+    Its branch layers hold its params (``Model`` walks the branches). In
+    eval mode the branches keep no caches and the cache returned is None.
     """
 
     kind = "concat"
@@ -470,7 +451,6 @@ class Branches(Layer):
     def __init__(self, layer_id, branches):
         super().__init__(layer_id)
         self.branches = branches  # list of layer lists
-        self.params = tuple(p for seq in branches for layer in seq for p in layer.params)
 
     def forward(self, x, mode):
         outs, caches = [], []

@@ -1,21 +1,23 @@
-"""Model assembly: declarative layer specs, shape checking, conv-layer walk.
+"""Model assembly: declarative layer specs, shape checking, one layer walk.
 
 A model is a static feed-forward stack of layers (with optional parallel
 branch stages that concatenate channel-wise) ending in a softmax
 cross-entropy head. Shapes are inferred and validated when the model is
 built; weights are drawn from a single init stream in declaration order,
 so a (seed, spec) pair always yields bit-identical parameters.
-``conv_layers`` is the one walk over a model's conv layers, branches
-included, in layer_id order; the filter scores, the reset scan and the
-filter count all follow it.
 
-A built model is one parameter arena: ``layers.pack`` moves every
+A built model owns its structure and its parameter layout. ``Model``
+walks its layer tree once, branches included, into ``params`` and
+``convs``. Layer ids are numbered in that walk's order, so ``convs`` is
+in layer_id order; the filter scores, the reset scan and the filter count
+all follow it (``conv_layers``). Then ``layers.pack`` moves every
 ParamNode's value and grad into two flat buffers, ``Model.values`` and
 ``Model.grads``, in ``params`` order, and leaves each node with views of
-its slices in its own shape. Layers update those views in place, and
-nothing rebinds a node's ``value`` or ``grad`` after that, so a pass over
-a buffer (zeroing the grads, an optimizer step, a snapshot's copy) covers
-the whole model at once.
+its ``layers.param_views`` slices in its own shape. Layers update those
+views in place, and nothing rebinds a node's ``value`` or ``grad`` after
+that, so a pass over a buffer (zeroing the grads, an optimizer step, a
+snapshot's copy) covers the whole model at once. Optimizers are built on
+the model and step its buffers.
 """
 
 from dataclasses import dataclass
@@ -56,8 +58,9 @@ class LayerSpec:
 class Model:
     """A built layer stack with its loss head and parameter arena.
 
-    ``params`` lists every ParamNode in layer order; ``values`` and
-    ``grads`` are the flat buffers their values and grads are views of.
+    ``params`` lists every ParamNode in layer order and ``convs`` every
+    conv layer, branch layers included; ``values`` and ``grads`` are the
+    flat buffers the params' values and grads are views of.
     """
 
     def __init__(self, layers, input_shape, num_classes):
@@ -65,9 +68,9 @@ class Model:
         self.input_shape = tuple(input_shape)
         self.num_classes = num_classes
         self.loss_head = SoftmaxCrossEntropy()
-        self.params = []
-        for layer in layers:
-            self.params.extend(layer.params)
+        leaves = list(_leaves(layers))
+        self.params = [p for layer in leaves for p in layer.params]
+        self.convs = [layer for layer in leaves if isinstance(layer, Conv2d)]
         self.values, self.grads = pack(self.params)
         if layers and isinstance(layers[0], Conv2d):
             layers[0].input_grad = False  # nothing consumes d(loss)/d(model input)
@@ -110,6 +113,16 @@ class Model:
 
     def zero_grads(self):
         self.grads.fill(0.0)
+
+
+def _leaves(layers):
+    """The layers of a tree in order, each ``Branches`` replaced by its branches' layers."""
+    for layer in layers:
+        if isinstance(layer, Branches):
+            for seq in layer.branches:
+                yield from _leaves(seq)
+        else:
+            yield layer
 
 
 class _Counter:
@@ -189,18 +202,9 @@ def build_model(specs, input_shape, rng):
     return Model(layers, input_shape, num_classes)
 
 
-def _iter_layers(layers):
-    for layer in layers:
-        if isinstance(layer, Branches):
-            for seq in layer.branches:
-                yield from _iter_layers(seq)
-        else:
-            yield layer
-
-
 def conv_layers(model):
     """The model's conv layers, branch layers included, in layer_id order."""
-    return sorted((l for l in _iter_layers(model.layers) if isinstance(l, Conv2d)), key=lambda l: l.layer_id)
+    return model.convs
 
 
 def filter_groups(model):

@@ -1,20 +1,20 @@
 """Parameter update rules: fixed-rate SGD and Adam, one pass per buffer.
 
-Both optimizers ``layers.pack`` their params, so every step is a fixed
-number of whole-buffer passes over the flat values and grads. For a
-model's params, in the model's order, packing returns the model's own
-buffers and copies nothing. Each pass does, element by element, the float
-operations of the per-parameter update, on the same operands in the same
-order, so a flat step moves no result bit.
+Both optimizers are built on a ``Model`` and step its flat ``values``
+with its flat ``grads``, so every step is a fixed number of whole-buffer
+passes. Each pass does, element by element, the float operations of the
+per-parameter update, on the same operands in the same order, so a flat
+step moves no result bit.
 
 Adam keeps its moments in two flat buffers, ``m`` and ``v``, and its
 temporaries in two scratch buffers reused by every step. ``state`` is a
 dict keyed by param id (empty for SGD) whose ``m``/``v`` entries are
-views into the flat moments, shaped like the param, and whose ``t`` is
-the one shared step count. ``flat_state`` lists the arrays behind
-``state``, which a training snapshot copies and restores in place. Both
-optimizers expose ``reset_state_slice(param, index_slice)`` so a filter
-reset can zero the moments of exactly the reinitialized weights.
+the flat moments' ``layers.param_views``, laid out like the model's
+buffers, and whose ``t`` is the one shared step count. ``flat_state``
+lists the arrays behind ``state``, which a training snapshot copies and
+restores in place. Both optimizers expose
+``reset_state_slice(param, index_slice)`` so a filter reset can zero the
+moments of exactly the reinitialized weights.
 ``index_slice`` is any numpy index into the parameter's leading axis: a
 row number, a slice, or a boolean mask selecting several filters at once.
 Adam's timestep is kept per optimizer (not per element), so a reset
@@ -25,18 +25,17 @@ open item 3 fixes it, which moves result bits.
 
 import numpy as np
 
-from .layers import pack
+from .layers import param_views
 
 
 class SGD:
     """value <- value - lr * grad for every element."""
 
-    def __init__(self, params, lr):
+    def __init__(self, model, lr):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        self.params = list(params)
+        self.params, self.values, self.grads = model.params, model.values, model.grads
         self.lr = lr
-        self.values, self.grads = pack(self.params)
         self.state = {}
         self.flat_state = ()
         self._update = np.empty_like(self.values)
@@ -52,25 +51,20 @@ class SGD:
 class Adam:
     """Adam with bias correction: m/v moments per element, one timestep for all."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, model, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        self.params = list(params)
+        self.params, self.values, self.grads = model.params, model.values, model.grads
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.values, self.grads = pack(self.params)
         self.m, self.v = np.zeros_like(self.values), np.zeros_like(self.values)
         self.t = np.zeros((), dtype=np.int64)  # 0-d, so every state[...]["t"] sees it count
         self.flat_state = (self.m, self.v, self.t)
         self._num, self._den = np.empty_like(self.values), np.empty_like(self.values)
-        self.state = {}
-        start = 0
-        for p in self.params:
-            end, shape = start + p.value.size, p.value.shape
-            self.state[p.id] = {"m": self.m[start:end].reshape(shape), "v": self.v[start:end].reshape(shape), "t": self.t}
-            start = end
+        moments = zip(self.params, param_views(self.m, self.params), param_views(self.v, self.params))
+        self.state = {p.id: {"m": m, "v": v, "t": self.t} for p, m, v in moments}
 
     def step(self):
         self.t += 1
@@ -100,9 +94,9 @@ class Adam:
         s["v"][index_slice] = 0.0
 
 
-def make_optimizer(kind, params, lr):
+def make_optimizer(kind, model, lr):
     if kind == "sgd":
-        return SGD(params, lr)
+        return SGD(model, lr)
     if kind == "adam":
-        return Adam(params, lr)
+        return Adam(model, lr)
     raise ValueError(f"unknown optimizer kind {kind!r}")

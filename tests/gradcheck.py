@@ -6,7 +6,7 @@ backward pass. Relative error uses a 1e-6 floor in the denominator so
 exactly-dead paths (both gradients ~0) compare cleanly.
 """
 
-from randomout.model import LayerSpec, build_model
+from randomout.model import LayerSpec, build_model, conv_layers
 from randomout.models import build_cratercnn, build_mini_inception
 from randomout.rng import derive_stream
 
@@ -59,9 +59,8 @@ def _offset_conv_biases(model, value=0.05):
     bias = 0, where the centered difference straddles the kink and the
     check fails for reasons unrelated to the backward pass.
     """
-    for p in model.params:
-        if p.role == "conv_bias":
-            p.value[:] = value
+    for conv in conv_layers(model):
+        conv.bias.value[:] = value
     return model
 
 

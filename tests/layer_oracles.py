@@ -1,6 +1,8 @@
 """Reference layer passes that the engine's faster ones must equal bit for bit.
 
 - ``ReLU.forward``: a branchy select;
+- ``Conv2d.forward``: the cropped GEMM output plus the broadcast bias, a
+  new array, and for a 1x1 conv the bias added to the uncropped buffer;
 - ``Conv2d.backward``: every kernel gradient from patches of x, and a 1x1
   conv's ``dout`` copied into a zero buffer like a larger kernel's;
 - the windowed ``AvgPool2d.forward``: strided row and column copies and adds;
@@ -24,6 +26,23 @@ from randomout.layers import BN_EPS, BN_MOMENTUM
 def relu_forward(layer, x, mode):
     mask = x > 0
     return np.where(mask, x, 0.0), mask
+
+
+def conv_forward(layer, x, mode):
+    n, c, h, w = x.shape
+    ks, k = layer.kernel_size, layer.out_channels
+    ho, wo = h - ks + 1, w - ks + 1
+    span = (ho - 1) * w + wo
+    xf = x.reshape(n, c, h * w)
+    wide = np.empty((n, k, ho * w))
+    step = layer._block_step(n, h * w)
+    for i in range(0, n, step):
+        b = slice(i, i + step)
+        np.matmul(layer.kernel.value.reshape(k, -1), tensor.wide_patches(xf[b], ks, w, span), out=wide[b, :, :span])
+    if ks == 1:
+        wide += layer.bias.value[:, None]
+        return wide.reshape(n, k, ho, wo), x
+    return wide.reshape(n, k, ho, w)[..., :wo] + layer.bias.value[:, None, None], x
 
 
 def conv_backward(layer, dout, x):

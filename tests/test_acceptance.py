@@ -109,7 +109,7 @@ def test_criterion_03_threshold_count_and_targeted_reset():
     cfg = standard_cfg()
     train, _ = load_dataset_pair(cfg)
     model = build_for(cfg, train)
-    opt = Adam(model.params, lr=0.001)
+    opt = Adam(model, lr=0.001)
     convs = conv_layers(model)
     x, y = train.images[:16], train.labels[:16]
 
@@ -153,10 +153,9 @@ def test_criterion_03_threshold_count_and_targeted_reset():
             untouched = untouched and not same_val and moments_zeroed
         else:
             untouched = untouched and same_val and same_m and same_v
-    for p in model.params:
-        if p.role in ("dense_weight", "dense_bias"):
-            untouched = untouched and np.array_equal(p.value, before_vals[p.id])
-            untouched = untouched and np.array_equal(opt.state[p.id]["m"], before_m[p.id])
+    for p in model.layers[-1].params:  # the dense head
+        untouched = untouched and np.array_equal(p.value, before_vals[p.id])
+        untouched = untouched and np.array_equal(opt.state[p.id]["m"], before_m[p.id])
 
     live_min = min(s for k, s in scores.items() if k not in expected_ids)
     _report(

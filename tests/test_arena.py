@@ -1,6 +1,7 @@
 """The parameter arena: a model's params live in two flat buffers, and the
-optimizers, ``zero_grads`` and training snapshots work on those buffers
-whole, with the bits of the per-parameter passes in ``optim_oracles``."""
+optimizers built on it, ``zero_grads`` and training snapshots work on
+those buffers whole, with the bits of the per-parameter passes in
+``optim_oracles``."""
 
 import json
 from pathlib import Path
@@ -9,11 +10,12 @@ import numpy as np
 import pytest
 
 import optim_oracles
+from loose_params import model_of
 from randomout import experiments
 from randomout.config import RandomOutCfg, TrainConfig
 from randomout.data import write_cifar10_binary
 from randomout.experiments import _Snapshot, build_for, load_dataset_pair, run_training
-from randomout.layers import ParamNode, pack
+from randomout.layers import ParamNode, param_views
 from randomout.model import Model, conv_layers
 from randomout.models import build_cratercnn, build_mini_inception
 from randomout.optim import SGD, Adam, make_optimizer
@@ -67,43 +69,45 @@ def test_every_node_is_a_view_of_the_model_buffers(build):
 def test_optimizer_on_a_models_params_copies_nothing(kind):
     model = build_cratercnn(4, derive_stream(0, "init"))
     views = [(p.value, p.grad) for p in model.params]
-    opt = make_optimizer(kind, model.params, 0.01)
+    opt = make_optimizer(kind, model, 0.01)
     assert opt.values is model.values and opt.grads is model.grads
     assert all(p.value is v and p.grad is g for p, (v, g) in zip(model.params, views))
-    assert pack(model.params) == (model.values, model.grads)
 
 
-def test_pack_copies_loose_params_and_refuses_views_of_another_buffer():
-    a = ParamNode.create(0, np.arange(6.0).reshape(2, 3), "dense_weight")
-    b = ParamNode.create(1, [7.0, 8.0], "dense_bias")
+def test_pack_copies_loose_params_into_the_model_buffers():
+    a = ParamNode.create(0, np.arange(6.0).reshape(2, 3))
+    b = ParamNode.create(1, [7.0, 8.0])
     a.grad[:] = 1.0
-    values, grads = pack([a, b])
-    np.testing.assert_array_equal(values, [0, 1, 2, 3, 4, 5, 7, 8])
-    np.testing.assert_array_equal(grads, [1, 1, 1, 1, 1, 1, 0, 0])
-    assert a.value.shape == (2, 3) and a.value.base is values
-    with pytest.raises(ValueError, match="views into another buffer"):
-        pack([b])  # a part of an arena: repacking would cut b off from it
-    with pytest.raises(ValueError, match="views into another buffer"):
-        pack([b, a])  # the same params in another order
+    model = model_of(a, b)
+    np.testing.assert_array_equal(model.values, [0, 1, 2, 3, 4, 5, 7, 8])
+    np.testing.assert_array_equal(model.grads, [1, 1, 1, 1, 1, 1, 0, 0])
+    assert a.value.shape == (2, 3) and a.value.base is model.values and b.grad.base is model.grads
 
 
-def offset(model, param):
-    """Where param's elements start in the model's flat buffers."""
-    return sum(p.value.size for p in model.params[: model.params.index(param)])
+def test_adam_moment_views_follow_the_model_layout():
+    model = build_mini_inception(2, derive_stream(0, "init"))
+    opt = Adam(model, lr=0.01)
+    opt.m[:] = model.values
+    opt.v[:] = model.grads + 1.0
+    assert len(opt.state) == len(model.params)
+    for p in model.params:
+        s = opt.state[p.id]
+        assert s["m"].shape == s["v"].shape == p.value.shape and s["t"] is opt.t
+        assert s["m"].base is opt.m and s["v"].base is opt.v
+        assert s["m"].tobytes() == p.value.tobytes() and s["v"].tobytes() == (p.grad + 1.0).tobytes()
 
 
 def test_reset_state_slice_zeroes_only_the_masked_filters_of_a_packed_kernel():
     model = build_cratercnn(4, derive_stream(0, "init"))
     conv = conv_layers(model)[1]
-    opt = Adam(model.params, lr=0.01)
+    opt = Adam(model, lr=0.01)
     model.grads[:] = np.linspace(-1.0, 1.0, model.grads.size)
     opt.step()
     assert opt.m.all() and opt.v.all()
     expected_m, expected_v = opt.m.copy(), opt.v.copy()
-    slab = conv.kernel.value[0].size
-    for f in (0, 2):
-        filter_elements = slice(offset(model, conv.kernel) + f * slab, offset(model, conv.kernel) + (f + 1) * slab)
-        expected_m[filter_elements] = expected_v[filter_elements] = 0.0
+    kernel = model.params.index(conv.kernel)
+    for expected in (expected_m, expected_v):
+        param_views(expected, model.params)[kernel][[0, 2]] = 0.0
     dead = np.isin(np.arange(conv.out_channels), [0, 2])
     opt.reset_state_slice(conv.kernel, dead)
     assert opt.state[conv.kernel.id]["m"].ndim == 4
@@ -115,7 +119,7 @@ def test_reset_after_a_snapshot_restore_zeroes_the_flat_moments():
     cfg = crater_cfg()
     train, _ = load_dataset_pair(cfg)
     model = build_for(cfg, train)
-    opt = make_optimizer("adam", model.params, cfg.lr)
+    opt = make_optimizer("adam", model, cfg.lr)
     rng = derive_stream(cfg.seed, "randomout")
     for start in (0, 8):
         _, cache = model.forward(train.images[start : start + 8])
@@ -125,7 +129,7 @@ def test_reset_after_a_snapshot_restore_zeroes_the_flat_moments():
     snap = _Snapshot.take(model, opt, rng, [], [], 2, None)
 
     fresh = build_for(cfg, train)
-    fresh_opt = make_optimizer("adam", fresh.params, cfg.lr)
+    fresh_opt = make_optimizer("adam", fresh, cfg.lr)
     fresh_rng = derive_stream(cfg.seed, "randomout")
     snap.restore(fresh, fresh_opt, fresh_rng)
     np.testing.assert_array_equal(fresh_opt.m, opt.m)
@@ -137,11 +141,11 @@ def test_reset_after_a_snapshot_restore_zeroes_the_flat_moments():
     scores = [cgn(c) for c in conv_layers(fresh)]
     events = scan_and_reset(fresh, fresh_opt, RandomOutCfg(tau=1e-8), 0.0, fresh_rng, scores)
     assert {(e.layer_id, e.filter_index) for e in events} >= {(conv.layer_id, 0), (conv.layer_id, 1)}
-    start = offset(fresh, conv.kernel)
-    slab = conv.kernel.value[0].size
-    assert not fresh_opt.m[start : start + 2 * slab].any() and not fresh_opt.v[start : start + 2 * slab].any()
-    assert fresh_opt.m[start + 2 * slab : start + conv.kernel.value.size].all()
-    assert snap.optimizer_state[0][start : start + 2 * slab].all()  # the snapshot kept its own copy
+    m, v = fresh_opt.state[conv.kernel.id]["m"], fresh_opt.state[conv.kernel.id]["v"]
+    assert m.base is fresh_opt.m and v.base is fresh_opt.v
+    assert not m[:2].any() and not v[:2].any() and m[2:].all()
+    kernel = fresh.params.index(conv.kernel)
+    assert param_views(snap.optimizer_state[0], fresh.params)[kernel][:2].all()  # the snapshot kept its own copy
 
 
 def run_bytes(result):

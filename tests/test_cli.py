@@ -1,6 +1,7 @@
 """Command-line interface: help text, exit codes, precedence, output stability."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import randomout
-from randomout.cli import main
-from randomout.config import TrainConfig
+from randomout import experiments
+from randomout.cli import _config_from_args, build_parser, main
+from randomout.config import DatasetCfg, TrainConfig
 from randomout.data import load_cifar10_binary, load_idx
 
 DATA = Path(__file__).parent / "data"
@@ -233,6 +235,39 @@ def test_bad_train_config_exits_1_before_any_run(tmp_path, capsys, argv, message
     assert exc.value.code == 1
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []  # no run directory was started
+
+
+def config_from(argv):
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    return _config_from_args(args, args.parser)
+
+
+def test_dataset_flag_of_another_kind_replaces_the_config_dataset():
+    # the synth config's n_pos and n_neg, which cifar10 does not read, do not ride along
+    shipped = str(Path(__file__).parents[1] / "configs" / "cratercnn-synth-sgd.json")
+    cfg = config_from(["train", "--config", shipped, "--dataset", "cifar10:F"])
+    assert cfg.dataset == DatasetCfg("cifar10", paths=("F",))
+    assert config_from(["train", "--config", shipped, "--dataset", "synth"]).dataset == DatasetCfg("synth", 500, 500)
+
+
+def test_dataset_field_its_kind_does_not_read_exits_1(tmp_path, capsys):
+    config = tmp_path / "cifar.json"
+    config.write_text(json.dumps({"dataset": {"kind": "cifar10", "paths": ["f.bin"], "n_pos": 500}}))
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(config), "--out", str(tmp_path / "runs")])
+    assert exc.value.code == 1
+    assert "dataset kind 'cifar10' does not read 'n_pos', got 500" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,jobs", [([], 3), (["--jobs", "1"], 1)], ids=["default", "one"])
+def test_sweep_jobs_default_to_the_cpus_this_process_may_use(tmp_path, capsys, monkeypatch, flags, jobs):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    seen = []
+    run_many = experiments._run_many
+    monkeypatch.setattr(experiments, "_run_many", lambda cfgs, out, workers: seen.append(workers) or run_many(cfgs, out))
+    code, _, _ = run_main(["sweep-seeds", "--seeds", "0..2", *flags, *FAST, "--out", str(tmp_path)], capsys)
+    assert code == 0 and seen == [jobs]
 
 
 @pytest.mark.parametrize("command", [["train"], ["sweep-seeds", "--seeds", "0..2"]], ids=["train", "sweep-seeds"])

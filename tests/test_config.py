@@ -154,6 +154,30 @@ def test_file_dataset_hashes_are_unchanged_by_path_checks():
     assert (idx.config_hash(), cifar.config_hash()) == ("99115a973955", "b5a892dc26f0")
 
 
+@pytest.mark.parametrize(
+    "dataset,name",
+    [
+        ({"kind": "synth", "paths": ["x.bin"]}, "paths"),
+        ({"kind": "synth", "max_per_class": 3}, "max_per_class"),
+        ({"kind": "idx", "paths": ["i.idx", "l.idx"], "n_pos": 500}, "n_pos"),
+        ({"kind": "idx", "paths": ["i.idx", "l.idx"], "max_per_class": 3}, "max_per_class"),
+        ({"kind": "cifar10", "paths": ["f.bin"], "n_neg": 500}, "n_neg"),
+    ],
+    ids=["synth-paths", "synth-max-per-class", "idx-n-pos", "idx-max-per-class", "cifar10-n-neg"],
+)
+def test_dataset_field_its_kind_does_not_read_is_rejected(dataset, name):
+    # it would name another run directory for the same data
+    with pytest.raises(ValueError, match=f"dataset kind '{dataset['kind']}' does not read '{name}'"):
+        TrainConfig.from_dict({"dataset": dataset})
+
+
+def test_unread_dataset_fields_at_their_defaults_keep_the_hash():
+    synth = [{"kind": "synth"}, {"kind": "synth", "paths": [], "max_per_class": None}]
+    assert {TrainConfig.from_dict({"dataset": d}).config_hash() for d in synth} == {"c279efd83313"}
+    cifar = [{"kind": "cifar10", "paths": ["f.bin"]}, {"kind": "cifar10", "paths": ["f.bin"], "n_pos": 128, "n_neg": 128}]
+    assert {TrainConfig.from_dict({"dataset": d}).config_hash() for d in cifar} == {"37a74a6f8082"}
+
+
 NONFINITE = [float("nan"), float("inf"), float("-inf")]
 
 

@@ -208,6 +208,23 @@ def test_parallel_sweep_matches_serial_sweep_bytes(tmp_path, sweep, n_runs, arti
     assert sorted(p.name for p in (tmp_path / "parallel").iterdir() if ".tmp-" in p.name) == []
 
 
+def test_run_many_starts_no_more_workers_than_tasks(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    workers = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    seed_sweep(tiny_cfg(), seeds=[0, 1], out_dir=tmp_path / "two", jobs=8)  # one task per seed
+    assert workers == [2]
+    width_sweep(tiny_cfg(), widths=[1, 2], seeds=[0], out_dir=tmp_path / "one", jobs=8)  # one task: no pool
+    assert workers == [2]
+
+
 def count_dataset_loads(monkeypatch):
     """The seeds of every load_dataset_pair call a sweep makes from here on."""
     seeds = []
@@ -506,7 +523,7 @@ def eval_model(name, input_shape, num_classes):
     model = build(4, derive_stream(0, "init"), with_batchnorm=bn, input_shape=input_shape, num_classes=num_classes)
     if bn:
         rng = np.random.default_rng(1)
-        opt = SGD(model.params, 0.05)
+        opt = SGD(model, 0.05)
         for _ in range(3):
             _, cache = model.forward(rng.uniform(size=(8,) + input_shape), "train")
             model.backward(cache, rng.integers(0, num_classes, size=8))

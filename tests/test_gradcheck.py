@@ -55,9 +55,8 @@ def test_kink_margin_detects_near_zero_preactivations():
     x = np.random.default_rng(2).uniform(0, 1, size=(2, 1, 15, 15))
     margin = kink_margin(model, x)
     assert margin >= 0.0
-    for p in model.params:
-        if p.role == "conv_bias":
-            p.value[...] = 1000.0  # every preactivation far from the kink
+    for conv in conv_layers(model):
+        conv.bias.value[...] = 1000.0  # every preactivation far from the kink
     assert kink_margin(model, x) > 100.0
 
 

@@ -49,7 +49,7 @@ def test_filter_groups_cover_conv_params_disjointly():
             assert conv.kernel.value[k].shape == (conv.in_channels, conv.kernel_size, conv.kernel_size)
         # every element of every conv kernel and bias lies in exactly one filter's slab or bias
         covered = sum(conv.kernel.value[k].size + 1 for conv, k in filter_groups(model))
-        conv_elems = sum(p.value.size for p in model.params if p.role in ("conv_kernel", "conv_bias"))
+        conv_elems = sum(conv.kernel.value.size + conv.bias.value.size for conv in conv_layers(model))
         assert covered == conv_elems
 
 
@@ -76,8 +76,9 @@ def test_batchnorm_flag_controls_bn_layers():
     bn = build_cratercnn(2, init_rng(), with_batchnorm=True)
     assert not any(isinstance(l, BatchNorm2d) for l in plain.layers)
     assert sum(isinstance(l, BatchNorm2d) for l in bn.layers) == 2
-    assert not any(p.role.startswith("bn_") for p in plain.params)
-    assert any(p.role == "bn_gamma" for p in bn.params)
+    norms = [l for l in bn.layers if isinstance(l, BatchNorm2d)]
+    assert len(plain.params) == 6 and len(bn.params) == 6 + 2 * len(norms)
+    assert all(any(p is l.gamma for p in bn.params) for l in norms)
 
 
 def test_mini_inception_shapes_and_groups():
@@ -135,7 +136,7 @@ def test_build_for_dispatch():
     mini = build_for(cfg, train_set((3, 12, 12), 10))
     assert mini.input_shape == (3, 12, 12) and mini.num_classes == 10
     assert len(filter_groups(mini)) == 5 * 2
-    assert any(p.role == "bn_gamma" for p in mini.params)
+    assert len(mini.params) == 5 * 4 + 2  # conv kernel and bias, batchnorm gamma and beta; the dense head
 
 
 def test_rejects_wrong_input_shape():

@@ -28,12 +28,10 @@ def make_alloc():
 
 
 def test_param_node_validation():
-    with pytest.raises(ValueError, match="unknown param role"):
-        ParamNode.create(0, np.zeros(3), "nonsense")
-    node = ParamNode.create(1, np.ones((2, 2)), "dense_weight")
+    node = ParamNode.create(1, np.ones((2, 2)))
     assert node.grad.shape == (2, 2) and not node.grad.any()
     with pytest.raises(ValueError, match="grad shape"):
-        ParamNode(2, np.ones(3), np.zeros(4), "dense_bias")
+        ParamNode(2, np.ones(3), np.zeros(4))
 
 
 def test_relu_forward_and_zero_convention():
@@ -258,6 +256,33 @@ def test_conv2d_per_tap_backward_copies_no_patches_of_x(monkeypatch, in_ch, out_
         of_x = sum(np.shares_memory(xf, x) for xf in copied)
         assert (of_x > 0) == copies_x
         assert (len(copied) > of_x) == input_grad  # the input gradient's patches of dz
+
+
+# every conv shape of the benchmark workloads at batch 16 (cratercnn w4 and w8,
+# mini_inception w4's 3x3 and 1x1 convs), and a non-square input
+FORWARD_SHAPES = {
+    "crater-w4-conv1": (1, 4, 4, (15, 15)),
+    "crater-w4-conv2": (4, 4, 4, (12, 12)),
+    "crater-w8-conv1": (1, 8, 4, (15, 15)),
+    "crater-w8-conv2": (8, 8, 4, (12, 12)),
+    "inception-stem": (3, 4, 3, (32, 32)),
+    "inception-3x3-a": (4, 4, 3, (30, 30)),
+    "inception-3x3-b": (8, 4, 3, (28, 28)),
+    "inception-1x1-a": (4, 4, 1, (30, 30)),
+    "inception-1x1-b": (8, 4, 1, (28, 28)),
+    "3x3-nonsquare": (3, 5, 3, (9, 13)),
+}
+
+
+@pytest.mark.parametrize("in_ch,out_ch,ks,hw", FORWARD_SHAPES.values(), ids=FORWARD_SHAPES.keys())
+def test_conv2d_forward_is_bitwise_the_broadcast_bias_epilogue(in_ch, out_ch, ks, hw):
+    conv = Conv2d(0, in_ch, out_ch, ks, derive_stream(16, "init"), make_alloc())
+    conv.bias.value[:] = np.random.default_rng(3).normal(size=out_ch)
+    x = np.random.default_rng(4).normal(size=(16, in_ch, *hw))
+    y, cache = conv.forward(x, "train")
+    expected, _ = layer_oracles.conv_forward(conv, x, "train")
+    assert cache is x and y.flags.c_contiguous
+    assert y.shape == expected.shape and y.tobytes() == expected.tobytes()
 
 
 def conv_pass(conv, x, dout):

@@ -3,25 +3,26 @@
 import numpy as np
 import pytest
 
+from loose_params import model_of
 from randomout.layers import ParamNode
 from randomout.optim import SGD, Adam, make_optimizer
 
 
 def make_param(values, pid=0):
     v = np.asarray(values, dtype=np.float64)
-    return ParamNode(id=pid, value=v.copy(), grad=np.zeros_like(v), role="conv_kernel")
+    return ParamNode(id=pid, value=v.copy(), grad=np.zeros_like(v))
 
 
 def test_sgd_single_step_oracle():
     p = make_param([1.0, -2.0, 0.5])
     p.grad[:] = [0.1, 0.2, -0.4]
-    SGD([p], lr=0.5).step()
+    SGD(model_of(p), lr=0.5).step()
     np.testing.assert_allclose(p.value, [0.95, -2.1, 0.7], rtol=0, atol=0)
 
 
 def test_sgd_two_steps_accumulate():
     p = make_param([0.0])
-    opt = SGD([p], lr=0.1)
+    opt = SGD(model_of(p), lr=0.1)
     p.grad[:] = 1.0
     opt.step()
     p.grad[:] = -3.0
@@ -48,7 +49,7 @@ def test_adam_matches_reference_over_steps():
     rng = np.random.default_rng(3)
     grads = [rng.normal(size=4) for _ in range(5)]
     p = make_param([0.3, -0.7, 1.2, 0.0])
-    opt = Adam([p], lr=0.01)
+    opt = Adam(model_of(p), lr=0.01)
     for g in grads:
         p.grad[:] = g
         opt.step()
@@ -61,13 +62,13 @@ def test_adam_first_step_has_full_magnitude():
     # bias correction makes step one move by ~lr regardless of grad scale
     p = make_param([0.0])
     p.grad[:] = 1e-4
-    Adam([p], lr=0.01).step()
+    Adam(model_of(p), lr=0.01).step()
     assert p.value[0] == pytest.approx(-0.01, rel=1e-3)
 
 
 def test_adam_reset_state_slice_zeroes_only_slice():
     p = make_param(np.zeros(6))
-    opt = Adam([p], lr=0.01)
+    opt = Adam(model_of(p), lr=0.01)
     p.grad[:] = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
     opt.step()
     st = opt.state[p.id]
@@ -85,7 +86,7 @@ def test_adam_reset_state_slice_zeroes_only_slice():
 def test_adam_after_slice_reset_behaves_like_fresh_moments():
     # a reset slice with zero grad must not move on the next step
     p = make_param(np.ones(3))
-    opt = Adam([p], lr=0.05)
+    opt = Adam(model_of(p), lr=0.05)
     p.grad[:] = [1.0, 1.0, 1.0]
     opt.step()
     opt.reset_state_slice(p, slice(0, 1))
@@ -98,7 +99,7 @@ def test_adam_after_slice_reset_behaves_like_fresh_moments():
 
 def test_sgd_reset_state_slice_is_noop():
     p = make_param([1.0, 2.0])
-    opt = SGD([p], lr=0.1)
+    opt = SGD(model_of(p), lr=0.1)
     opt.reset_state_slice(p, slice(0, 1))
     np.testing.assert_array_equal(p.value, [1.0, 2.0])
 
@@ -106,14 +107,14 @@ def test_sgd_reset_state_slice_is_noop():
 def test_optimizer_validation():
     p = make_param([1.0])
     with pytest.raises(ValueError, match="learning rate"):
-        SGD([p], lr=0.0)
+        SGD(model_of(p), lr=0.0)
     with pytest.raises(ValueError, match="learning rate"):
-        Adam([p], lr=-1.0)
+        Adam(model_of(p), lr=-1.0)
     with pytest.raises(ValueError, match="unknown optimizer"):
-        make_optimizer("rmsprop", [p], lr=0.1)
+        make_optimizer("rmsprop", model_of(p), lr=0.1)
 
 
 def test_make_optimizer_dispatch():
     p = make_param([1.0])
-    assert isinstance(make_optimizer("sgd", [p], lr=0.1), SGD)
-    assert isinstance(make_optimizer("adam", [p], lr=0.1), Adam)
+    assert isinstance(make_optimizer("sgd", model_of(p), lr=0.1), SGD)
+    assert isinstance(make_optimizer("adam", model_of(p), lr=0.1), Adam)

@@ -88,7 +88,7 @@ def test_config_validation():
 
 def test_tau_zero_never_resets():
     model = small_model()
-    opt = make_optimizer("sgd", model.params, lr=0.1)
+    opt = make_optimizer("sgd", model, lr=0.1)
     model.zero_grads()  # every score is exactly 0.0, but 0.0 < 0.0 is false
     cfg = RandomOutCfg(tau=0.0, p_active=1.0)
     rng = derive_stream(0, "randomout")
@@ -100,7 +100,7 @@ def test_tau_zero_never_resets():
 
 def test_progress_at_or_past_p_active_is_noop():
     model = small_model()
-    opt = make_optimizer("sgd", model.params, lr=0.1)
+    opt = make_optimizer("sgd", model, lr=0.1)
     model.zero_grads()
     cfg = RandomOutCfg(tau=1.0, p_active=0.5)
     rng = derive_stream(0, "randomout")
@@ -116,7 +116,7 @@ def test_progress_at_or_past_p_active_is_noop():
 
 def test_score_equal_to_tau_does_not_reset():
     model = small_model()
-    opt = make_optimizer("sgd", model.params, lr=0.1)
+    opt = make_optimizer("sgd", model, lr=0.1)
     model.zero_grads()
     convs = conv_layers(model)
     for conv in convs:
@@ -140,7 +140,7 @@ def test_dead_masks_mark_scores_strictly_below_tau_while_active():
 
 def test_reset_touches_only_targeted_filter():
     model = small_model(seed=7)
-    opt = Adam(model.params, lr=0.01)
+    opt = Adam(model, lr=0.01)
     x, y = batch(seed=1)
     forward_backward(model, x, y)
     opt.step()  # populate Adam moments
@@ -176,16 +176,15 @@ def test_reset_touches_only_targeted_filter():
         for pid in (conv.kernel.id, conv.bias.id):
             for key in (pid, ("m", pid), ("v", pid)):
                 np.testing.assert_array_equal(before[key][keep], after[key][keep])
-    for p in model.params:
-        if p.role in ("dense_weight", "dense_bias"):
-            np.testing.assert_array_equal(before[p.id], after[p.id])
+    for p in model.layers[-1].params:  # the dense head
+        np.testing.assert_array_equal(before[p.id], after[p.id])
 
 
 def test_reset_redraw_within_xavier_bound():
     from randomout.rng import xavier_bound
 
     model = small_model(seed=5)
-    opt = make_optimizer("sgd", model.params, lr=0.1)
+    opt = make_optimizer("sgd", model, lr=0.1)
     model.zero_grads()
     first, second = conv_layers(model)
     first.kernel.grad[1:] = 1.0
@@ -198,7 +197,7 @@ def test_reset_redraw_within_xavier_bound():
 def test_event_sequence_deterministic():
     def run():
         model = small_model(seed=9)
-        opt = make_optimizer("sgd", model.params, lr=0.05)
+        opt = make_optimizer("sgd", model, lr=0.05)
         rng = derive_stream(9, "randomout")
         seen = []
         for b in range(4):

@@ -46,7 +46,7 @@ def set_grads(model, rng, tau):
 
 def run(scan, name, kind, tau):
     model = build(name)
-    opt = make_optimizer(kind, model.params, 0.01)
+    opt = make_optimizer(kind, model, 0.01)
     cfg = RandomOutCfg(tau=tau, p_active=1.0)
     rng = derive_stream(3, "randomout")
     events, grads = [], []

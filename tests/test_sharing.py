@@ -7,9 +7,12 @@ byte for byte, what running that config alone writes."""
 
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randomout import experiments
 from randomout.config import TrainConfig
@@ -86,6 +89,45 @@ def test_shared_runs_are_byte_identical_to_solo_runs(tmp_path, sweep):
     sweep(tmp_path / "sweep")
     assert {line["how"] for line in sweep_log(tmp_path / "sweep")} >= {"computed", "shared"}
     assert_runs_match_solo_runs(tmp_path / "sweep", tmp_path / "solo")
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    width=st.integers(1, 2),
+    optimizer=st.sampled_from(["sgd", "adam"]),
+    epochs=st.integers(1, 3),
+    batch_size=st.sampled_from([4, 8]),
+    check_every=st.integers(1, 3),
+    taus=st.lists(st.sampled_from([0.0, 1e-8, 0.1, 0.3, 0.5, 1.0]), min_size=1, max_size=3, unique=True),
+    ps=st.lists(st.sampled_from([0.0, 0.3, 0.6, 1.0]), min_size=1, max_size=3, unique=True),
+    seeds=st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True),
+    stored=st.sampled_from(["nothing", "base runs", "every other run"]),
+)
+def test_random_grids_are_byte_identical_to_solo_runs(
+    width, optimizer, epochs, batch_size, check_every, taus, ps, seeds, stored
+):
+    # a grid's runs, some of them stored by an earlier sweep into the same
+    # directory, must each equal a run of its config alone
+    cfg = small_cfg(
+        epochs=epochs,
+        batch_size=batch_size,
+        optimizer=optimizer,
+        lr=0.05 if optimizer == "sgd" else 0.01,
+        model={"name": "cratercnn", "width": width},
+    )
+    cfgs = [cfg.replace(seed=s) for s in seeds]
+    cfgs += [
+        cfg.replace(seed=s, condition="randomout", randomout={"tau": tau, "p_active": p, "check_every": check_every})
+        for tau in taus
+        for p in ps
+        for s in seeds
+    ]
+    earlier = {"nothing": [], "base runs": cfgs[: len(seeds)], "every other run": cfgs[::2]}[stored]
+    with tempfile.TemporaryDirectory() as tmp:
+        if earlier:
+            experiments._run_many(earlier, Path(tmp) / "sweep")
+        experiments._run_many(cfgs, Path(tmp) / "sweep")
+        assert_runs_match_solo_runs(Path(tmp) / "sweep", Path(tmp) / "solo")
 
 
 @pytest.mark.parametrize("name", SWEEPS)
