@@ -160,8 +160,10 @@ def _config_from_args(args, parser):
         parser.error(str(e))
     if args.seed is not None:
         raw["seed"] = args.seed
-    if args.model is not None:
-        raw["model"] = {**raw.get("model", {}), "name": args.model.replace("-", "_")}
+    # a flag merges into the file's object only; another value stays for TrainConfig to reject
+    model = raw.get("model", {})
+    if args.model is not None and isinstance(model, dict):
+        raw["model"] = {**model, "name": args.model.replace("-", "_")}
     if args.dataset is not None:
         flag, old = _parse_dataset(args.dataset, parser), raw.get("dataset")
         # another kind reads other fields: keep the file's only for the same kind
@@ -179,12 +181,10 @@ def _config_from_args(args, parser):
     if args.tau is not None or args.p_active is not None:
         if raw.get("condition") != "randomout":
             parser.error("--tau and --p-active require --randomout (or a config with condition randomout)")
-        ro = dict(raw.get("randomout") or {})
-        if args.tau is not None:
-            ro["tau"] = args.tau
-        if args.p_active is not None:
-            ro["p_active"] = args.p_active
-        raw["randomout"] = ro
+        ro = {} if raw.get("randomout") is None else raw["randomout"]
+        if isinstance(ro, dict):
+            flags = {"tau": args.tau, "p_active": args.p_active}
+            raw["randomout"] = {**ro, **{k: v for k, v in flags.items() if v is not None}}
     try:
         return TrainConfig.from_dict(raw)
     except (TypeError, ValueError) as e:

@@ -34,7 +34,6 @@ import numpy as np
 from .config import TrainConfig
 from .data import BatchPlan, check_last_batch, load_cifar10_binary, load_idx, split_50_50, synth_craters
 from .metrics import MetricsRecord, read_metrics, read_summary, write_csv, write_metrics, write_summary
-from .model import conv_layers
 from .models import build_cratercnn, build_mini_inception
 from .optim import make_optimizer
 from .regularizer import cgn, dead_masks, scan_and_reset
@@ -105,7 +104,7 @@ def build_for(cfg, train):
         num_classes=train.num_classes,
     )
     if cfg.dead_first_layer:
-        conv_layers(model)[0].bias.value += DEAD_BIAS_OFFSET
+        model.convs[0].bias.value += DEAD_BIAS_OFFSET
     return model
 
 
@@ -233,7 +232,6 @@ def _train(cfg, train, test, snapshot, followers):
     if cfg.condition == "batchnorm":  # a file dataset's size is known only here
         check_last_batch(len(train), cfg.batch_size)
     model = build_for(cfg, train)
-    convs = conv_layers(model)
     optimizer = make_optimizer(cfg.optimizer, model, cfg.lr)
     ro_rng = derive_stream(cfg.seed, "randomout")
     plan = BatchPlan(len(train), cfg.epochs, cfg.batch_size, cfg.seed)
@@ -256,7 +254,7 @@ def _train(cfg, train, test, snapshot, followers):
                         records.append(MetricsRecord(epoch, batch_no, loss, train_acc, None, 0.0, 0, 0, True))
                         diverged = True
                         break
-                    scores = [cgn(conv) for conv in convs]
+                    scores = [cgn(conv) for conv in model.convs]
                 else:
                     loss, train_acc, scores = pending
                     pending = None
@@ -284,7 +282,7 @@ def _train(cfg, train, test, snapshot, followers):
             if diverged:
                 break
             records[-1].test_acc = evaluate(model, test)
-    return _Outcome(records, events, done, diverged, sum(conv.out_channels for conv in convs)), followers, splits
+    return _Outcome(records, events, done, diverged, sum(conv.out_channels for conv in model.convs)), followers, splits
 
 
 class _Group:

@@ -276,63 +276,62 @@ class Flatten(Layer):
 
 
 class AvgPool2d(Layer):
-    """Valid average pooling over window x window patches; window None pools all of HxW.
+    """Valid, stride-1 average pooling over window x window patches; window None pools all of HxW.
 
-    The forward sums a window separably on the flat batch, as long
-    contiguous runs: ``window`` row shifts (offsets of W), then ``window``
-    column shifts (offsets of 1) into one buffer of x's size, whose values
-    at the window starts (rows and columns at the pool stride) are divided
+    Like a conv, a window over H x W gives H-window+1 x W-window+1. The
+    forward sums a window separably on the flat batch, as long contiguous
+    runs: ``window`` row shifts (offsets of W), then ``window`` column
+    shifts (offsets of 1) into one buffer of x's size, whose first
+    H-window+1 rows and W-window+1 columns (the window starts) are divided
     by window**2. Shifted runs also cross row and plane ends, but only into
     sums no window starts at, which are never read. So every output adds
-    the terms of strided row and then column slices in their order, bit for
-    bit. The global window is ``mean``.
+    the terms of shifted row and then column slices in their order, bit
+    for bit. The global window is ``mean``.
 
     Backward is the adjoint of that sum on row-flattened planes, the way
     ``Conv2d.backward`` builds its ``dz``: ``dout / window**2`` is written
-    at row pitch W and at the pool stride into one zero buffer that holds
-    every plane back to back behind a (window-1)*(W+1) margin. Then
-    ``window`` column shifts (offsets of 1) and ``window`` row shifts
-    (offsets of W) are summed, each one contiguous run over all planes. A
-    shift past the start of a row or plane reads zeros: the margin, or the
-    last columns and rows of the plane before, where no window starts. So
-    the sums add the terms of a strided scatter-add in its order (columns
-    j, then rows i), plus zeros. The zeros move no bit, because the written
-    values first get +0.0, which turns -0.0 into +0.0 as a scatter into a
-    zero buffer does, and x + 0.0 is x for every other x.
+    into the window starts of one zero buffer that holds every plane back
+    to back behind a (window-1)*(W+1) margin. Then ``window`` column shifts
+    (offsets of 1) and ``window`` row shifts (offsets of W) are summed, each
+    one contiguous run over all planes. A shift past the start of a row or
+    plane reads zeros: the margin, or the last columns and rows of the
+    plane before, where no window starts. So the sums add the terms of a
+    shifted scatter-add in its order (columns j, then rows i), plus zeros.
+    The zeros move no bit, because the written values first get +0.0,
+    which turns -0.0 into +0.0 as a scatter into a zero buffer does, and
+    x + 0.0 is x for every other x.
     """
 
     kind = "avgpool"
 
-    def __init__(self, layer_id, window, stride):
+    def __init__(self, layer_id, window):
         super().__init__(layer_id)
         self.window = window
-        self.stride = stride
 
     def forward(self, x, mode):
         if self.window is None:
             return x.mean(axis=(2, 3), keepdims=True), x.shape
-        win, s = self.window, self.stride
+        win = self.window
         _, _, h, w = x.shape
-        ho = tensor.conv_output_size(h, win, s)
-        wo = tensor.conv_output_size(w, win, s)
+        ho, wo = h - win + 1, w - win + 1
         sums = x.reshape(-1)
         if win > 1:
             rows = _sum_runs(sums, range(0, win * w, w), sums.size - (win - 1) * w)
             sums = np.empty(x.size, dtype=tensor.DTYPE)
             _sum_runs(rows, range(win), rows.size - (win - 1), out=sums[: rows.size - (win - 1)])
-        # window sums at the pool stride; the tail of sums, where no window starts, is never read
-        return np.divide(sums.reshape(x.shape)[:, :, : s * ho : s, : s * wo : s], win * win), x.shape
+        # the sums at the window starts; the rest, where no window starts, is never read
+        return np.divide(sums.reshape(x.shape)[:, :, :ho, :wo], win * win), x.shape
 
     def backward(self, dout, cache):
         n, c, h, w = cache
         if self.window is None:
             return np.broadcast_to(dout / (h * w), cache)
-        win, s = self.window, self.stride
+        win = self.window
         ho, wo = dout.shape[2:]
         size = n * c * h * w
         margin = (win - 1) * (w + 1)
         dz = np.zeros(margin + size, dtype=tensor.DTYPE)
-        starts = dz[margin:].reshape(cache)[:, :, : s * ho : s, : s * wo : s]
+        starts = dz[margin:].reshape(cache)[:, :, :ho, :wo]
         np.add(dout / (win * win), 0.0, out=starts)
         if win == 1:
             return dz.reshape(cache)

@@ -10,16 +10,17 @@ A built model owns its structure and its parameter layout. ``Model``
 walks its layer tree once, branches included, into ``params`` and
 ``convs``. Layer ids are numbered in that walk's order, so ``convs`` is
 in layer_id order; the filter scores, the reset scan and the filter count
-all follow it (``conv_layers``). Then ``layers.pack`` moves every
-ParamNode's value and grad into two flat buffers, ``Model.values`` and
-``Model.grads``, in ``params`` order, and leaves each node with views of
-its ``layers.param_views`` slices in its own shape. Layers update those
+all read it. Then ``layers.pack`` moves every ParamNode's value and grad
+into two flat buffers, ``Model.values`` and ``Model.grads``, in
+``params`` order, and leaves each node with views of its
+``layers.param_views`` slices in its own shape. Layers update those
 views in place, and nothing rebinds a node's ``value`` or ``grad`` after
 that, so a pass over a buffer (zeroing the grads, an optimizer step, a
 snapshot's copy) covers the whole model at once. Optimizers are built on
 the model and step its buffers.
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,16 +37,15 @@ LAYER_KINDS = ("conv2d", "relu", "dense", "softmax_ce", "batchnorm", "flatten", 
 class LayerSpec:
     """One layer declaration; dimension fields apply per kind.
 
-    conv2d: out_channels and kernel_size; every conv is stride 1, and
-    the builder rejects another stride. dense: units. avgpool: window
-    (None means global) and stride. concat: branches, a list of LayerSpec
-    sequences run in parallel on the same input.
+    conv2d: out_channels and kernel_size. dense: units. avgpool: window
+    (None means global). concat: branches, a list of LayerSpec sequences
+    run in parallel on the same input. Every conv and windowed pool is
+    valid and stride 1: a k x k window over H x W gives H-k+1 x W-k+1.
     """
 
     kind: str
     out_channels: Optional[int] = None
     kernel_size: Optional[int] = None
-    stride: int = 1
     units: Optional[int] = None
     window: Optional[int] = None
     branches: Optional[list] = None
@@ -100,16 +100,8 @@ class Model:
             raise ValueError("backward needs the cache of a train-mode forward; an eval forward keeps none")
         logits, caches = cache
         loss, dlogits = self.loss_head.loss_and_grad(logits, labels)
-        self.backward_from(dlogits, caches)
+        backward_sequence(self.layers, dlogits, caches)
         return loss
-
-    def backward_from(self, dout, caches):
-        """Backpropagate an arbitrary output gradient through the layer stack.
-
-        Returns the input gradient, or None when the first layer is a conv,
-        which skips it.
-        """
-        return backward_sequence(self.layers, dout, caches)
 
     def zero_grads(self):
         self.grads.fill(0.0)
@@ -125,15 +117,6 @@ def _leaves(layers):
             yield layer
 
 
-class _Counter:
-    def __init__(self):
-        self.n = 0
-
-    def __call__(self):
-        self.n += 1
-        return self.n - 1
-
-
 def _build_sequence(specs, in_shape, rng, next_layer_id, next_param_id):
     """Construct layers for a spec list, validating shape compatibility."""
     layers = []
@@ -143,8 +126,6 @@ def _build_sequence(specs, in_shape, rng, next_layer_id, next_param_id):
         if spec.kind in ("conv2d", "batchnorm", "avgpool", "concat") and len(shape) != 3:
             raise ValueError(f"layer {lid} ({spec.kind}): needs [C,H,W] input, got {shape}")
         if spec.kind == "conv2d":
-            if spec.stride != 1:
-                raise ValueError(f"layer {lid} (conv2d): stride must be 1, got {spec.stride}")
             c, h, w = shape
             ks = spec.kernel_size
             if ks > h or ks > w:
@@ -163,8 +144,8 @@ def _build_sequence(specs, in_shape, rng, next_layer_id, next_param_id):
             elif window > h or window > w:
                 raise ValueError(f"layer {lid} (avgpool): window {window} larger than input {h}x{w}")
             else:
-                shape = (c, tensor.conv_output_size(h, window, spec.stride), tensor.conv_output_size(w, window, spec.stride))
-            layers.append(AvgPool2d(lid, window, spec.stride))
+                shape = (c, h - window + 1, w - window + 1)
+            layers.append(AvgPool2d(lid, window))
         elif spec.kind == "flatten":
             layers.append(Flatten(lid))
             shape = (int(np.prod(shape)),)
@@ -195,18 +176,14 @@ def build_model(specs, input_shape, rng):
         raise ValueError("model specs must end with a softmax_ce head")
     if specs[-1].units is None or specs[-1].units < 2:
         raise ValueError("softmax_ce head needs units = number of classes >= 2")
-    layers, shape = _build_sequence(specs[:-1], tuple(input_shape), rng, _Counter(), _Counter())
+    layer_ids, param_ids = itertools.count().__next__, itertools.count().__next__
+    layers, shape = _build_sequence(specs[:-1], tuple(input_shape), rng, layer_ids, param_ids)
     num_classes = specs[-1].units
     if shape != (num_classes,):
         raise ValueError(f"final layer output {shape} does not match softmax_ce over {num_classes} classes")
     return Model(layers, input_shape, num_classes)
 
 
-def conv_layers(model):
-    """The model's conv layers, branch layers included, in layer_id order."""
-    return model.convs
-
-
 def filter_groups(model):
     """One (conv, filter_index) pair per conv output channel, in (layer_id, filter) order."""
-    return [(conv, k) for conv in conv_layers(model) for k in range(conv.out_channels)]
+    return [(conv, k) for conv in model.convs for k in range(conv.out_channels)]

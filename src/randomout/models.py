@@ -7,9 +7,10 @@ MiniInception: a small stand-in for a large inception-style network (the
 full topology is far beyond desk scale). It keeps the properties the
 filter-reset regularizer exercises: mixed 1x1/3x3 filters in parallel
 branches with channel concatenation, optional batchnorm after every
-conv, and a 10-class head. Because every conv is stride 1 and unpadded,
-the 1x1 branch ends in a 3x3 stride-1 average pool so both branches
-reach the same spatial size before concatenation.
+conv, and a 10-class head. Every conv and pool is valid and stride 1
+(a k x k window takes k-1 rows and columns off its input), so the 1x1
+branch ends in a 3x3 average pool to reach the 3x3 branch's spatial
+size before concatenation.
 """
 
 from .model import LayerSpec, build_model
@@ -43,7 +44,7 @@ def mini_inception_specs(base_width, with_batchnorm=False, num_classes=10):
         LayerSpec(
             "concat",
             branches=[
-                _conv_block(base_width, 1, with_batchnorm) + [LayerSpec("avgpool", window=3, stride=1)],
+                _conv_block(base_width, 1, with_batchnorm) + [LayerSpec("avgpool", window=3)],
                 _conv_block(base_width, 3, with_batchnorm),
             ],
         )

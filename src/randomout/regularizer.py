@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import conv_layers
 from .rng import xavier_init
 
 
@@ -53,13 +52,13 @@ def scan_and_reset(model, optimizer, cfg, progress, rng, scores, epoch=0, batch=
     """Reinitialize every filter that ``dead_masks`` marks dead.
 
     Called after backward and before the optimizer step. scores holds one
-    ``cgn`` vector per layer of ``conv_layers(model)``, in that order.
+    ``cgn`` vector per layer of ``model.convs``, in that order.
     Resets consume only the given rng stream, draw the redrawn slabs in
     (layer, filter) order, and leave every parameter and optimizer moment
     outside the reset filters bit-identical.
     """
     events = []
-    for conv, score, dead in zip(conv_layers(model), scores, dead_masks(cfg, progress, scores)):
+    for conv, score, dead in zip(model.convs, scores, dead_masks(cfg, progress, scores)):
         if not dead.any():
             continue
         kernel, bias = conv.kernel, conv.bias

@@ -4,9 +4,11 @@ All functions are pure (inputs are never mutated) and operate on row-major
 numpy arrays of dtype float64. 64-bit precision is a hard requirement:
 the gradient checks resolve 1e-4 relative error, which float32 cannot.
 
-Convolution convention: cross-correlation (no kernel flip), valid padding
-only (no zero padding), stride 1, output size H - kH + 1. The conv layer
-in layers.py relies on exactly this convention.
+Window convention: cross-correlation (no kernel flip), valid padding
+only (no zero padding), stride 1, output size H - kH + 1. The conv and
+pool layers in layers.py rely on exactly this convention. Only the test
+oracles ``im2col`` and ``col2im`` take a stride, with output size
+(H - kH)//stride + 1.
 
 Layout contract. Every conv works on row-flattened planes
 ``xf = x.reshape(N, C, H*W)``: the patch row for kernel tap (c, i, j) is the
@@ -42,15 +44,6 @@ def check_shape(dims):
     return dims
 
 
-def conv_output_size(size, kernel, stride):
-    """Spatial output size of a valid convolution: (size - kernel)//stride + 1."""
-    if kernel > size:
-        raise ValueError(f"kernel size {kernel} exceeds input size {size}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    return (size - kernel) // stride + 1
-
-
 def wide_patches(xf, k, pitch, length):
     """Copy the k*k shifted runs of each plane of xf[N, C, S] into [N, C*k*k, length].
 
@@ -82,8 +75,7 @@ def im2col(x, kh, kw, stride):
     change (ROADMAP open item 2).
     """
     n, c, h, w = x.shape
-    ho = conv_output_size(h, kh, stride)
-    wo = conv_output_size(w, kw, stride)
+    ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
     cols = np.empty((n, c, kh, kw, ho, wo), dtype=DTYPE)
     for i in range(kh):
         for j in range(kw):
@@ -94,8 +86,7 @@ def im2col(x, kh, kw, stride):
 def col2im(cols, x_shape, kh, kw, stride):
     """Scatter-add patch columns back to an input-shaped array (im2col adjoint; a test oracle, see im2col)."""
     n, c, h, w = x_shape
-    ho = conv_output_size(h, kh, stride)
-    wo = conv_output_size(w, kw, stride)
+    ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
     cols = cols.transpose(0, 2, 1).reshape(n, c, kh, kw, ho, wo)
     x = np.zeros(x_shape, dtype=DTYPE)
     for i in range(kh):

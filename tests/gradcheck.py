@@ -6,7 +6,7 @@ backward pass. Relative error uses a 1e-6 floor in the denominator so
 exactly-dead paths (both gradients ~0) compare cleanly.
 """
 
-from randomout.model import LayerSpec, build_model, conv_layers
+from randomout.model import LayerSpec, build_model
 from randomout.models import build_cratercnn, build_mini_inception
 from randomout.rng import derive_stream
 
@@ -59,7 +59,7 @@ def _offset_conv_biases(model, value=0.05):
     bias = 0, where the centered difference straddles the kink and the
     check fails for reasons unrelated to the backward pass.
     """
-    for conv in conv_layers(model):
+    for conv in model.convs:
         conv.bias.value[:] = value
     return model
 
@@ -132,7 +132,7 @@ def standard_suites(seed=20240001):
         "avgpool",
         [
             LayerSpec("conv2d", out_channels=2, kernel_size=2),
-            LayerSpec("avgpool", window=2, stride=2),
+            LayerSpec("avgpool", window=2),
             LayerSpec("flatten"),
             LayerSpec("dense", units=2),
             LayerSpec("softmax_ce", units=2),

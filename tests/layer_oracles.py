@@ -5,8 +5,8 @@
   new array, and for a 1x1 conv the bias added to the uncropped buffer;
 - ``Conv2d.backward``: every kernel gradient from patches of x, and a 1x1
   conv's ``dout`` copied into a zero buffer like a larger kernel's;
-- the windowed ``AvgPool2d.forward``: strided row and column copies and adds;
-- the windowed ``AvgPool2d.backward``: a strided scatter-add;
+- the windowed ``AvgPool2d.forward``: shifted row and column copies and adds;
+- the windowed ``AvgPool2d.backward``: a shifted scatter-add;
 - ``BatchNorm2d``'s forward and backward: ``x.mean``/``x.var`` statistics
   and the two-pass formulas, each sum computed where it is used;
 - ``tensor.wide_patches``: an ``as_strided`` view, copied.
@@ -73,30 +73,30 @@ def conv_backward(layer, dout, x):
 def avgpool_forward(layer, x, mode):
     if layer.window is None:
         return x.mean(axis=(2, 3), keepdims=True), x.shape
-    win, s = layer.window, layer.stride
-    ho, wo = (x.shape[2] - win) // s + 1, (x.shape[3] - win) // s + 1
-    rows = x[:, :, 0 : s * ho : s].copy()
+    win = layer.window
+    ho, wo = x.shape[2] - win + 1, x.shape[3] - win + 1
+    rows = x[:, :, :ho].copy()
     for i in range(1, win):
-        rows += x[:, :, i : i + s * ho : s]
-    out = rows[..., 0 : s * wo : s].copy()
+        rows += x[:, :, i : i + ho]
+    out = rows[..., :wo].copy()
     for j in range(1, win):
-        out += rows[..., j : j + s * wo : s]
+        out += rows[..., j : j + wo]
     out /= win * win
     return out, x.shape
 
 
-def avgpool_scatter(dout, shape, window, stride):
-    """dx of a window x window pool at ``stride``: ``window`` strided column
-    scatter-adds into the pooled rows, then ``window`` strided row scatter-adds."""
+def avgpool_scatter(dout, shape, window):
+    """dx of a window x window pool: ``window`` shifted column scatter-adds
+    into the pooled rows, then ``window`` shifted row scatter-adds."""
     n, c, h, w = shape
     ho, wo = dout.shape[2:]
     dout = dout / (window * window)
     drows = np.zeros((n, c, ho, w))
     for j in range(window):
-        drows[..., j : j + stride * wo : stride] += dout
+        drows[..., j : j + wo] += dout
     dx = np.zeros(shape)
     for i in range(window):
-        dx[:, :, i : i + stride * ho : stride] += drows
+        dx[:, :, i : i + ho] += drows
     return dx
 
 
@@ -104,7 +104,7 @@ def avgpool_backward(layer, dout, cache):
     n, c, h, w = cache
     if layer.window is None:
         return np.broadcast_to(dout / (h * w), cache)
-    return avgpool_scatter(dout, cache, layer.window, layer.stride)
+    return avgpool_scatter(dout, cache, layer.window)
 
 
 def batchnorm_forward(layer, x, mode):

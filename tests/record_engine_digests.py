@@ -124,8 +124,8 @@ def load_table():
 
 def main():
     fingerprint = numerics_fingerprint()
-    table = load_table() if TABLE.exists() else {"engine_version": ENGINE_VERSION, "fingerprints": {}}
-    if table["engine_version"] != ENGINE_VERSION:
+    table = load_table() if TABLE.exists() else {}
+    if table.get("engine_version") != ENGINE_VERSION:
         table = {"engine_version": ENGINE_VERSION, "fingerprints": {}}
     with tempfile.TemporaryDirectory() as tmp:
         table["fingerprints"][fingerprint] = run_digests(tmp)

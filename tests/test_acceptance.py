@@ -24,7 +24,7 @@ from randomout.experiments import (
     width_sweep,
 )
 from randomout.metrics import read_metrics, write_metrics
-from randomout.model import conv_layers, filter_groups
+from randomout.model import filter_groups
 from randomout.optim import Adam
 from randomout.regularizer import cgn, scan_and_reset
 from randomout.rng import derive_stream
@@ -110,7 +110,7 @@ def test_criterion_03_threshold_count_and_targeted_reset():
     train, _ = load_dataset_pair(cfg)
     model = build_for(cfg, train)
     opt = Adam(model, lr=0.001)
-    convs = conv_layers(model)
+    convs = model.convs
     x, y = train.images[:16], train.labels[:16]
 
     # one normal step so every filter has nonzero optimizer moments

@@ -16,7 +16,7 @@ from randomout.config import RandomOutCfg, TrainConfig
 from randomout.data import write_cifar10_binary
 from randomout.experiments import _Snapshot, build_for, load_dataset_pair, run_training
 from randomout.layers import ParamNode, param_views
-from randomout.model import Model, conv_layers
+from randomout.model import Model
 from randomout.models import build_cratercnn, build_mini_inception
 from randomout.optim import SGD, Adam, make_optimizer
 from randomout.regularizer import cgn, scan_and_reset
@@ -99,7 +99,7 @@ def test_adam_moment_views_follow_the_model_layout():
 
 def test_reset_state_slice_zeroes_only_the_masked_filters_of_a_packed_kernel():
     model = build_cratercnn(4, derive_stream(0, "init"))
-    conv = conv_layers(model)[1]
+    conv = model.convs[1]
     opt = Adam(model, lr=0.01)
     model.grads[:] = np.linspace(-1.0, 1.0, model.grads.size)
     opt.step()
@@ -134,11 +134,11 @@ def test_reset_after_a_snapshot_restore_zeroes_the_flat_moments():
     snap.restore(fresh, fresh_opt, fresh_rng)
     np.testing.assert_array_equal(fresh_opt.m, opt.m)
     assert int(fresh_opt.state[fresh.params[0].id]["t"]) == 2
-    conv = conv_layers(fresh)[0]
+    conv = fresh.convs[0]
     conv.bias.value[:2] = -50.0  # kill two filters
     _, cache = fresh.forward(train.images[16:24])
     fresh.backward(cache, train.labels[16:24])
-    scores = [cgn(c) for c in conv_layers(fresh)]
+    scores = [cgn(c) for c in fresh.convs]
     events = scan_and_reset(fresh, fresh_opt, RandomOutCfg(tau=1e-8), 0.0, fresh_rng, scores)
     assert {(e.layer_id, e.filter_index) for e in events} >= {(conv.layer_id, 0), (conv.layer_id, 1)}
     m, v = fresh_opt.state[conv.kernel.id]["m"], fresh_opt.state[conv.kernel.id]["v"]

@@ -178,6 +178,26 @@ def test_config_field_type_error_exits_1(tmp_path, capsys, field, value):
 
 
 @pytest.mark.parametrize(
+    "config,flags,field",
+    [
+        ({"model": 5}, ["--model", "cratercnn"], "model"),
+        ({"condition": "randomout", "randomout": 5}, ["--tau", "0.1"], "randomout"),
+        ({"condition": "randomout", "randomout": 0}, ["--p-active", "0.5"], "randomout"),
+    ],
+    ids=["model", "randomout-tau", "randomout-p-active"],
+)
+def test_flag_over_a_non_object_config_value_exits_1(tmp_path, capsys, config, flags, field):
+    # the flag leaves the file's value as it is, so the usage error is the one the file gives alone
+    p = tmp_path / "typed.json"
+    p.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(p), *flags, "--out", str(tmp_path)])
+    assert exc.value.code == 1
+    assert f"train field '{field}' must be an object, got {config[field]}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [p]  # no run directory was started
+
+
+@pytest.mark.parametrize(
     "argv,message",
     [
         (["sweep-seeds", "--seeds", "0..2", "--jobs", "0"], "--jobs must be >= 1, got 0"),

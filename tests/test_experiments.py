@@ -32,7 +32,6 @@ from randomout.experiments import (
 )
 from randomout.layers import AvgPool2d, BatchNorm2d, Conv2d, ReLU, run_sequence
 from randomout.metrics import read_metrics
-from randomout.model import conv_layers
 from randomout.models import build_cratercnn, build_mini_inception
 from randomout.optim import SGD
 from randomout.rng import derive_stream
@@ -316,7 +315,7 @@ def test_dead_first_layer_biases_shifted(tmp_path):
     cfg = tiny_cfg(dead_first_layer=True)
     train, _ = load_dataset_pair(cfg)
     model = build_for(cfg, train)
-    first, second = conv_layers(model)
+    first, second = model.convs
     assert np.all(first.bias.value < -9.0)
     assert np.all(np.abs(second.bias.value) < 1.0)
 
@@ -614,7 +613,7 @@ def bit_guard_configs(data_dir):
 def test_runs_are_bitwise_the_reference_relu_and_pool(tmp_path, monkeypatch):
     # The engine's branch-free ReLU forward, wide-row pool forward and
     # backward, and 1x1 conv backward must leave every result byte of the
-    # select, the strided sums, the scatter-add and the zero-buffer route
+    # select, the shifted sums, the scatter-add and the zero-buffer route
     # they replace. The per-tap kernel gradient is not swapped out: its
     # GEMMs differ in shape from the patch route's, so whether their bits
     # agree depends on the OpenBLAS kernel.

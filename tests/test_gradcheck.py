@@ -4,7 +4,7 @@ import numpy as np
 
 from gradcheck import EPS, TOLERANCE, model_max_rel_error, relative_error, standard_suites
 from randomout.layers import ReLU
-from randomout.model import LayerSpec, build_model, conv_layers
+from randomout.model import LayerSpec, build_model
 from randomout.models import build_cratercnn, build_mini_inception
 from randomout.rng import derive_stream
 
@@ -55,7 +55,7 @@ def test_kink_margin_detects_near_zero_preactivations():
     x = np.random.default_rng(2).uniform(0, 1, size=(2, 1, 15, 15))
     margin = kink_margin(model, x)
     assert margin >= 0.0
-    for conv in conv_layers(model):
+    for conv in model.convs:
         conv.bias.value[...] = 1000.0  # every preactivation far from the kink
     assert kink_margin(model, x) > 100.0
 
@@ -63,7 +63,7 @@ def test_kink_margin_detects_near_zero_preactivations():
 def test_kink_margin_walks_every_inception_branch():
     model = build_mini_inception(2, derive_stream(3, "init"), input_shape=(3, 12, 12))
     x = np.random.default_rng(3).uniform(0, 1, size=(2, 3, 12, 12))
-    convs = conv_layers(model)
+    convs = model.convs
     for conv in convs:
         conv.kernel.value[...] = 0.0
         conv.bias.value[...] = 1.0  # every ReLU input is exactly 1

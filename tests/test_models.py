@@ -9,7 +9,7 @@ from randomout.config import ModelCfg, TrainConfig
 from randomout.data import Dataset
 from randomout.experiments import build_for
 from randomout.layers import BatchNorm2d, Branches, Conv2d, Dense
-from randomout.model import LayerSpec, build_model, conv_layers, filter_groups
+from randomout.model import LayerSpec, build_model, filter_groups
 from randomout.models import build_cratercnn, build_mini_inception
 from randomout.rng import derive_stream
 
@@ -36,7 +36,7 @@ def test_cratercnn_width_scales_groups():
     for width in (1, 3, 8):
         model = build_cratercnn(width, init_rng())
         assert len(filter_groups(model)) == 2 * width
-        assert [conv.out_channels for conv in conv_layers(model)] == [width, width]
+        assert [conv.out_channels for conv in model.convs] == [width, width]
 
 
 def test_filter_groups_cover_conv_params_disjointly():
@@ -49,7 +49,7 @@ def test_filter_groups_cover_conv_params_disjointly():
             assert conv.kernel.value[k].shape == (conv.in_channels, conv.kernel_size, conv.kernel_size)
         # every element of every conv kernel and bias lies in exactly one filter's slab or bias
         covered = sum(conv.kernel.value[k].size + 1 for conv, k in filter_groups(model))
-        conv_elems = sum(conv.kernel.value.size + conv.bias.value.size for conv in conv_layers(model))
+        conv_elems = sum(conv.kernel.value.size + conv.bias.value.size for conv in model.convs)
         assert covered == conv_elems
 
 
@@ -58,7 +58,7 @@ def test_groups_ordered_by_layer_then_filter():
     order = [(conv.layer_id, k) for conv, k in filter_groups(model)]
     assert order == sorted(order)
     assert len({layer_id for layer_id, _ in order}) == 5  # stem + two blocks of two branches
-    ids = [conv.layer_id for conv in conv_layers(model)]
+    ids = [conv.layer_id for conv in model.convs]
     assert ids == sorted(ids)
 
 
@@ -165,6 +165,8 @@ def test_conv2d_input_validation():
         model.forward(np.zeros((2, 5, 5)))
     with pytest.raises(ValueError, match="larger than input"):
         build_model([LayerSpec("conv2d", out_channels=3, kernel_size=6)] + head, (2, 5, 5), init_rng())
+    with pytest.raises(ValueError, match=r"^layer 0 \(avgpool\): window 6 larger than input 5x4$"):
+        build_model([LayerSpec("avgpool", window=6)] + head, (2, 5, 4), init_rng())
     # the bias is built from out_channels, so it cannot mismatch the kernel
     assert model.layers[0].bias.value.shape == (3,)
 
@@ -183,18 +185,6 @@ def test_build_model_rejects_a_spatial_layer_after_flatten(spec):
     head = [LayerSpec("dense", units=2), LayerSpec("softmax_ce", units=2)]
     with pytest.raises(ValueError, match=rf"^layer 1 \({spec.kind}\): needs \[C,H,W\] input, got \(50,\)$"):
         build_model([LayerSpec("flatten"), spec] + head, (2, 5, 5), init_rng())
-
-
-@pytest.mark.parametrize("nested,lid", [(False, 2), (True, 1)], ids=["top-level", "in-branch"])
-def test_build_model_rejects_a_conv_stride_other_than_1(nested, lid):
-    # every conv is stride 1; a pool keeps its stride
-    head = [LayerSpec("avgpool"), LayerSpec("flatten"), LayerSpec("dense", units=2), LayerSpec("softmax_ce", units=2)]
-    strided = LayerSpec("conv2d", out_channels=3, kernel_size=3, stride=2)
-    pool = LayerSpec("avgpool", window=2, stride=2)
-    body = [LayerSpec("concat", branches=[[strided], [pool]])] if nested else [pool, LayerSpec("relu"), strided]
-    with pytest.raises(ValueError, match=rf"^layer {lid} \(conv2d\): stride must be 1, got 2$"):
-        build_model(body + head, (2, 9, 9), init_rng())
-    assert build_model([pool] + head, (2, 9, 9), init_rng()).layers[0].stride == 2
 
 
 @pytest.mark.parametrize("input_shape", [(1, 12, 16), (1, 16, 12)])

@@ -17,6 +17,7 @@ from randomout.layers import (
     ParamNode,
     ReLU,
     SoftmaxCrossEntropy,
+    backward_sequence,
 )
 from randomout.models import build_cratercnn
 from randomout.rng import derive_stream
@@ -386,59 +387,56 @@ def test_model_first_conv_gradients_without_input_gradient():
     for layer, c in zip(reversed(model.layers[1:]), reversed(caches[1:])):
         d = layer.backward(d, c)
     model.zero_grads()
-    assert model.backward_from(dlogits, caches) is None
+    assert backward_sequence(model.layers, dlogits, caches) is None
     dkernel, dbias, _ = loop_conv_grads(x, first.kernel.value, d)
     np.testing.assert_allclose(first.kernel.grad, dkernel, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(first.bias.grad, dbias, rtol=1e-10, atol=1e-12)
 
 
-def loop_avgpool(x, window, stride):
+def loop_avgpool(x, window):
     """Forward values and backward map of average pooling, one window at a time."""
     n, c, h, w = x.shape
     wh, ww = (h, w) if window is None else (window, window)
-    ho, wo = (h - wh) // stride + 1, (w - ww) // stride + 1
+    ho, wo = h - wh + 1, w - ww + 1
     out = np.zeros((n, c, ho, wo))
     for oi in range(ho):
         for oj in range(wo):
-            out[:, :, oi, oj] = x[:, :, oi * stride : oi * stride + wh, oj * stride : oj * stride + ww].mean(axis=(2, 3))
+            out[:, :, oi, oj] = x[:, :, oi : oi + wh, oj : oj + ww].mean(axis=(2, 3))
 
     def backward(dout):
         dx = np.zeros_like(x)
         for oi in range(ho):
             for oj in range(wo):
-                dx[:, :, oi * stride : oi * stride + wh, oj * stride : oj * stride + ww] += (
-                    dout[:, :, oi, oj, None, None] / (wh * ww)
-                )
+                dx[:, :, oi : oi + wh, oj : oj + ww] += dout[:, :, oi, oj, None, None] / (wh * ww)
         return dx
 
     return out, backward
 
 
-# window 2 / stride 2 on 7x7 leaves the last row and column out of every window
-POOL_CASES = [
-    (3, 1, (2, 3, 7, 7)),
-    (2, 2, (2, 3, 7, 7)),
-    (None, 1, (2, 3, 7, 5)),
-    (1, 1, (2, 3, 7, 7)),
-    (2, 1, (2, 3, 7, 7)),
-]
+def pool_cases(cases):
+    """Params from (index, window, input shape), with ids ``<window>-1-shape<index>`` (1 being the stride) so a case keeps its name."""
+    return [pytest.param(window, shape, id=f"{window}-1-shape{i}") for i, window, shape in cases]
 
 
-@pytest.mark.parametrize("window,stride,shape", POOL_CASES)
-def test_avgpool_matches_loop_oracle(window, stride, shape):
-    pool = AvgPool2d(0, window, stride)
+POOL_CASES = [(0, 3, (2, 3, 7, 7)), (2, None, (2, 3, 7, 5)), (3, 1, (2, 3, 7, 7)), (4, 2, (2, 3, 7, 7))]
+INCEPTION_POOL_INPUTS = [(5, 3, (16, 4, 30, 30)), (6, 3, (16, 4, 28, 28))]  # mini_inception width 4, batch 16
+
+
+@pytest.mark.parametrize("window,shape", pool_cases(POOL_CASES))
+def test_avgpool_matches_loop_oracle(window, shape):
+    pool = AvgPool2d(0, window)
     x = np.random.default_rng(8).normal(size=shape)
     y, cache = pool.forward(x, "train")
-    expected, oracle_backward = loop_avgpool(x, window, stride)
+    expected, oracle_backward = loop_avgpool(x, window)
     np.testing.assert_allclose(y, expected, rtol=1e-12, atol=1e-15)
     dout = np.random.default_rng(9).normal(size=y.shape)
     np.testing.assert_allclose(pool.backward(dout, cache), oracle_backward(dout), rtol=1e-12, atol=1e-15)
 
 
-@pytest.mark.parametrize("window,stride,shape", POOL_CASES)
-def test_avgpool_backward_is_forward_adjoint(window, stride, shape):
+@pytest.mark.parametrize("window,shape", pool_cases(POOL_CASES))
+def test_avgpool_backward_is_forward_adjoint(window, shape):
     # <pool(x), g> == <x, pool_backward(g)>
-    pool = AvgPool2d(0, window, stride)
+    pool = AvgPool2d(0, window)
     rng = np.random.default_rng(10)
     x = rng.normal(size=shape)
     y, cache = pool.forward(x, "train")
@@ -447,35 +445,28 @@ def test_avgpool_backward_is_forward_adjoint(window, stride, shape):
 
 
 @pytest.mark.parametrize(
-    "window,stride,shape",
-    [
-        (1, 1, (2, 3, 7, 7)),  # no margin and no shift
-        (2, 1, (2, 3, 7, 7)),
-        (3, 1, (2, 3, 7, 7)),
-        (5, 1, (2, 3, 9, 8)),
-        (2, 2, (2, 3, 7, 7)),
-        (3, 1, (16, 4, 30, 30)),  # the two pool inputs of mini_inception width 4 at batch 16
-        (3, 1, (16, 4, 28, 28)),
-    ],
+    "window,shape",
+    pool_cases(
+        # window 1 has no margin and no shift
+        [(0, 1, (2, 3, 7, 7)), (1, 2, (2, 3, 7, 7)), (2, 3, (2, 3, 7, 7)), (3, 5, (2, 3, 9, 8))]
+        + INCEPTION_POOL_INPUTS
+    ),
 )
-def test_avgpool_backward_is_bitwise_the_scatter(window, stride, shape):
-    pool = AvgPool2d(0, window, stride)
+def test_avgpool_backward_is_bitwise_the_scatter(window, shape):
+    pool = AvgPool2d(0, window)
     rng = np.random.default_rng(12)
     _, cache = pool.forward(rng.normal(size=shape), "train")
-    ho, wo = (shape[2] - window) // stride + 1, (shape[3] - window) // stride + 1
+    ho, wo = shape[2] - window + 1, shape[3] - window + 1
     # a ReLU's backward leaves -0.0 where a negative gradient meets a dead unit; one plane is all -0.0
     dout = rng.normal(size=(*shape[:2], ho, wo)) * (rng.normal(size=(*shape[:2], ho, wo)) > 0)
     dout[0, 0] = -0.0
     dx = pool.backward(dout, cache)
-    assert dx.shape == shape and dx.tobytes() == avgpool_scatter(dout, shape, window, stride).tobytes()
+    assert dx.shape == shape and dx.tobytes() == avgpool_scatter(dout, shape, window).tobytes()
 
 
-@pytest.mark.parametrize(
-    "window,stride,shape",
-    POOL_CASES + [(3, 1, (16, 4, 30, 30)), (3, 1, (16, 4, 28, 28))],  # + mini_inception width 4's pool inputs
-)
-def test_avgpool_forward_is_bitwise_the_strided_sums(window, stride, shape):
-    pool = AvgPool2d(0, window, stride)
+@pytest.mark.parametrize("window,shape", pool_cases(POOL_CASES + INCEPTION_POOL_INPUTS))
+def test_avgpool_forward_is_bitwise_the_strided_sums(window, shape):
+    pool = AvgPool2d(0, window)
     x = np.random.default_rng(15).normal(size=shape)
     x[0, 0, :2, :5] = [[-0.0, np.nan, np.inf, -np.inf, 5e-324], [-0.0, -5e-324, 5e-324, -0.0, 1.0]]
     x[1, -1] = -0.0

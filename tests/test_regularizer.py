@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from randomout.config import RandomOutCfg
-from randomout.model import conv_layers
 from randomout.models import build_cratercnn
 from randomout.optim import Adam, make_optimizer
 from randomout.regularizer import ResetEvent, cgn, dead_masks, scan_and_reset
@@ -17,7 +16,7 @@ def small_model(seed=0, width=3):
 
 def scan(model, opt, cfg, progress, rng, epoch=0, batch=0):
     """One reset scan on freshly computed scores."""
-    scores = [cgn(conv) for conv in conv_layers(model)]
+    scores = [cgn(conv) for conv in model.convs]
     return scan_and_reset(model, opt, cfg, progress, rng, scores, epoch, batch)
 
 
@@ -44,7 +43,7 @@ def snapshot(model, opt=None):
 
 def test_cgn_is_sum_of_absolute_gradients():
     model = small_model()
-    conv = conv_layers(model)[0]
+    conv = model.convs[0]
     model.zero_grads()
     conv.kernel.grad[0].reshape(-1)[:4] = [0.1, -0.2, 0.3, -0.4]
     conv.kernel.grad[1] = -1.0
@@ -60,14 +59,14 @@ def test_cgn_is_sum_of_absolute_gradients():
 def test_cgn_zero_when_grads_zero():
     model = small_model()
     model.zero_grads()
-    assert all(np.all(cgn(conv) == 0.0) for conv in conv_layers(model))
+    assert all(np.all(cgn(conv) == 0.0) for conv in model.convs)
 
 
 def test_dead_filter_has_exactly_zero_cgn():
     # push one first-layer filter's bias very negative: ReLU output is all
     # zero for inputs in [0, 1], so its gradient is identically zero
     model = small_model(seed=3)
-    first, second = conv_layers(model)
+    first, second = model.convs
     first.bias.value[0] = -50.0
     x, y = batch()
     loss = forward_backward(model, x, y)
@@ -118,7 +117,7 @@ def test_score_equal_to_tau_does_not_reset():
     model = small_model()
     opt = make_optimizer("sgd", model, lr=0.1)
     model.zero_grads()
-    convs = conv_layers(model)
+    convs = model.convs
     for conv in convs:
         conv.kernel.grad[...] = 1.0  # well above tau
     target = convs[0]
@@ -145,7 +144,7 @@ def test_reset_touches_only_targeted_filter():
     forward_backward(model, x, y)
     opt.step()  # populate Adam moments
     model.zero_grads()
-    convs = conv_layers(model)
+    convs = model.convs
     for conv in convs:
         conv.kernel.grad[...] = 1.0  # everyone comfortably above tau
     target, k = convs[0], 2
@@ -186,7 +185,7 @@ def test_reset_redraw_within_xavier_bound():
     model = small_model(seed=5)
     opt = make_optimizer("sgd", model, lr=0.1)
     model.zero_grads()
-    first, second = conv_layers(model)
+    first, second = model.convs
     first.kernel.grad[1:] = 1.0
     second.kernel.grad[...] = 1.0
     events = scan(model, opt, RandomOutCfg(tau=1e-8, p_active=1.0), 0.0, derive_stream(5, "randomout"))
@@ -229,9 +228,9 @@ def test_reset_of_dead_filter_disrupts_less_than_reset_of_live_filter():
 
         def loss_after_reset(pick_dead):
             model = small_model(seed=200 + t)
-            conv_layers(model)[0].bias.value[0] = -50.0  # kill filter 0
+            model.convs[0].bias.value[0] = -50.0  # kill filter 0
             base_loss = forward_backward(model, x, y)
-            scores = np.concatenate([cgn(conv) for conv in conv_layers(model)])
+            scores = np.concatenate([cgn(conv) for conv in model.convs])
             conv, k = filter_groups(model)[0 if pick_dead else int(np.argmax(scores))]
             assert (scores[0] == 0.0) if pick_dead else (scores.max() > 0.0)
             rng = derive_stream(300 + t, "randomout")

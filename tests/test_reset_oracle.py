@@ -6,7 +6,6 @@ import pytest
 
 import reset_oracle
 from randomout.config import RandomOutCfg
-from randomout.model import conv_layers
 from randomout.models import build_cratercnn, build_mini_inception
 from randomout.optim import make_optimizer
 from randomout.regularizer import cgn, scan_and_reset
@@ -16,7 +15,7 @@ ROUNDS = 4
 
 
 def engine_scan(model, opt, cfg, rng, batch):
-    scores = [cgn(conv) for conv in conv_layers(model)]
+    scores = [cgn(conv) for conv in model.convs]
     return scan_and_reset(model, opt, cfg, 0.0, rng, scores, 1, batch)
 
 
@@ -35,7 +34,7 @@ def set_grads(model, rng, tau):
     zeros, noise at one of three scales, and one filter scoring exactly tau."""
     for p in model.params:
         p.grad[...] = rng.normal(size=p.grad.shape)
-    for conv in conv_layers(model):
+    for conv in model.convs:
         scale = rng.choice([0.0, 1e-3, 1e-2, 1.0], size=conv.out_channels)
         conv.kernel.grad *= scale[:, None, None, None]
         conv.bias.grad *= scale
@@ -83,5 +82,5 @@ def test_oracle_filter_groups_follow_conv_layers():
     model = build("mini_inception")
     groups = reset_oracle.filter_groups(model)
     assert [(g.layer_id, g.filter_index) for g in groups] == [
-        (conv.layer_id, k) for conv in conv_layers(model) for k in range(conv.out_channels)
+        (conv.layer_id, k) for conv in model.convs for k in range(conv.out_channels)
     ]

@@ -57,16 +57,6 @@ def test_conv2d_single_pixel_identity():
     assert out[0, 0, 0, 0] == 2.0 * 5.0 + 3.0 * 7.0 + 1.0
 
 
-def test_conv_output_size_law():
-    assert tensor.conv_output_size(15, 4, 1) == 12
-    assert tensor.conv_output_size(12, 4, 1) == 9
-    assert tensor.conv_output_size(7, 3, 2) == 3
-    with pytest.raises(ValueError, match="exceeds input size"):
-        tensor.conv_output_size(3, 4, 1)
-    with pytest.raises(ValueError, match="stride"):
-        tensor.conv_output_size(5, 3, 0)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     h=st.integers(3, 12),
@@ -155,6 +145,7 @@ def test_col2im_is_im2col_adjoint():
     for stride in (1, 2):
         x = rng.normal(size=(2, 3, 7, 6))
         cols_shape = tensor.im2col(x, 3, 2, stride).shape
+        assert cols_shape == (2, ((7 - 3) // stride + 1) * ((6 - 2) // stride + 1), 3 * 3 * 2)
         c = rng.normal(size=cols_shape)
         lhs = float(np.sum(tensor.im2col(x, 3, 2, stride) * c))
         rhs = float(np.sum(x * tensor.col2im(c, x.shape, 3, 2, stride)))

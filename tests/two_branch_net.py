@@ -5,7 +5,7 @@ from itertools import count
 import numpy as np
 
 from randomout import tensor
-from randomout.layers import Dense, ReLU
+from randomout.layers import Dense, ReLU, backward_sequence
 from randomout.model import Model
 
 
@@ -34,7 +34,7 @@ def two_branch_relu_net(weights):
     def evaluate(x0, x1):
         y, (_, caches) = net.forward([[x0, x1]], "train")
         net.zero_grads()
-        net.backward_from(np.ones((1, 1), dtype=tensor.DTYPE), caches)
+        backward_sequence(net.layers, np.ones((1, 1), dtype=tensor.DTYPE), caches)
         grads = np.array(
             [
                 d1.weight.grad[0, 0], d1.weight.grad[1, 0], d1.bias.grad[0],
