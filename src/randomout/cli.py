@@ -17,7 +17,8 @@ import numpy as np
 
 from .config import ModelCfg, RandomOutCfg, TrainConfig, read_config_json
 from .data import synth_craters, write_cifar10_binary, write_idx_images, write_idx_labels
-from .experiments import check_base_vs_randomout, grid_search, run_training, seed_sweep, sweep_tally, width_sweep
+from .experiments import check_base_vs_randomout, check_distinct, grid_search, run_training, seed_sweep, sweep_tally
+from .experiments import width_sweep
 from .rng import derive_stream
 
 DEFAULT_TAUS = "1e-14,1e-12,1e-10,1e-8,1e-6,1e-4"
@@ -123,6 +124,7 @@ def _parse_floats(text, parser, flag):
         parser.error(f"{flag} expects comma-separated numbers, got {text!r}")
     if not values:
         parser.error(f"{flag} expects at least one number, got {text!r}")
+    _check_each([values], lambda listed: check_distinct("values", listed), parser, flag)
     return values
 
 

@@ -171,9 +171,9 @@ class _Snapshot:
     ``done`` is that batch's index and ``pending`` its loss, train accuracy
     and CGN vectors (fresh arrays, which no later batch writes). The
     model's flat values and grads and the optimizer's ``flat_state`` are
-    copied whole, and restoring copies them back in place, so the
-    optimizer's per-param state views stay views of its flat moments and
-    the parts of one split can all restore the same snapshot.
+    copied whole, and restoring copies them back in place, so every
+    param's views stay views of the live buffers and the parts of one
+    split can all restore the same snapshot.
     """
 
     values: np.ndarray
@@ -520,12 +520,10 @@ def seed_sweep(base_cfg, seeds, conditions=("base", "randomout"), out_dir="runs"
     and ``runs`` (every run's summary).
     """
 
-    seeds = list(seeds)
-    conditions = list(conditions)
+    seeds = check_distinct("seeds", seeds)
+    conditions = check_distinct("conditions", conditions)
     if len(seeds) < 2:
         raise ValueError(f"need at least 2 seeds, got {len(seeds)}")
-    if len(set(conditions)) != len(conditions):
-        raise ValueError("duplicate conditions")
     n = len(seeds)
     cfgs = [base_cfg.replace(seed=s, condition=c) for c in conditions for s in seeds]
     runs = [r.summary for r in _run_many(cfgs, out_dir, jobs)]
@@ -549,6 +547,15 @@ def seed_sweep(base_cfg, seeds, conditions=("base", "randomout"), out_dir="runs"
     return _write_sweep(out_dir, "sweep_results.csv", rows, "sweep_summary.json", result)
 
 
+def check_distinct(name, values):
+    """``values`` as a list; ValueError naming the first one that repeats, which a sweep would run twice."""
+    values = list(values)
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"duplicate {name}: {value!r}")
+    return values
+
+
 def check_base_vs_randomout(cfg):
     """Raise ValueError for a batchnorm cfg, which grid and width sweeps would replace by base and randomout."""
     if cfg.condition == "batchnorm":
@@ -564,9 +571,9 @@ def grid_search(base_cfg, taus, ps, seeds, out_dir="runs", jobs=1):
     """
 
     check_base_vs_randomout(base_cfg)
-    taus = list(taus)
-    ps = list(ps)
-    seeds = list(seeds)
+    taus = check_distinct("taus", taus)
+    ps = check_distinct("p_active values", ps)
+    seeds = check_distinct("seeds", seeds)
     if not taus or not ps or not seeds:
         raise ValueError("a grid needs at least one tau, one p_active and one seed")
     n = len(seeds)
@@ -621,8 +628,8 @@ def width_sweep(base_cfg, widths, seeds, out_dir="runs", jobs=1):
     base condition matches the filter-reset condition's accuracy at k."""
 
     check_base_vs_randomout(base_cfg)
-    widths = list(widths)
-    seeds = list(seeds)
+    widths = check_distinct("widths", widths)
+    seeds = check_distinct("seeds", seeds)
     if not widths or not seeds:
         raise ValueError("a width sweep needs at least one width and one seed")
     n = len(seeds)

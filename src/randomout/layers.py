@@ -38,49 +38,49 @@ PATCH_BLOCK_BYTES = 1 << 20
 TAP_SPAN_MIN = 256
 
 
-@dataclass
+@dataclass(eq=False)  # a node is itself, not its arrays' contents
 class ParamNode:
     """A trainable array paired with its gradient accumulator.
 
-    Once ``pack``ed (every built Model packs its params), ``value`` and
-    ``grad`` are views into flat buffers: write them in place, never rebind.
+    ``pack`` (every built Model packs its params) sets ``offset``, the
+    node's one identity: where its slice of the model's flat buffers
+    starts. ``view`` reads that slice of any buffer laid out like the
+    model's; ``value`` and ``grad`` become its views of the model's own,
+    written in place, never rebound.
     """
 
-    id: int
     value: np.ndarray
     grad: np.ndarray
+    offset: int | None = None
 
     def __post_init__(self):
         if self.grad.shape != self.value.shape:
             raise ValueError(f"grad shape {self.grad.shape} != value shape {self.value.shape}")
 
     @classmethod
-    def create(cls, pid, value):
+    def create(cls, value):
         value = np.array(value, dtype=tensor.DTYPE)  # owned, so that ``pack`` may move it
-        return cls(pid, value, np.zeros_like(value))
+        return cls(value, np.zeros_like(value))
 
-
-def param_views(flat, params):
-    """Each param's slice of ``flat``, in the param's shape: the layout ``pack`` gives a model's buffers."""
-    views, start = [], 0
-    for p in params:
-        end = start + p.value.size
-        views.append(flat[start:end].reshape(p.value.shape))
-        start = end
-    return views
+    def view(self, flat):
+        """This param's slice of ``flat``, a buffer laid out like its model's, in the param's shape."""
+        return flat[self.offset : self.offset + self.value.size].reshape(self.value.shape)
 
 
 def pack(params):
     """Two flat float64 buffers holding every param's value and every grad, in order.
 
-    Each node's ``value`` and ``grad`` are copied in and become views of
-    their ``param_views`` slices, with the same shapes, so a pass over a
-    buffer updates every param at once. ``Model`` packs its params once,
-    when it is built.
+    Each node gets its ``offset``, back to back in ``params`` order, and its
+    ``value`` and ``grad`` are copied in and become its ``view``s of the
+    buffers, so a pass over a buffer updates every param at once.
+    ``Model`` packs its params once, when it is built.
     """
     size = sum(p.value.size for p in params)
     values, grads = np.empty(size, dtype=tensor.DTYPE), np.empty(size, dtype=tensor.DTYPE)
-    for p, value, grad in zip(params, param_views(values, params), param_views(grads, params)):
+    offset = 0
+    for p in params:
+        p.offset, offset = offset, offset + p.value.size
+        value, grad = p.view(values), p.view(grads)
         value[...], grad[...] = p.value, p.grad
         p.value, p.grad = value, grad
     return values, grads
@@ -140,7 +140,7 @@ class Conv2d(Layer):
 
     kind = "conv2d"
 
-    def __init__(self, layer_id, in_channels, out_channels, kernel_size, rng, alloc):
+    def __init__(self, layer_id, in_channels, out_channels, kernel_size, rng):
         super().__init__(layer_id)
         self.in_channels = in_channels
         self.out_channels = out_channels
@@ -149,8 +149,8 @@ class Conv2d(Layer):
         self.fan_out = out_channels * kernel_size * kernel_size
         self.input_grad = True
         shape = (out_channels, in_channels, kernel_size, kernel_size)
-        self.kernel = ParamNode.create(alloc(), xavier_init(shape, self.fan_in, self.fan_out, rng))
-        self.bias = ParamNode.create(alloc(), np.zeros(out_channels))
+        self.kernel = ParamNode.create(xavier_init(shape, self.fan_in, self.fan_out, rng))
+        self.bias = ParamNode.create(np.zeros(out_channels))
         self.params = (self.kernel, self.bias)
 
     def _block_step(self, n, plane):
@@ -248,12 +248,12 @@ class Dense(Layer):
 
     kind = "dense"
 
-    def __init__(self, layer_id, in_features, units, rng, alloc):
+    def __init__(self, layer_id, in_features, units, rng):
         super().__init__(layer_id)
         self.in_features = in_features
         self.units = units
-        self.weight = ParamNode.create(alloc(), xavier_init((in_features, units), in_features, units, rng))
-        self.bias = ParamNode.create(alloc(), np.zeros(units))
+        self.weight = ParamNode.create(xavier_init((in_features, units), in_features, units, rng))
+        self.bias = ParamNode.create(np.zeros(units))
         self.params = (self.weight, self.bias)
 
     def forward(self, x, mode):
@@ -366,11 +366,11 @@ class BatchNorm2d(Layer):
 
     kind = "batchnorm"
 
-    def __init__(self, layer_id, channels, alloc):
+    def __init__(self, layer_id, channels):
         super().__init__(layer_id)
         self.channels = channels
-        self.gamma = ParamNode.create(alloc(), np.ones(channels))
-        self.beta = ParamNode.create(alloc(), np.zeros(channels))
+        self.gamma = ParamNode.create(np.ones(channels))
+        self.beta = ParamNode.create(np.zeros(channels))
         self.params = (self.gamma, self.beta)
         self.running_mean = np.zeros(channels, dtype=tensor.DTYPE)
         self.running_var = np.ones(channels, dtype=tensor.DTYPE)

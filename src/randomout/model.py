@@ -11,13 +11,14 @@ walks its layer tree once, branches included, into ``params`` and
 ``convs``. Layer ids are numbered in that walk's order, so ``convs`` is
 in layer_id order; the filter scores, the reset scan and the filter count
 all read it. Then ``layers.pack`` moves every ParamNode's value and grad
-into two flat buffers, ``Model.values`` and ``Model.grads``, in
-``params`` order, and leaves each node with views of its
-``layers.param_views`` slices in its own shape. Layers update those
-views in place, and nothing rebinds a node's ``value`` or ``grad`` after
-that, so a pass over a buffer (zeroing the grads, an optimizer step, a
-snapshot's copy) covers the whole model at once. Optimizers are built on
-the model and step its buffers.
+into two flat buffers, ``Model.values`` and ``Model.grads``, back to back
+in ``params`` order. A param is its ``offset`` in them: its value and
+grad are its ``view``s of the two buffers, in its own shape. Layers
+update those views in place, and nothing rebinds a node's ``value`` or
+``grad`` after that, so a pass over a buffer (zeroing the grads, an
+optimizer step, a snapshot's copy) covers the whole model at once.
+Optimizers are built on the model, step its buffers, and read a param's
+slice of their own buffers through the same ``view``.
 """
 
 import itertools
@@ -117,7 +118,7 @@ def _leaves(layers):
             yield layer
 
 
-def _build_sequence(specs, in_shape, rng, next_layer_id, next_param_id):
+def _build_sequence(specs, in_shape, rng, next_layer_id):
     """Construct layers for a spec list, validating shape compatibility."""
     layers = []
     shape = in_shape
@@ -130,12 +131,12 @@ def _build_sequence(specs, in_shape, rng, next_layer_id, next_param_id):
             ks = spec.kernel_size
             if ks > h or ks > w:
                 raise ValueError(f"layer {lid} (conv2d): kernel {ks} larger than input {h}x{w}")
-            layers.append(Conv2d(lid, c, spec.out_channels, ks, rng, next_param_id))
+            layers.append(Conv2d(lid, c, spec.out_channels, ks, rng))
             shape = (spec.out_channels, h - ks + 1, w - ks + 1)
         elif spec.kind == "relu":
             layers.append(ReLU(lid))
         elif spec.kind == "batchnorm":
-            layers.append(BatchNorm2d(lid, shape[0], next_param_id))
+            layers.append(BatchNorm2d(lid, shape[0]))
         elif spec.kind == "avgpool":
             c, h, w = shape
             window = spec.window
@@ -152,12 +153,12 @@ def _build_sequence(specs, in_shape, rng, next_layer_id, next_param_id):
         elif spec.kind == "dense":
             if len(shape) != 1:
                 raise ValueError(f"layer {lid} (dense): needs flat input, got {shape}; add a flatten layer")
-            layers.append(Dense(lid, shape[0], spec.units, rng, next_param_id))
+            layers.append(Dense(lid, shape[0], spec.units, rng))
             shape = (spec.units,)
         elif spec.kind == "concat":
             branch_layers, out_shapes = [], []
             for seq in spec.branches:
-                sub, sub_shape = _build_sequence(seq, shape, rng, next_layer_id, next_param_id)
+                sub, sub_shape = _build_sequence(seq, shape, rng, next_layer_id)
                 branch_layers.append(sub)
                 out_shapes.append(sub_shape)
             spatial = {s[1:] for s in out_shapes}
@@ -176,8 +177,7 @@ def build_model(specs, input_shape, rng):
         raise ValueError("model specs must end with a softmax_ce head")
     if specs[-1].units is None or specs[-1].units < 2:
         raise ValueError("softmax_ce head needs units = number of classes >= 2")
-    layer_ids, param_ids = itertools.count().__next__, itertools.count().__next__
-    layers, shape = _build_sequence(specs[:-1], tuple(input_shape), rng, layer_ids, param_ids)
+    layers, shape = _build_sequence(specs[:-1], tuple(input_shape), rng, itertools.count().__next__)
     num_classes = specs[-1].units
     if shape != (num_classes,):
         raise ValueError(f"final layer output {shape} does not match softmax_ce over {num_classes} classes")

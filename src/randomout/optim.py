@@ -6,13 +6,12 @@ passes. Each pass does, element by element, the float operations of the
 per-parameter update, on the same operands in the same order, so a flat
 step moves no result bit.
 
-Adam keeps its moments in two flat buffers, ``m`` and ``v``, and its
-temporaries in two scratch buffers reused by every step. ``state`` is a
-dict keyed by param id (empty for SGD) whose ``m``/``v`` entries are
-the flat moments' ``layers.param_views``, laid out like the model's
-buffers, and whose ``t`` is the one shared step count. ``flat_state``
-lists the arrays behind ``state``, which a training snapshot copies and
-restores in place. Both optimizers expose
+An optimizer holds only flat buffers. Adam keeps its moments in ``m``
+and ``v``, laid out like the model's buffers, its one step count in the
+0-d ``t``, and its temporaries in two scratch buffers reused by every
+step; a param's moments are ``param.view(m)`` and ``param.view(v)``.
+``flat_state`` lists the state buffers (empty for SGD), which a training
+snapshot copies and restores in place. Both optimizers expose
 ``reset_state_slice(param, index_slice)`` so a filter reset can zero the
 moments of exactly the reinitialized weights.
 ``index_slice`` is any numpy index into the parameter's leading axis: a
@@ -25,8 +24,6 @@ open item 3 fixes it, which moves result bits.
 
 import numpy as np
 
-from .layers import param_views
-
 
 class SGD:
     """value <- value - lr * grad for every element."""
@@ -34,9 +31,7 @@ class SGD:
     def __init__(self, model, lr):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        self.params, self.values, self.grads = model.params, model.values, model.grads
-        self.lr = lr
-        self.state = {}
+        self.values, self.grads, self.lr = model.values, model.grads, lr
         self.flat_state = ()
         self._update = np.empty_like(self.values)
 
@@ -54,17 +49,12 @@ class Adam:
     def __init__(self, model, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        self.params, self.values, self.grads = model.params, model.values, model.grads
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.values, self.grads, self.lr = model.values, model.grads, lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m, self.v = np.zeros_like(self.values), np.zeros_like(self.values)
-        self.t = np.zeros((), dtype=np.int64)  # 0-d, so every state[...]["t"] sees it count
+        self.t = np.zeros((), dtype=np.int64)  # 0-d, so a snapshot restores it in place
         self.flat_state = (self.m, self.v, self.t)
         self._num, self._den = np.empty_like(self.values), np.empty_like(self.values)
-        moments = zip(self.params, param_views(self.m, self.params), param_views(self.v, self.params))
-        self.state = {p.id: {"m": m, "v": v, "t": self.t} for p, m, v in moments}
 
     def step(self):
         self.t += 1
@@ -89,9 +79,8 @@ class Adam:
 
     def reset_state_slice(self, param, index_slice):
         """Zero m and v on the slice; t and all other elements are untouched."""
-        s = self.state[param.id]
-        s["m"][index_slice] = 0.0
-        s["v"][index_slice] = 0.0
+        param.view(self.m)[index_slice] = 0.0
+        param.view(self.v)[index_slice] = 0.0
 
 
 def make_optimizer(kind, model, lr):

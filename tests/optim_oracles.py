@@ -2,27 +2,30 @@
 
 - ``sgd_step`` and ``adam_step``: the update rules run one parameter at a
   time, each through its own node's ``value``/``grad`` and its own
-  ``state`` entry, with fresh temporaries;
+  ``view`` of Adam's moments, with fresh temporaries;
 - ``zero_grads``: one fill per parameter.
 
-They are written as methods, so a test can swap them into ``SGD``,
-``Adam`` and ``Model`` and train a whole run the reference way.
+``make_optimizer`` builds the engine's optimizer and swaps its ``step``
+for the reference one over the model's params, and ``zero_grads`` is a
+method, so a test can swap them into ``experiments`` and ``Model`` and
+train a whole run the reference way.
 """
 
 import numpy as np
 
+from randomout import optim
 
-def sgd_step(opt):
-    for p in opt.params:
+
+def sgd_step(opt, params):
+    for p in params:
         p.value -= opt.lr * p.grad
 
 
-def adam_step(opt):
-    opt.t += 1  # the one step count every state entry shares
-    for p in opt.params:
-        s = opt.state[p.id]
-        t = int(s["t"])
-        m, v = s["m"], s["v"]
+def adam_step(opt, params):
+    opt.t += 1  # the one step count every param shares
+    t = int(opt.t)
+    for p in params:
+        m, v = p.view(opt.m), p.view(opt.v)
         m *= opt.beta1
         m += (1 - opt.beta1) * p.grad
         v *= opt.beta2
@@ -30,6 +33,13 @@ def adam_step(opt):
         m_hat = m / (1 - opt.beta1**t)
         v_hat = v / (1 - opt.beta2**t)
         p.value -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+
+
+def make_optimizer(kind, model, lr):
+    opt = optim.make_optimizer(kind, model, lr)
+    step = sgd_step if kind == "sgd" else adam_step
+    opt.step = lambda: step(opt, model.params)
+    return opt
 
 
 def zero_grads(model):

@@ -128,9 +128,7 @@ def test_criterion_03_threshold_count_and_targeted_reset():
     n_below = int((np.concatenate(layer_scores) < 1e-8).sum())
     scores = {(conv.layer_id, k): float(s[k]) for conv, s in zip(convs, layer_scores) for k in range(len(s))}
 
-    before_vals = {p.id: p.value.copy() for p in model.params}
-    before_m = {pid: s["m"].copy() for pid, s in opt.state.items()}
-    before_v = {pid: s["v"].copy() for pid, s in opt.state.items()}
+    before_vals, before_m, before_v = model.values.copy(), opt.m.copy(), opt.v.copy()
     events = scan_and_reset(
         model, opt, RandomOutCfg(tau=1e-8, p_active=1.0), 0.0, derive_stream(0, "randomout"), layer_scores
     )
@@ -143,19 +141,17 @@ def test_criterion_03_threshold_count_and_targeted_reset():
     for conv, ks in filter_groups(model):
         key = (conv.layer_id, ks)
         kp = conv.kernel
-        same_val = np.array_equal(kp.value[ks], before_vals[kp.id][ks])
-        same_m = np.array_equal(opt.state[kp.id]["m"][ks], before_m[kp.id][ks])
-        same_v = np.array_equal(opt.state[kp.id]["v"][ks], before_v[kp.id][ks])
+        same_val = np.array_equal(kp.value[ks], kp.view(before_vals)[ks])
+        same_m = np.array_equal(kp.view(opt.m)[ks], kp.view(before_m)[ks])
+        same_v = np.array_equal(kp.view(opt.v)[ks], kp.view(before_v)[ks])
         if key in expected_ids:
-            moments_zeroed = np.all(opt.state[kp.id]["m"][ks] == 0.0) and np.all(
-                opt.state[kp.id]["v"][ks] == 0.0
-            )
+            moments_zeroed = np.all(kp.view(opt.m)[ks] == 0.0) and np.all(kp.view(opt.v)[ks] == 0.0)
             untouched = untouched and not same_val and moments_zeroed
         else:
             untouched = untouched and same_val and same_m and same_v
     for p in model.layers[-1].params:  # the dense head
-        untouched = untouched and np.array_equal(p.value, before_vals[p.id])
-        untouched = untouched and np.array_equal(opt.state[p.id]["m"], before_m[p.id])
+        untouched = untouched and np.array_equal(p.value, p.view(before_vals))
+        untouched = untouched and np.array_equal(p.view(opt.m), p.view(before_m))
 
     live_min = min(s for k, s in scores.items() if k not in expected_ids)
     _report(

@@ -15,10 +15,10 @@ from randomout import experiments
 from randomout.config import RandomOutCfg, TrainConfig
 from randomout.data import write_cifar10_binary
 from randomout.experiments import _Snapshot, build_for, load_dataset_pair, run_training
-from randomout.layers import ParamNode, param_views
+from randomout.layers import ParamNode
 from randomout.model import Model
 from randomout.models import build_cratercnn, build_mini_inception
-from randomout.optim import SGD, Adam, make_optimizer
+from randomout.optim import Adam, make_optimizer
 from randomout.regularizer import cgn, scan_and_reset
 from randomout.rng import derive_stream
 
@@ -52,12 +52,14 @@ def test_every_node_is_a_view_of_the_model_buffers(build):
     model = build()
     assert model.values.ndim == model.grads.ndim == 1
     assert model.values.size == sum(p.value.size for p in model.params) == model.grads.size
-    start = 0
+    # the offsets lie back to back in params order, from 0 to the end of the buffers
+    assert model.params[0].offset == 0
+    for p, q in zip(model.params, model.params[1:]):
+        assert q.offset == p.offset + p.value.size
+    assert model.params[-1].offset + model.params[-1].value.size == model.values.size
     for p in model.params:
-        end = start + p.value.size
         assert p.value.base is model.values and p.grad.base is model.grads
-        assert np.shares_memory(p.value, model.values[start:end]) and np.shares_memory(p.grad, model.grads[start:end])
-        start = end
+        assert np.shares_memory(p.value, p.view(model.values)) and np.shares_memory(p.grad, p.view(model.grads))
     model.values[:] = 1.5
     model.grads[:] = 2.5
     assert all(np.all(p.value == 1.5) and np.all(p.grad == 2.5) for p in model.params)
@@ -75,10 +77,11 @@ def test_optimizer_on_a_models_params_copies_nothing(kind):
 
 
 def test_pack_copies_loose_params_into_the_model_buffers():
-    a = ParamNode.create(0, np.arange(6.0).reshape(2, 3))
-    b = ParamNode.create(1, [7.0, 8.0])
+    a = ParamNode.create(np.arange(6.0).reshape(2, 3))
+    b = ParamNode.create([7.0, 8.0])
     a.grad[:] = 1.0
     model = model_of(a, b)
+    assert (a.offset, b.offset) == (0, 6)
     np.testing.assert_array_equal(model.values, [0, 1, 2, 3, 4, 5, 7, 8])
     np.testing.assert_array_equal(model.grads, [1, 1, 1, 1, 1, 1, 0, 0])
     assert a.value.shape == (2, 3) and a.value.base is model.values and b.grad.base is model.grads
@@ -89,12 +92,12 @@ def test_adam_moment_views_follow_the_model_layout():
     opt = Adam(model, lr=0.01)
     opt.m[:] = model.values
     opt.v[:] = model.grads + 1.0
-    assert len(opt.state) == len(model.params)
+    assert opt.flat_state[0] is opt.m and opt.flat_state[1] is opt.v and opt.flat_state[2] is opt.t
     for p in model.params:
-        s = opt.state[p.id]
-        assert s["m"].shape == s["v"].shape == p.value.shape and s["t"] is opt.t
-        assert s["m"].base is opt.m and s["v"].base is opt.v
-        assert s["m"].tobytes() == p.value.tobytes() and s["v"].tobytes() == (p.grad + 1.0).tobytes()
+        m, v = p.view(opt.m), p.view(opt.v)
+        assert m.shape == v.shape == p.value.shape
+        assert m.base is opt.m and v.base is opt.v
+        assert m.tobytes() == p.value.tobytes() and v.tobytes() == (p.grad + 1.0).tobytes()
 
 
 def test_reset_state_slice_zeroes_only_the_masked_filters_of_a_packed_kernel():
@@ -105,12 +108,11 @@ def test_reset_state_slice_zeroes_only_the_masked_filters_of_a_packed_kernel():
     opt.step()
     assert opt.m.all() and opt.v.all()
     expected_m, expected_v = opt.m.copy(), opt.v.copy()
-    kernel = model.params.index(conv.kernel)
     for expected in (expected_m, expected_v):
-        param_views(expected, model.params)[kernel][[0, 2]] = 0.0
+        conv.kernel.view(expected)[[0, 2]] = 0.0
     dead = np.isin(np.arange(conv.out_channels), [0, 2])
     opt.reset_state_slice(conv.kernel, dead)
-    assert opt.state[conv.kernel.id]["m"].ndim == 4
+    assert conv.kernel.view(opt.m).ndim == 4
     np.testing.assert_array_equal(opt.m, expected_m)
     np.testing.assert_array_equal(opt.v, expected_v)
 
@@ -133,7 +135,7 @@ def test_reset_after_a_snapshot_restore_zeroes_the_flat_moments():
     fresh_rng = derive_stream(cfg.seed, "randomout")
     snap.restore(fresh, fresh_opt, fresh_rng)
     np.testing.assert_array_equal(fresh_opt.m, opt.m)
-    assert int(fresh_opt.state[fresh.params[0].id]["t"]) == 2
+    assert int(fresh_opt.t) == 2
     conv = fresh.convs[0]
     conv.bias.value[:2] = -50.0  # kill two filters
     _, cache = fresh.forward(train.images[16:24])
@@ -141,11 +143,10 @@ def test_reset_after_a_snapshot_restore_zeroes_the_flat_moments():
     scores = [cgn(c) for c in fresh.convs]
     events = scan_and_reset(fresh, fresh_opt, RandomOutCfg(tau=1e-8), 0.0, fresh_rng, scores)
     assert {(e.layer_id, e.filter_index) for e in events} >= {(conv.layer_id, 0), (conv.layer_id, 1)}
-    m, v = fresh_opt.state[conv.kernel.id]["m"], fresh_opt.state[conv.kernel.id]["v"]
+    m, v = conv.kernel.view(fresh_opt.m), conv.kernel.view(fresh_opt.v)
     assert m.base is fresh_opt.m and v.base is fresh_opt.v
     assert not m[:2].any() and not v[:2].any() and m[2:].all()
-    kernel = fresh.params.index(conv.kernel)
-    assert param_views(snap.optimizer_state[0], fresh.params)[kernel][:2].all()  # the snapshot kept its own copy
+    assert conv.kernel.view(snap.optimizer_state[0])[:2].all()  # the snapshot kept its own copy
 
 
 def run_bytes(result):
@@ -176,8 +177,7 @@ def test_runs_are_bitwise_the_per_parameter_optimizers(tmp_path, monkeypatch):
     assert log[1]["how"] == "forked" and 0 < log[1]["first_batch"] < engine[1].summary["batches_completed"]
     assert all(r.summary["total_resets"] > 0 for r in engine)
 
-    monkeypatch.setattr(SGD, "step", optim_oracles.sgd_step)
-    monkeypatch.setattr(Adam, "step", optim_oracles.adam_step)
+    monkeypatch.setattr(experiments, "make_optimizer", optim_oracles.make_optimizer)
     monkeypatch.setattr(Model, "zero_grads", optim_oracles.zero_grads)
     reference = [run_training(cfg, tmp_path / "reference") for cfg in cfgs]  # each alone: nothing forks
     for a, b in zip(engine, reference):

@@ -210,10 +210,12 @@ def test_flag_over_a_non_object_config_value_exits_1(tmp_path, capsys, config, f
         (["grid", "--seeds", f"{2**64 - 1}..{2**64 + 1}"], f"--seeds: seed must be < 2**64, got {2**64}"),
         (["width-sweep", "--seeds", f"{2**64}..{2**64 + 2}"], f"--seeds: seed must be < 2**64, got {2**64}"),
         (["sweep-seeds", "--seeds=-1..1"], "--seeds: seed must be >= 0, got -1"),
+        (["grid", "--seeds", "0..2", "--taus", "0.1,0.1"], "--taus: duplicate values: 0.1"),
+        (["grid", "--seeds", "0..2", "--ps", "0.5,1,1"], "--ps: duplicate values: 1.0"),
     ],
     ids=[
         "jobs-0", "one-seed", "empty-ps", "negative-tau", "width-0", "nan-tau",
-        "sweep-seed-2**64", "grid-seed-2**64", "width-seed-2**64", "negative-seed",
+        "sweep-seed-2**64", "grid-seed-2**64", "width-seed-2**64", "negative-seed", "repeated-tau", "repeated-p",
     ],
 )
 def test_bad_sweep_argument_exits_1_before_any_run(tmp_path, capsys, argv, message):

@@ -514,6 +514,26 @@ def test_grid_and_width_sweeps_reject_a_batchnorm_base_config_before_any_run(tmp
     assert seeds == [] and list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "sweep,inputs,message",
+    [
+        (seed_sweep, dict(seeds=[3, 3]), "duplicate seeds: 3"),
+        (grid_search, dict(taus=[0.1, 0.1], ps=[1.0], seeds=[0, 1]), "duplicate taus: 0.1"),
+        (grid_search, dict(taus=[0.1], ps=[0.5, 1, 1], seeds=[0, 1]), "duplicate p_active values: 1"),
+        (grid_search, dict(taus=[0.1], ps=[1.0], seeds=[0, 0]), "duplicate seeds: 0"),
+        (width_sweep, dict(widths=[2, 2], seeds=[0, 1]), "duplicate widths: 2"),
+        (width_sweep, dict(widths=[2], seeds=[1, 1]), "duplicate seeds: 1"),
+    ],
+    ids=["seed-seeds", "grid-taus", "grid-ps", "grid-seeds", "width-widths", "width-seeds"],
+)
+def test_sweeps_reject_a_repeated_input_before_any_run(tmp_path, monkeypatch, sweep, inputs, message):
+    # a repeated input would be run and reported twice: two grid rows, a paired gain per copy
+    seeds = count_dataset_loads(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        sweep(tiny_cfg(), out_dir=tmp_path, **inputs)
+    assert seeds == [] and list(tmp_path.iterdir()) == []
+
+
 def eval_model(name, input_shape, num_classes):
     """cratercnn with batchnorm, trained a few steps so its running statistics
     have moved off their initial values; mini_inception as built."""

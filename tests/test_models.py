@@ -44,8 +44,8 @@ def test_filter_groups_cover_conv_params_disjointly():
         seen = set()
         for conv, k in filter_groups(model):
             for param in (conv.kernel, conv.bias):
-                assert (param.id, k) not in seen
-                seen.add((param.id, k))
+                assert (param.offset, k) not in seen
+                seen.add((param.offset, k))
             assert conv.kernel.value[k].shape == (conv.in_channels, conv.kernel_size, conv.kernel_size)
         # every element of every conv kernel and bias lies in exactly one filter's slab or bias
         covered = sum(conv.kernel.value[k].size + 1 for conv, k in filter_groups(model))

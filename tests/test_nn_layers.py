@@ -23,16 +23,11 @@ from randomout.models import build_cratercnn
 from randomout.rng import derive_stream
 
 
-def make_alloc():
-    counter = iter(range(10_000))
-    return lambda: next(counter)
-
-
 def test_param_node_validation():
-    node = ParamNode.create(1, np.ones((2, 2)))
-    assert node.grad.shape == (2, 2) and not node.grad.any()
+    node = ParamNode.create(np.ones((2, 2)))
+    assert node.grad.shape == (2, 2) and not node.grad.any() and node.offset is None
     with pytest.raises(ValueError, match="grad shape"):
-        ParamNode(2, np.ones(3), np.zeros(4))
+        ParamNode(np.ones(3), np.zeros(4))
 
 
 def test_relu_forward_and_zero_convention():
@@ -90,7 +85,7 @@ def test_relu_dead_input_routes_exact_zero_gradient():
 
 def test_dense_forward_matches_manual_affine():
     rng = derive_stream(7, "init")
-    dense = Dense(0, 3, 2, rng, make_alloc())
+    dense = Dense(0, 3, 2, rng)
     x = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 0.0]])
     y, _ = dense.forward(x, "train")
     np.testing.assert_allclose(y, x @ dense.weight.value + dense.bias.value, rtol=1e-15)
@@ -98,7 +93,7 @@ def test_dense_forward_matches_manual_affine():
 
 def test_dense_backward_accumulates_gradients():
     rng = derive_stream(8, "init")
-    dense = Dense(0, 2, 2, rng, make_alloc())
+    dense = Dense(0, 2, 2, rng)
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
     _, cache = dense.forward(x, "train")
     dout = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -113,7 +108,7 @@ def test_dense_backward_accumulates_gradients():
 
 def test_conv2d_bias_gradient_is_spatial_sum():
     rng = derive_stream(9, "init")
-    conv = Conv2d(0, 1, 2, 2, rng, make_alloc())
+    conv = Conv2d(0, 1, 2, 2, rng)
     x = np.random.default_rng(0).normal(size=(3, 1, 4, 4))
     _, cache = conv.forward(x, "train")
     dout = np.random.default_rng(1).normal(size=(3, 2, 3, 3))
@@ -123,7 +118,7 @@ def test_conv2d_bias_gradient_is_spatial_sum():
 
 def test_conv2d_kernel_gradient_matches_loop_oracle():
     rng = derive_stream(10, "init")
-    conv = Conv2d(0, 2, 2, 2, rng, make_alloc())
+    conv = Conv2d(0, 2, 2, 2, rng)
     x = np.random.default_rng(2).normal(size=(2, 2, 4, 4))
     _, cache = conv.forward(x, "train")
     dout = np.random.default_rng(3).normal(size=(2, 2, 3, 3))
@@ -180,7 +175,7 @@ def loop_conv_grads(x, kernel, dout):
     ],
 )
 def test_conv2d_input_gradient_matches_loop_oracle(in_ch, out_ch, ks, hw, n):
-    conv = Conv2d(0, in_ch, out_ch, ks, derive_stream(11, "init"), make_alloc())
+    conv = Conv2d(0, in_ch, out_ch, ks, derive_stream(11, "init"))
     x = np.random.default_rng(4).normal(size=(n, in_ch, *hw))
     y, cache = conv.forward(x, "train")
     dout = np.random.default_rng(5).normal(size=y.shape)
@@ -199,7 +194,7 @@ def test_conv2d_stride_1_backward_never_scatters(monkeypatch, ks):
 
     monkeypatch.setattr(layers.tensor, "im2col", forbidden)
     monkeypatch.setattr(layers.tensor, "col2im", forbidden)
-    conv = Conv2d(0, 3, 4, ks, derive_stream(13, "init"), make_alloc())
+    conv = Conv2d(0, 3, 4, ks, derive_stream(13, "init"))
     # one block of 2 images, then 5 images in blocks of one
     for n, budget in ((2, layers.PATCH_BLOCK_BYTES), (5, 1)):
         monkeypatch.setattr(layers, "PATCH_BLOCK_BYTES", budget)
@@ -222,7 +217,7 @@ def test_conv2d_per_tap_kernel_gradient_matches_the_patch_route(in_ch, out_ch, h
     # The kernel gradient's GEMMs change shape, and OpenBLAS picks its kernel
     # by shape and CPU: bits held on some kernels (SkylakeX, Haswell) and not
     # on others (Nehalem), so it is checked to a tolerance.
-    conv = Conv2d(0, in_ch, out_ch, 3, derive_stream(16, "init"), make_alloc())
+    conv = Conv2d(0, in_ch, out_ch, 3, derive_stream(16, "init"))
     conv.input_grad = input_grad
     rng = np.random.default_rng(13)
     x = rng.normal(size=(16, in_ch, hw, hw))
@@ -244,7 +239,7 @@ def test_conv2d_per_tap_kernel_gradient_matches_the_patch_route(in_ch, out_ch, h
     ids=["inception-stem", "inception-block2", "crater-conv1", "crater-conv2", "one-channel-span-697"],
 )
 def test_conv2d_per_tap_backward_copies_no_patches_of_x(monkeypatch, in_ch, out_ch, ks, hw, copies_x):
-    conv = Conv2d(0, in_ch, out_ch, ks, derive_stream(17, "init"), make_alloc())
+    conv = Conv2d(0, in_ch, out_ch, ks, derive_stream(17, "init"))
     x = np.random.default_rng(14).normal(size=(16, in_ch, hw, hw))
     y, cache = conv.forward(x, "train")
     copied = []
@@ -277,7 +272,7 @@ FORWARD_SHAPES = {
 
 @pytest.mark.parametrize("in_ch,out_ch,ks,hw", FORWARD_SHAPES.values(), ids=FORWARD_SHAPES.keys())
 def test_conv2d_forward_is_bitwise_the_broadcast_bias_epilogue(in_ch, out_ch, ks, hw):
-    conv = Conv2d(0, in_ch, out_ch, ks, derive_stream(16, "init"), make_alloc())
+    conv = Conv2d(0, in_ch, out_ch, ks, derive_stream(16, "init"))
     conv.bias.value[:] = np.random.default_rng(3).normal(size=out_ch)
     x = np.random.default_rng(4).normal(size=(16, in_ch, *hw))
     y, cache = conv.forward(x, "train")
@@ -307,7 +302,7 @@ def conv_pass(conv, x, dout):
     ids=["3x3-nonsquare", "1x1", "crater-conv1"],
 )
 def test_conv2d_blocks_are_bitwise_one_block(monkeypatch, split, step, in_ch, out_ch, ks, hw):
-    conv = Conv2d(0, in_ch, out_ch, ks, derive_stream(15, "init"), make_alloc())
+    conv = Conv2d(0, in_ch, out_ch, ks, derive_stream(15, "init"))
     rng = np.random.default_rng(11)
     x = rng.normal(size=(16, in_ch, *hw))
     dout = rng.normal(size=(16, out_ch, hw[0] - ks + 1, hw[1] - ks + 1))
@@ -339,7 +334,7 @@ def test_conv2d_blocks_are_bitwise_one_block(monkeypatch, split, step, in_ch, ou
 )
 def test_conv2d_block_step_counts_input_gradient_rows_only_when_needed(in_ch, out_ch, ks, hw, blocks):
     # a first conv (input_grad False) never allocates the K-row input-gradient patches
-    conv = Conv2d(0, in_ch, out_ch, ks, derive_stream(15, "init"), make_alloc())
+    conv = Conv2d(0, in_ch, out_ch, ks, derive_stream(15, "init"))
     for input_grad, expected in zip((False, True), blocks):
         conv.input_grad = input_grad
         assert -(-16 // conv._block_step(16, hw * hw)) == expected
@@ -348,7 +343,7 @@ def test_conv2d_block_step_counts_input_gradient_rows_only_when_needed(in_ch, ou
 # the two 1x1 conv inputs of mini_inception width 4 at batch 16
 @pytest.mark.parametrize("shape", [(16, 4, 30, 30), (16, 8, 28, 28)], ids=["block1", "block2"])
 def test_conv2d_1x1_forward_is_bitwise_the_im2col_route(shape):
-    conv = Conv2d(0, shape[1], 4, 1, derive_stream(14, "init"), make_alloc())
+    conv = Conv2d(0, shape[1], 4, 1, derive_stream(14, "init"))
     x = np.random.default_rng(8).normal(size=shape)
     y, cache = conv.forward(x, "train")
     assert cache is x
@@ -360,7 +355,7 @@ def test_conv2d_1x1_forward_is_bitwise_the_im2col_route(shape):
 @pytest.mark.parametrize("shape", [(16, 4, 30, 30), (16, 8, 28, 28)], ids=["block1", "block2"])
 @pytest.mark.parametrize("split", [False, True], ids=["contiguous", "split-view"])
 def test_conv2d_1x1_backward_is_bitwise_the_zero_buffer_route(shape, split):
-    conv = Conv2d(0, shape[1], 4, 1, derive_stream(14, "init"), make_alloc())
+    conv = Conv2d(0, shape[1], 4, 1, derive_stream(14, "init"))
     rng = np.random.default_rng(9)
     x = rng.normal(size=shape)
     y, cache = conv.forward(x, "train")
@@ -485,7 +480,7 @@ def test_flatten_round_trip():
 
 
 def test_batchnorm_normalizes_with_biased_variance():
-    bn = BatchNorm2d(0, 2, make_alloc())
+    bn = BatchNorm2d(0, 2)
     x = np.random.default_rng(4).normal(loc=3.0, scale=2.0, size=(4, 2, 3, 3))
     y, _ = bn.forward(x, "train")
     # per channel: mean ~0, biased variance ~1 (up to the eps in the denominator)
@@ -497,7 +492,7 @@ def test_batchnorm_normalizes_with_biased_variance():
 
 
 def test_batchnorm_running_stats_update_and_eval():
-    bn = BatchNorm2d(0, 1, make_alloc())
+    bn = BatchNorm2d(0, 1)
     x = np.random.default_rng(5).normal(loc=1.0, size=(8, 1, 2, 2))
     bn.forward(x, "train")
     expected_mean = (1 - BN_MOMENTUM) * x.mean()
@@ -515,7 +510,7 @@ def test_batchnorm_running_stats_update_and_eval():
 
 
 def test_batchnorm_rejects_singleton_train_batch():
-    bn = BatchNorm2d(3, 2, make_alloc())
+    bn = BatchNorm2d(3, 2)
     with pytest.raises(ValueError, match="batchnorm layer 3"):
         bn.forward(np.zeros((1, 2, 2, 2)), "train")
 
@@ -533,7 +528,7 @@ def test_batchnorm_is_bitwise_the_two_pass_reference(shape):
     c = shape[1]
     rng = np.random.default_rng(31)
     gamma, beta = rng.normal(size=c), rng.normal(size=c)
-    engine, ref = BatchNorm2d(0, c, make_alloc()), BatchNorm2d(0, c, make_alloc())
+    engine, ref = BatchNorm2d(0, c), BatchNorm2d(0, c)
     for bn in (engine, ref):
         bn.gamma.value[...] = gamma
         bn.beta.value[...] = beta

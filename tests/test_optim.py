@@ -8,9 +8,9 @@ from randomout.layers import ParamNode
 from randomout.optim import SGD, Adam, make_optimizer
 
 
-def make_param(values, pid=0):
+def make_param(values):
     v = np.asarray(values, dtype=np.float64)
-    return ParamNode(id=pid, value=v.copy(), grad=np.zeros_like(v))
+    return ParamNode(v.copy(), np.zeros_like(v))
 
 
 def test_sgd_single_step_oracle():
@@ -71,16 +71,16 @@ def test_adam_reset_state_slice_zeroes_only_slice():
     opt = Adam(model_of(p), lr=0.01)
     p.grad[:] = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
     opt.step()
-    st = opt.state[p.id]
-    m_before = st["m"].copy()
-    v_before = st["v"].copy()
+    m, v = p.view(opt.m), p.view(opt.v)
+    m_before = m.copy()
+    v_before = v.copy()
     opt.reset_state_slice(p, slice(2, 4))
-    assert np.all(st["m"][2:4] == 0.0) and np.all(st["v"][2:4] == 0.0)
-    np.testing.assert_array_equal(st["m"][:2], m_before[:2])
-    np.testing.assert_array_equal(st["m"][4:], m_before[4:])
-    np.testing.assert_array_equal(st["v"][:2], v_before[:2])
-    np.testing.assert_array_equal(st["v"][4:], v_before[4:])
-    assert st["t"] == 1  # step counter survives the reset
+    assert np.all(m[2:4] == 0.0) and np.all(v[2:4] == 0.0)
+    np.testing.assert_array_equal(m[:2], m_before[:2])
+    np.testing.assert_array_equal(m[4:], m_before[4:])
+    np.testing.assert_array_equal(v[:2], v_before[:2])
+    np.testing.assert_array_equal(v[4:], v_before[4:])
+    assert opt.t == 1  # step counter survives the reset
 
 
 def test_adam_after_slice_reset_behaves_like_fresh_moments():

@@ -33,11 +33,11 @@ def forward_backward(model, x, y):
 
 
 def snapshot(model, opt=None):
-    state = {p.id: p.value.copy() for p in model.params}
-    if opt is not None and hasattr(opt, "state"):
-        for pid, s in opt.state.items():
-            state[("m", pid)] = s["m"].copy()
-            state[("v", pid)] = s["v"].copy()
+    state = {p.offset: p.value.copy() for p in model.params}
+    if isinstance(opt, Adam):
+        for p in model.params:
+            state[("m", p.offset)] = p.view(opt.m).copy()
+            state[("v", p.offset)] = p.view(opt.v).copy()
     return state
 
 
@@ -164,19 +164,18 @@ def test_reset_touches_only_targeted_filter():
     # targeted slab redrawn, bias zeroed, moments zeroed
     assert not np.array_equal(target.kernel.value[k], old_slab)
     assert target.bias.value[k] == 0.0
-    st = opt.state[target.kernel.id]
-    assert np.all(st["m"][k] == 0.0)
-    assert np.all(st["v"][k] == 0.0)
+    assert np.all(target.kernel.view(opt.m)[k] == 0.0)
+    assert np.all(target.kernel.view(opt.v)[k] == 0.0)
 
     # everything outside the targeted filter is bit-identical
     after = snapshot(model, opt)
     for conv in convs:
         keep = np.arange(conv.out_channels) != k if conv is target else slice(None)
-        for pid in (conv.kernel.id, conv.bias.id):
-            for key in (pid, ("m", pid), ("v", pid)):
+        for offset in (conv.kernel.offset, conv.bias.offset):
+            for key in (offset, ("m", offset), ("v", offset)):
                 np.testing.assert_array_equal(before[key][keep], after[key][keep])
     for p in model.layers[-1].params:  # the dense head
-        np.testing.assert_array_equal(before[p.id], after[p.id])
+        np.testing.assert_array_equal(before[p.offset], after[p.offset])
 
 
 def test_reset_redraw_within_xavier_bound():

@@ -55,7 +55,7 @@ def run(scan, name, kind, tau):
         grads.append([p.grad.tobytes() for p in model.params])
         opt.step()
     values = [p.value.tobytes() for p in model.params]
-    moments = [(s["m"].tobytes(), s["v"].tobytes()) for s in getattr(opt, "state", {}).values()]
+    moments = [a.tobytes() for a in opt.flat_state]  # Adam's m, v and t; SGD has none
     return events, grads, values, moments, rng.random()
 
 

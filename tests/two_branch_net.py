@@ -1,7 +1,5 @@
 """A two-unit ReLU net over (x0, x1) for gradient-routing tests."""
 
-from itertools import count
-
 import numpy as np
 
 from randomout import tensor
@@ -22,9 +20,8 @@ def two_branch_relu_net(weights):
     if w.shape != (9,):
         raise ValueError(f"expected 9 weights, got shape {w.shape}")
     rng = np.random.Generator(np.random.Philox(key=np.array([0, 0], dtype=np.uint64)))
-    alloc = count().__next__
-    d1 = Dense(0, 2, 2, rng, alloc)
-    d2 = Dense(2, 2, 1, rng, alloc)
+    d1 = Dense(0, 2, 2, rng)
+    d2 = Dense(2, 2, 1, rng)
     d1.weight.value[...] = [[w[0], w[3]], [w[1], w[4]]]
     d1.bias.value[...] = [w[2], w[5]]
     d2.weight.value[...] = [[w[6]], [w[7]]]
