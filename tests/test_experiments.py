@@ -104,8 +104,8 @@ def _no_version(text):
 
 
 @pytest.mark.parametrize(
-    "stale", [_older_version, _no_version, lambda text: text[: len(text) // 2]],
-    ids=["older-version", "missing-version", "truncated"],
+    "stale", [_older_version, _no_version, lambda text: text[: len(text) // 2], lambda text: "[]"],
+    ids=["older-version", "missing-version", "truncated", "not-an-object"],
 )
 def test_stale_run_directory_is_recomputed(tmp_path, stale):
     cfg = tiny_cfg(seed=4)
@@ -122,6 +122,31 @@ def test_stale_run_directory_is_recomputed(tmp_path, stale):
     for name in ("metrics.csv", "resets.csv", "config.json", "summary.json"):
         assert (tmp_path / "store" / h / name).read_bytes() == (tmp_path / "fresh" / h / name).read_bytes()
     assert sorted(p.name for p in (tmp_path / "store").iterdir()) == [h]  # no temp directory left
+
+
+def _bad_float(path):
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[1].split(",")
+    cells[2] = "not-a-float"  # train_loss
+    path.write_text(lines[0] + ",".join(cells) + "".join(lines[2:]))
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [Path.unlink, lambda path: path.write_text("epoch,batch\n"), _bad_float],
+    ids=["missing", "bad-header", "bad-float"],
+)
+def test_current_version_run_without_readable_metrics_is_recomputed(tmp_path, spoil):
+    cfg = tiny_cfg(seed=4)
+    h = cfg.config_hash()
+    fresh = run_training(cfg, tmp_path / "fresh")
+    run_training(cfg, tmp_path / "store")
+    spoil(tmp_path / "store" / h / "metrics.csv")  # summary.json stays whole and current
+    again = run_training(cfg, tmp_path / "store")
+    assert again.records == fresh.records
+    for name in ("metrics.csv", "resets.csv", "config.json", "summary.json"):
+        assert (tmp_path / "store" / h / name).read_bytes() == (tmp_path / "fresh" / h / name).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "store").iterdir()) == [h]
 
 
 def test_current_version_run_is_reused_as_stored(tmp_path):
