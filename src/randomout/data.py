@@ -37,9 +37,7 @@ class Dataset:
 
     images: np.ndarray
     labels: np.ndarray
-    name: str
     num_classes: int
-    split: str = "full"
 
     def __post_init__(self):
         self.images = np.asarray(self.images)
@@ -97,7 +95,7 @@ def read_idx(path):
     return np.frombuffer(data, dtype=np.uint8, offset=header).reshape(dims)
 
 
-def load_idx(images_path, labels_path, name="idx"):
+def load_idx(images_path, labels_path):
     """Load an IDX image/label file pair; pixels stay uint8 (see Dataset)."""
     images = read_idx(images_path)
     labels = read_idx(labels_path)
@@ -111,7 +109,7 @@ def load_idx(images_path, labels_path, name="idx"):
         )
     n, h, w = images.shape
     num_classes = int(labels.max()) + 1 if labels.size else 2
-    return Dataset(images.reshape(n, 1, h, w), labels, name, max(num_classes, 2))
+    return Dataset(images.reshape(n, 1, h, w), labels, max(num_classes, 2))
 
 
 def write_idx_images(path, images_u8):
@@ -130,7 +128,7 @@ def write_idx_labels(path, labels):
         f.write(labels.tobytes())
 
 
-def load_cifar10_binary(path, max_per_class=None, name="cifar10"):
+def load_cifar10_binary(path, max_per_class=None):
     """Load CIFAR-10 binary records (1 label byte + 3072 RGB-plane bytes).
 
     max_per_class caps each class for desk-scale subsets; records are
@@ -155,7 +153,7 @@ def load_cifar10_binary(path, max_per_class=None, name="cifar10"):
         records = records[keep]
         labels = labels[keep]
     images = records[:, 1:].reshape(-1, 3, 32, 32)
-    return Dataset(images, labels, name, 10)
+    return Dataset(images, labels, 10)
 
 
 def write_cifar10_binary(path, images_u8, labels):
@@ -264,7 +262,7 @@ def synth_craters(n_pos, n_neg, seed):
             t *= amp[rows, b]
             neg[rows] += t
     np.clip(images, 0.0, 1.0, out=images)
-    return Dataset(images, labels, f"synth(seed={seed})", 2)
+    return Dataset(images, labels, 2)
 
 
 def train_half(count):
@@ -298,10 +296,10 @@ def split_50_50(dataset, seed):
     if test_idx.size == 0:
         raise ValueError(f"the test half of {len(dataset)} examples is empty: no class has at least 2 examples")
 
-    def subset(idx, split):
-        return Dataset(dataset.images[idx], dataset.labels[idx], dataset.name, dataset.num_classes, split)
+    def subset(idx):
+        return Dataset(dataset.images[idx], dataset.labels[idx], dataset.num_classes)
 
-    return subset(train_idx, "train"), subset(test_idx, "test")
+    return subset(train_idx), subset(test_idx)
 
 
 @dataclass

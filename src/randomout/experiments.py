@@ -4,8 +4,8 @@ A run is a pure function of its TrainConfig: dataset synthesis/split,
 weight init, batch order, and filter resets each draw from separate
 seeded streams, so repeating a config reproduces every byte of output.
 Completed runs are recognized by config hash and not recomputed, which
-makes sweeps resumable. A run directory is written whole or not at all,
-and is reused only if the engine version that wrote it is the current one.
+makes sweeps resumable. ``store`` writes each run directory whole or not
+at all and decides when a stored run is reused (see its docstring).
 
 A sweep computes each distinct trajectory once. Its configs that differ
 only in condition (base or randomout) and RandomOut settings run as one
@@ -22,8 +22,6 @@ base trajectory with its randomout followers all run on it, back to back.
 import ctypes
 import json
 import math
-import os
-import shutil
 import time
 from dataclasses import dataclass
 from itertools import product
@@ -31,17 +29,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import TrainConfig
+from . import store
 from .data import BatchPlan, check_last_batch, load_cifar10_binary, load_idx, split_50_50, synth_craters
-from .metrics import MetricsRecord, read_metrics, read_summary, write_csv, write_metrics, write_summary
 from .models import build_cratercnn, build_mini_inception
 from .optim import make_optimizer
 from .regularizer import cgn, dead_masks, scan_and_reset
 from .rng import derive_stream
+from .store import MetricsRecord, RunResult, write_csv, write_metrics, write_summary
 
-# Recorded in every summary.json; a run directory is reused only when it
-# matches. Bump it in every change that moves any result bit.
-ENGINE_VERSION = 3
 # Added to the first conv layer's bias by dead_first_layer; large enough to
 # keep every pre-activation negative for any Xavier draw at widths 1..10.
 DEAD_BIAS_OFFSET = -10.0
@@ -51,9 +46,8 @@ FAIL_MARGIN = 0.05
 # in cache, and a whole number of the dense head's BLAS row tiles, so chunks
 # give the same logits bit for bit as one large batch.
 EVAL_CHUNK = 16
-# CSV columns: the ResetEvent fields, the summary.json keys of a seed sweep's
-# runs, and the keys of a width sweep's rows.
-RESETS_COLUMNS = ("epoch", "batch", "layer_id", "filter_index", "cgn_before")
+# CSV columns: the summary.json keys of a seed sweep's runs, and the keys of
+# a width sweep's rows.
 SWEEP_COLUMNS = ("condition", "seed", "config_hash", "final_test_acc", "diverged", "failed", "total_resets")
 WIDTH_COLUMNS = ("width", "base_mean", "base_std", "randomout_mean", "randomout_std", "randomout_wins")
 # Every sweep writes one JSON line per config here: how its run was obtained.
@@ -124,30 +118,11 @@ def evaluate(model, dataset):
     return correct / len(dataset)
 
 
-@dataclass
-class RunResult:
-    config: TrainConfig
-    run_dir: str
-    summary: dict
-    records: list
-
-
 def effective_acc(summary):
     """Final accuracy with divergent runs scored at chance."""
     if summary["diverged"] or summary["final_test_acc"] is None:
         return summary["chance"]
     return summary["final_test_acc"]
-
-
-def _completed_run(cfg, run_dir):
-    """The run stored in run_dir, or None unless it is whole and of ENGINE_VERSION."""
-    try:
-        summary = read_summary(run_dir / "summary.json")
-        if not isinstance(summary, dict) or summary.get("engine_version") != ENGINE_VERSION:
-            return None
-        return RunResult(cfg, str(run_dir), summary, read_metrics(run_dir / "metrics.csv"))
-    except (OSError, ValueError):
-        return None
 
 
 def _scans(cfg, done):
@@ -366,8 +341,8 @@ def run_training(cfg, out_dir, group=None):
     that follow it. Either way the call writes and returns exactly the
     bytes a run of cfg alone would.
 
-    The run's files are written into ``<hash>.tmp-<pid>/`` beside the run
-    directory, which then moves into place with one ``os.replace``. A
+    The stored run is read by ``store.load`` and written by
+    ``store.commit``, which moves it into place whole (see ``store``). A
     directory left by an older engine version or a partial write is
     replaced; one that another process completed meanwhile is returned
     instead.
@@ -376,7 +351,7 @@ def run_training(cfg, out_dir, group=None):
     run_dir = Path(out_dir) / cfg.config_hash()
     if group is None:
         group = _Group([cfg])
-    done_run = _completed_run(cfg, run_dir)
+    done_run = store.load(cfg, run_dir)
     if done_run is not None:
         group.skip(cfg)
         return done_run
@@ -400,26 +375,18 @@ def run_training(cfg, out_dir, group=None):
         "diverged": outcome.diverged,
         "failed": outcome.diverged or final_acc < chance + FAIL_MARGIN,
         "total_resets": len(outcome.events),
-        "engine_version": ENGINE_VERSION,
+        "engine_version": store.ENGINE_VERSION,
     }
-    tmp_dir = run_dir.with_name(f"{run_dir.name}.tmp-{os.getpid()}")
-    shutil.rmtree(tmp_dir, ignore_errors=True)  # left by a crashed process with this pid
-    tmp_dir.mkdir(parents=True)
-    write_metrics(tmp_dir / "metrics.csv", records)
-    write_csv(tmp_dir / "resets.csv", [RESETS_COLUMNS, *(vars(e).values() for e in outcome.events)])
-    with open(tmp_dir / "config.json", "w") as f:
-        f.write(cfg.canonical_json() + "\n")
-    write_summary(tmp_dir / "summary.json", summary)
-    if _completed_run(cfg, run_dir) is None:
-        shutil.rmtree(run_dir, ignore_errors=True)  # stale or partial
-    try:
-        os.replace(tmp_dir, run_dir)  # fails if run_dir is not empty
-    except OSError:
-        # another process has moved its complete run into place first
-        done_run = _completed_run(cfg, run_dir)
-        if done_run is None:
-            raise
-        shutil.rmtree(tmp_dir)
+
+    def write(tmp_dir):
+        write_metrics(tmp_dir / "metrics.csv", records)
+        write_csv(tmp_dir / "resets.csv", [store.RESETS_COLUMNS, *(vars(e).values() for e in outcome.events)])
+        with open(tmp_dir / "config.json", "w") as f:
+            f.write(cfg.canonical_json() + "\n")
+        write_summary(tmp_dir / "summary.json", summary)
+
+    done_run = store.commit(cfg, run_dir, write)
+    if done_run is not None:
         return done_run
     return RunResult(cfg, str(run_dir), summary, records)
 

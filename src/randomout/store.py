@@ -1,14 +1,34 @@
-"""Per-batch metrics records with a lossless CSV round-trip, and the one
-CSV writer every artifact goes through.
+"""The run store: what a stored run is, when it is reused, and how it is
+written; per-batch metrics records with a lossless CSV round-trip; and
+the one CSV writer every artifact goes through.
+
+A run lives in ``<out>/<config hash>/`` as ``metrics.csv``, ``resets.csv``,
+``config.json`` and ``summary.json``. ``load`` reuses such a directory only
+if its summary is a JSON object that records the current ``ENGINE_VERSION``
+and its ``metrics.csv`` parses. ``commit`` writes a run's files into
+``<hash>.tmp-<pid>/`` beside the run directory, which then moves into place
+with one ``os.replace``. So a directory is written whole or not at all, and
+a crash leaves at most a ``*.tmp-*`` directory, which is never read as a
+run. A directory left by an older engine version or a partial write is
+replaced; one that another process completed meanwhile is returned instead.
 
 Floats are written with repr() so parsing the file reproduces the exact
 binary values; identical runs therefore produce byte-identical files.
 """
 
 import json
+import os
+import shutil
 from dataclasses import dataclass
 
+from .config import TrainConfig
+
+# Recorded in every summary.json; a run directory is reused only when it
+# matches. Bump it in every change that moves any result bit.
+ENGINE_VERSION = 3
 METRICS_HEADER = "epoch,batch,train_loss,train_acc,test_acc,mean_cgn,below_thresh,resets,diverged"
+# resets.csv's columns: the ResetEvent fields.
+RESETS_COLUMNS = ("epoch", "batch", "layer_id", "filter_index", "cgn_before")
 
 
 @dataclass
@@ -90,3 +110,46 @@ def write_summary(path, summary):
 def read_summary(path):
     with open(path) as f:
         return json.load(f)
+
+
+@dataclass
+class RunResult:
+    config: TrainConfig
+    run_dir: str
+    summary: dict
+    records: list
+
+
+def load(cfg, run_dir):
+    """The run stored in run_dir, or None unless it is whole and of ENGINE_VERSION."""
+    try:
+        summary = read_summary(run_dir / "summary.json")
+        if not isinstance(summary, dict) or summary.get("engine_version") != ENGINE_VERSION:
+            return None
+        return RunResult(cfg, str(run_dir), summary, read_metrics(run_dir / "metrics.csv"))
+    except (OSError, ValueError):
+        return None
+
+
+def commit(cfg, run_dir, write):
+    """Move the run that ``write(tmp_dir)`` writes into run_dir whole.
+
+    Returns the run another process completed in run_dir first, or None
+    when this one moved into place.
+    """
+    tmp_dir = run_dir.with_name(f"{run_dir.name}.tmp-{os.getpid()}")
+    shutil.rmtree(tmp_dir, ignore_errors=True)  # left by a crashed process with this pid
+    tmp_dir.mkdir(parents=True)
+    write(tmp_dir)
+    if load(cfg, run_dir) is None:
+        shutil.rmtree(run_dir, ignore_errors=True)  # stale or partial
+    try:
+        os.replace(tmp_dir, run_dir)  # fails if run_dir is not empty
+    except OSError:
+        # another process has moved its complete run into place first
+        done_run = load(cfg, run_dir)
+        if done_run is None:
+            raise
+        shutil.rmtree(tmp_dir)
+        return done_run
+    return None

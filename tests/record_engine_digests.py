@@ -30,7 +30,8 @@ import numpy as np
 
 from randomout.config import TrainConfig
 from randomout.data import write_cifar10_binary
-from randomout.experiments import ENGINE_VERSION, SWEEP_LOG, grid_search, run_training
+from randomout.experiments import SWEEP_LOG, grid_search, run_training
+from randomout.store import ENGINE_VERSION
 
 TABLE = Path(__file__).parent / "data" / "engine_digests.json"
 RUN_FILES = ("metrics.csv", "resets.csv")

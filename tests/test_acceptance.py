@@ -23,11 +23,11 @@ from randomout.experiments import (
     seed_sweep,
     width_sweep,
 )
-from randomout.metrics import read_metrics, write_metrics
 from randomout.model import filter_groups
 from randomout.optim import Adam
 from randomout.regularizer import cgn, scan_and_reset
 from randomout.rng import derive_stream
+from randomout.store import read_metrics, write_metrics
 from two_branch_net import two_branch_relu_net
 
 GRID_TAUS = [1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4]

@@ -32,32 +32,32 @@ from synth_oracle import loop_synth_craters
 
 
 def test_dataset_validation():
-    good = Dataset(np.zeros((2, 1, 3, 3)), np.array([0, 1]), "t", 2)
+    good = Dataset(np.zeros((2, 1, 3, 3)), np.array([0, 1]), 2)
     assert len(good) == 2 and good.sample_shape == (1, 3, 3)
     with pytest.raises(ValueError, match="N,C,H,W"):
-        Dataset(np.zeros((2, 3, 3)), np.array([0, 1]), "t", 2)
+        Dataset(np.zeros((2, 3, 3)), np.array([0, 1]), 2)
     with pytest.raises(ValueError, match="labels shape"):
-        Dataset(np.zeros((2, 1, 3, 3)), np.array([0]), "t", 2)
+        Dataset(np.zeros((2, 1, 3, 3)), np.array([0]), 2)
     with pytest.raises(ValueError, match="non-finite"):
-        Dataset(np.full((1, 1, 2, 2), np.nan), np.array([0]), "t", 2)
+        Dataset(np.full((1, 1, 2, 2), np.nan), np.array([0]), 2)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        Dataset(np.full((1, 1, 2, 2), 1.5), np.array([0]), "t", 2)
+        Dataset(np.full((1, 1, 2, 2), 1.5), np.array([0]), 2)
     with pytest.raises(ValueError, match="labels out of range"):
-        Dataset(np.zeros((1, 1, 2, 2)), np.array([2]), "t", 2)
+        Dataset(np.zeros((1, 1, 2, 2)), np.array([2]), 2)
 
 
 def test_dataset_keeps_uint8_pixels_and_scales_each_batch():
     u8 = np.array([[[[0, 1], [128, 255]]], [[[7, 7], [7, 7]]]], dtype=np.uint8)
-    ds = Dataset(u8, np.array([0, 1]), "t", 2)
+    ds = Dataset(u8, np.array([0, 1]), 2)
     assert ds.images.dtype == np.uint8 and ds.sample_shape == (1, 2, 2)
     x = ds.batch([0])
     assert x.dtype == np.float64 and x.shape == (1, 1, 2, 2)
     assert x.ravel().tolist() == [0.0, 1 / 255.0, 128 / 255.0, 1.0]
     # any other dtype is stored as float64 and checked, and its batches are its own values
-    floats = Dataset(np.full((2, 1, 2, 2), 0.5, dtype=np.float32), np.array([0, 1]), "t", 2)
+    floats = Dataset(np.full((2, 1, 2, 2), 0.5, dtype=np.float32), np.array([0, 1]), 2)
     assert floats.images.dtype == np.float64 and floats.batch(slice(1, 2)).tolist() == [[[[0.5, 0.5], [0.5, 0.5]]]]
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        Dataset(np.full((1, 1, 2, 2), 3, dtype=np.int64), np.array([0]), "t", 2)
+        Dataset(np.full((1, 1, 2, 2), 3, dtype=np.int64), np.array([0]), 2)
 
 
 # --- IDX round trip and rejection ---
@@ -267,7 +267,7 @@ def test_file_batches_are_the_old_float64_pixels(tmp_path):
         sel = rng.permutation(30)[:16]
         assert ds.batch(sel).tobytes() == old[sel].tobytes()
         # the split of the uint8 pool scales to the split of the float64 pool
-        old_halves = split_50_50(Dataset(old, ds.labels, ds.name, ds.num_classes), seed=3)
+        old_halves = split_50_50(Dataset(old, ds.labels, ds.num_classes), seed=3)
         for half, old_half in zip(split_50_50(ds, seed=3), old_halves):
             assert half.images.dtype == np.uint8 and len(half) == len(old_half)
             assert half.batch(slice(None)).tobytes() == old_half.images.tobytes()
@@ -352,7 +352,6 @@ def test_split_is_disjoint_and_stratified():
     train, test = split_50_50(ds, seed=3)
     assert len(train) == 20 and len(test) == 20
     assert (train.labels == 1).sum() == 10 and (test.labels == 1).sum() == 10
-    assert train.split == "train" and test.split == "test"
     # disjointness: images are a partition of the pool
     pool = {img.tobytes() for img in ds.images}
     halves = [img.tobytes() for img in train.images] + [img.tobytes() for img in test.images]
@@ -377,15 +376,15 @@ def test_split_deterministic_in_seed():
 
 def test_split_rejects_an_empty_test_half():
     # one example per class: each goes to the train half
-    ds = Dataset(np.zeros((3, 1, 2, 2)), np.array([0, 1, 2]), "t", 3)
+    ds = Dataset(np.zeros((3, 1, 2, 2)), np.array([0, 1, 2]), 3)
     with pytest.raises(ValueError, match="test half of 3 examples is empty"):
         split_50_50(ds, seed=0)
-    train, test = split_50_50(Dataset(np.zeros((3, 1, 2, 2)), np.array([0, 1, 1]), "t", 2), seed=0)
+    train, test = split_50_50(Dataset(np.zeros((3, 1, 2, 2)), np.array([0, 1, 1]), 2), seed=0)
     assert len(train) == 2 and len(test) == 1
 
 
 def test_split_needs_two_examples():
-    ds = Dataset(np.zeros((1, 1, 2, 2)), np.array([0]), "t", 2)
+    ds = Dataset(np.zeros((1, 1, 2, 2)), np.array([0]), 2)
     with pytest.raises(ValueError, match="at least 2"):
         split_50_50(ds, seed=0)
 
@@ -400,7 +399,6 @@ def test_split_halves_partition_any_pool(n_pos, n_neg, seed):
     ds = Dataset(
         np.random.default_rng(seed % 1000).uniform(size=(n_pos + n_neg, 1, 2, 2)),
         np.concatenate([np.ones(n_pos, dtype=np.int64), np.zeros(n_neg, dtype=np.int64)]),
-        "t",
         2,
     )
     train, test = split_50_50(ds, seed)

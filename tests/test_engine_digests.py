@@ -9,7 +9,7 @@ are compared only on a machine whose numerics fingerprint is in the table.
 import pytest
 
 from record_engine_digests import load_table, numerics_fingerprint, run_digests
-from randomout.experiments import ENGINE_VERSION
+from randomout.store import ENGINE_VERSION
 
 TABLE = load_table()
 RERECORD = "re-record the table with `PYTHONPATH=src python tests/record_engine_digests.py`"

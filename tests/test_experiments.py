@@ -18,7 +18,6 @@ from randomout.cli import main
 from randomout.config import TrainConfig
 from randomout.data import Dataset, synth_craters, write_cifar10_binary, write_idx_images, write_idx_labels
 from randomout.experiments import (
-    ENGINE_VERSION,
     EVAL_CHUNK,
     build_for,
     chance_level,
@@ -31,10 +30,10 @@ from randomout.experiments import (
     width_sweep,
 )
 from randomout.layers import AvgPool2d, BatchNorm2d, Conv2d, ReLU, run_sequence
-from randomout.metrics import read_metrics
 from randomout.models import build_cratercnn, build_mini_inception
 from randomout.optim import SGD
 from randomout.rng import derive_stream
+from randomout.store import ENGINE_VERSION, read_metrics
 
 
 def tiny_cfg(**kw):
@@ -580,7 +579,7 @@ def eval_model(name, input_shape, num_classes):
 
 def eval_set(n, input_shape, num_classes, seed=2):
     rng = np.random.default_rng(seed)
-    return Dataset(rng.uniform(size=(n,) + input_shape), rng.integers(0, num_classes, size=n), "eval", num_classes)
+    return Dataset(rng.uniform(size=(n,) + input_shape), rng.integers(0, num_classes, size=n), num_classes)
 
 
 EVAL_MODELS = [("cratercnn", (1, 15, 15), 2), ("mini_inception", (3, 32, 32), 10)]
@@ -703,7 +702,7 @@ def float64_stored(load):
     def wrapped(*args):
         ds = load(*args)
         assert ds.images.dtype == np.uint8
-        return Dataset(ds.images / 255.0, ds.labels, ds.name, ds.num_classes)
+        return Dataset(ds.images / 255.0, ds.labels, ds.num_classes)
 
     return wrapped
 

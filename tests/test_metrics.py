@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from randomout.metrics import (
+from randomout.store import (
     METRICS_HEADER,
     MetricsRecord,
     read_metrics,

@@ -127,7 +127,7 @@ def test_model_spec_validation():
 
 def test_build_for_dispatch():
     def train_set(shape, num_classes):
-        return Dataset(np.zeros((num_classes,) + shape), np.arange(num_classes), "train", num_classes)
+        return Dataset(np.zeros((num_classes,) + shape), np.arange(num_classes), num_classes)
 
     crater = build_for(TrainConfig(model=ModelCfg("cratercnn", 2)), train_set((1, 15, 15), 2))
     assert crater.input_shape == (1, 15, 15) and crater.num_classes == 2
