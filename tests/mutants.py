@@ -180,6 +180,8 @@ def run_mutant(name, root):
         out = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-rfE", "--tb=no", "-p", "no:cacheprovider", *tests],
             cwd=root,
+            # bytecode is keyed by mtime in seconds and size, so a mutant of the
+            # same size, undone within the second, would leave stale bytecode
             env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
             capture_output=True,
             text=True,
