@@ -592,7 +592,8 @@ def grid_search(base_cfg, taus, ps, seeds, out_dir="runs", jobs=1):
 def width_sweep(base_cfg, widths, seeds, out_dir="runs", jobs=1):
     """Mean final accuracy per (width, condition) plus the effective-extra-
     filters statistic: for each width k, the smallest width k2 at which the
-    base condition matches the filter-reset condition's accuracy at k."""
+    base condition matches the filter-reset condition's accuracy at k.
+    ``widths`` must increase."""
 
     check_base_vs_randomout(base_cfg)
     widths = check_distinct("widths", widths)
@@ -606,6 +607,9 @@ def width_sweep(base_cfg, widths, seeds, out_dir="runs", jobs=1):
         for c in ("base", "randomout")
         for s in seeds
     ]
+    # after the cfgs, which reject a width below 1: the statistics below read widths in order
+    if widths != sorted(widths):
+        raise ValueError(f"widths must increase, got {widths}")
     accs = [effective_acc(r.summary) for r in _run_many(cfgs, out_dir, jobs)]
     rows = []
     for i, width in enumerate(widths):

@@ -244,7 +244,11 @@ class ReLU(Layer):
 
 
 class Dense(Layer):
-    """Affine map x[N,D] @ W[D,U] + b[U], Xavier-initialized."""
+    """Affine map x[N,D] @ W[D,U] + b[U], Xavier-initialized.
+
+    An input of any shape [N,...] is read row by row, flat: D is the product
+    of its trailing dims, and the input gradient comes back in x's shape.
+    """
 
     kind = "dense"
 
@@ -257,22 +261,12 @@ class Dense(Layer):
         self.params = (self.weight, self.bias)
 
     def forward(self, x, mode):
-        return x @ self.weight.value + self.bias.value, x
+        return x.reshape(len(x), -1) @ self.weight.value + self.bias.value, x
 
-    def backward(self, dout, cache):
-        self.weight.grad += cache.T @ dout
+    def backward(self, dout, x):
+        self.weight.grad += x.reshape(len(x), -1).T @ dout
         self.bias.grad += dout.sum(axis=0)
-        return dout @ self.weight.value.T
-
-
-class Flatten(Layer):
-    kind = "flatten"
-
-    def forward(self, x, mode):
-        return x.reshape(x.shape[0], -1), x.shape
-
-    def backward(self, dout, cache):
-        return dout.reshape(cache)
+        return (dout @ self.weight.value.T).reshape(x.shape)
 
 
 class AvgPool2d(Layer):

@@ -1,10 +1,11 @@
 """Model assembly: declarative layer specs, shape checking, one layer walk.
 
 A model is a static feed-forward stack of layers (with optional parallel
-branch stages that concatenate channel-wise) ending in a softmax
-cross-entropy head. Shapes are inferred and validated when the model is
-built; weights are drawn from a single init stream in declaration order,
-so a (seed, spec) pair always yields bit-identical parameters.
+branch stages that concatenate channel-wise) ending in a dense layer with
+one unit per class, under the softmax cross-entropy head every model has.
+Shapes are inferred and validated when the model is built; weights are
+drawn from a single init stream in declaration order, so a (seed, spec)
+pair always yields bit-identical parameters.
 
 A built model owns its structure and its parameter layout. ``Model``
 walks its layer tree once, branches included, into ``params`` and
@@ -28,20 +29,23 @@ from typing import Optional
 import numpy as np
 
 from . import tensor
-from .layers import AvgPool2d, BatchNorm2d, Branches, Conv2d, Dense, Flatten, ReLU, SoftmaxCrossEntropy
+from .layers import AvgPool2d, BatchNorm2d, Branches, Conv2d, Dense, ReLU, SoftmaxCrossEntropy
 from .layers import backward_sequence, pack, run_sequence
 
-LAYER_KINDS = ("conv2d", "relu", "dense", "softmax_ce", "batchnorm", "flatten", "avgpool", "concat")
+LAYER_KINDS = ("conv2d", "relu", "dense", "batchnorm", "avgpool", "concat")
 
 
 @dataclass
 class LayerSpec:
     """One layer declaration; dimension fields apply per kind.
 
-    conv2d: out_channels and kernel_size. dense: units. avgpool: window
-    (None means global). concat: branches, a list of LayerSpec sequences
-    run in parallel on the same input. Every conv and windowed pool is
-    valid and stride 1: a k x k window over H x W gives H-k+1 x W-k+1.
+    conv2d: out_channels and kernel_size. dense: units; it reads its input
+    flat, so it may follow a spatial layer, and nothing spatial may follow
+    it. avgpool: window (None means global). concat: branches, a list of
+    LayerSpec sequences run in parallel on the same input. Every conv and
+    windowed pool is valid and stride 1: a k x k window over H x W gives
+    H-k+1 x W-k+1. A model's specs end with a dense layer of one unit per
+    class.
     """
 
     kind: str
@@ -147,15 +151,10 @@ def _build_sequence(specs, in_shape, rng, next_layer_id):
             else:
                 shape = (c, h - window + 1, w - window + 1)
             layers.append(AvgPool2d(lid, window))
-        elif spec.kind == "flatten":
-            layers.append(Flatten(lid))
-            shape = (int(np.prod(shape)),)
         elif spec.kind == "dense":
-            if len(shape) != 1:
-                raise ValueError(f"layer {lid} (dense): needs flat input, got {shape}; add a flatten layer")
-            layers.append(Dense(lid, shape[0], spec.units, rng))
+            layers.append(Dense(lid, int(np.prod(shape)), spec.units, rng))
             shape = (spec.units,)
-        elif spec.kind == "concat":
+        else:  # concat
             branch_layers, out_shapes = [], []
             for seq in spec.branches:
                 sub, sub_shape = _build_sequence(seq, shape, rng, next_layer_id)
@@ -166,22 +165,15 @@ def _build_sequence(specs, in_shape, rng, next_layer_id):
                 raise ValueError(f"layer {lid} (concat): branch output shapes {out_shapes} do not align")
             layers.append(Branches(lid, branch_layers))
             shape = (sum(s[0] for s in out_shapes),) + out_shapes[0][1:]
-        else:
-            raise ValueError(f"layer {lid}: kind {spec.kind!r} not buildable here")
     return layers, shape
 
 
 def build_model(specs, input_shape, rng):
-    """Build a Model from LayerSpecs; the last spec must be softmax_ce."""
-    if not specs or specs[-1].kind != "softmax_ce":
-        raise ValueError("model specs must end with a softmax_ce head")
-    if specs[-1].units is None or specs[-1].units < 2:
-        raise ValueError("softmax_ce head needs units = number of classes >= 2")
-    layers, shape = _build_sequence(specs[:-1], tuple(input_shape), rng, itertools.count().__next__)
-    num_classes = specs[-1].units
-    if shape != (num_classes,):
-        raise ValueError(f"final layer output {shape} does not match softmax_ce over {num_classes} classes")
-    return Model(layers, input_shape, num_classes)
+    """Build a Model from LayerSpecs; the last spec must be a dense layer of one unit per class."""
+    if not specs or specs[-1].kind != "dense" or specs[-1].units is None or specs[-1].units < 2:
+        raise ValueError("model specs must end with a dense layer of >= 2 units, one per class")
+    layers, _ = _build_sequence(specs, tuple(input_shape), rng, itertools.count().__next__)
+    return Model(layers, input_shape, specs[-1].units)
 
 
 def filter_groups(model):

@@ -28,7 +28,7 @@ def cratercnn_specs(width, with_batchnorm=False, num_classes=2):
     return (
         _conv_block(width, 4, with_batchnorm)
         + _conv_block(width, 4, with_batchnorm)
-        + [LayerSpec("flatten"), LayerSpec("dense", units=num_classes), LayerSpec("softmax_ce", units=num_classes)]
+        + [LayerSpec("dense", units=num_classes)]
     )
 
 
@@ -53,12 +53,7 @@ def mini_inception_specs(base_width, with_batchnorm=False, num_classes=10):
         _conv_block(base_width, 3, with_batchnorm)
         + block()
         + block()
-        + [
-            LayerSpec("avgpool"),  # global
-            LayerSpec("flatten"),
-            LayerSpec("dense", units=num_classes),
-            LayerSpec("softmax_ce", units=num_classes),
-        ]
+        + [LayerSpec("avgpool"), LayerSpec("dense", units=num_classes)]  # a global pool, then the head
     )
 
 

@@ -68,33 +68,20 @@ def standard_suites(seed=20240001):
     """(name, model, input, labels) for each layer kind and both full models."""
     suites = []
 
-    def add(name, specs, input_shape, batch, classes, case_seed):
+    def add(name, specs, input_shape, batch, case_seed):
         rng = derive_stream(case_seed, "init")
         model = build_model(specs, input_shape, rng)
         data_rng = derive_stream(case_seed, "data_synth")
         x = data_rng.uniform(0.0, 1.0, size=(batch,) + tuple(input_shape))
-        y = _labels(data_rng, batch, classes)
+        y = _labels(data_rng, batch, model.num_classes)
         suites.append((name, model, x, y))
 
-    add(
-        "dense",
-        [LayerSpec("flatten"), LayerSpec("dense", units=3), LayerSpec("softmax_ce", units=3)],
-        (5,),
-        4,
-        3,
-        seed,
-    )
+    add("dense", [LayerSpec("dense", units=3)], (5,), 4, seed)
     add(
         "conv2d",
-        [
-            LayerSpec("conv2d", out_channels=3, kernel_size=3),
-            LayerSpec("flatten"),
-            LayerSpec("dense", units=2),
-            LayerSpec("softmax_ce", units=2),
-        ],
+        [LayerSpec("conv2d", out_channels=3, kernel_size=3), LayerSpec("dense", units=2)],
         (2, 7, 7),
         3,
-        2,
         seed + 1,
     )
     add(
@@ -104,13 +91,10 @@ def standard_suites(seed=20240001):
             LayerSpec("relu"),
             LayerSpec("conv2d", out_channels=2, kernel_size=3),
             LayerSpec("relu"),
-            LayerSpec("flatten"),
             LayerSpec("dense", units=2),
-            LayerSpec("softmax_ce", units=2),
         ],
         (1, 8, 8),
         4,
-        2,
         seed + 2,
     )
     add(
@@ -119,13 +103,10 @@ def standard_suites(seed=20240001):
             LayerSpec("conv2d", out_channels=3, kernel_size=3),
             LayerSpec("batchnorm"),
             LayerSpec("relu"),
-            LayerSpec("flatten"),
             LayerSpec("dense", units=2),
-            LayerSpec("softmax_ce", units=2),
         ],
         (2, 6, 6),
         4,
-        2,
         seed + 3,
     )
     add(
@@ -133,13 +114,10 @@ def standard_suites(seed=20240001):
         [
             LayerSpec("conv2d", out_channels=2, kernel_size=2),
             LayerSpec("avgpool", window=2),
-            LayerSpec("flatten"),
             LayerSpec("dense", units=2),
-            LayerSpec("softmax_ce", units=2),
         ],
         (1, 7, 7),
         3,
-        2,
         seed + 4,
     )
 

@@ -3,19 +3,23 @@
 Each entry of ``MUTANTS`` maps a mutant's name to ``(file, old text, new
 text, tests)``. ``file`` is relative to the repository root, and ``old
 text`` occurs in it exactly once (``tests/test_mutants.py`` checks that).
-``tests`` are pytest node ids, each of which must fail once ``old text`` is
-replaced by ``new text``. A node id names a test file, a test or one
-parametrized case; a file or a test fails when any test or case in it does.
+``tests`` are pytest node ids, each of which must fail, or skip, once
+``old text`` is replaced by ``new text``. A node id names a test file, a
+test or one parametrized case; a file or a test fails when any test or
+case in it does. ``tests/test_mutants.py`` also checks, without running
+them, that each node id's file exists and defines its test.
 
     python tests/mutants.py [NAME ...]
 
 copies ``src/``, ``tests/`` and ``pyproject.toml`` into a temporary
 directory, applies one mutant at a time there, runs only that mutant's
-tests, and prints one line per mutant. It exits 1 if any mutant survives,
-that is if any of its tests passed. A survivor means a test is missing:
-add the test, do not drop the mutant. A change that removes or rewrites
-the code a mutant names rewrites the mutant. The runner is not part of the
-test suite.
+tests, and prints one line per mutant. A mutant is killed when one of its
+tests fails and none passes; a test that skips (the golden digests do, on
+other numerics) shows neither. The runner exits 1 if any mutant survives,
+that is if any of its tests passed or none failed. A survivor means a test
+is missing: add the test, do not drop the mutant. A change that removes or
+rewrites the code a mutant names rewrites the mutant. The runner is not
+part of the test suite.
 """
 
 import os
@@ -36,6 +40,7 @@ MUTANTS = {
         "eps=1e-8)",
         "eps=1.0000001e-8)",
         [
+            "tests/test_optim.py::test_adam_eps_is_1e8",
             DIGESTS + "[crater-adam-randomout]",
             DIGESTS + "[crater-grid-forked]",
             DIGESTS + "[inception-adam-randomout]",
@@ -122,7 +127,27 @@ MUTANTS = {
         "BN_EPS = 1e-5\n",
         "BN_EPS = 2e-5\n",
         [
+            "tests/test_nn_layers.py::test_batchnorm_train_forward_adds_eps_1e5_to_the_variance",
             DIGESTS + "[crater-batchnorm]",
+        ],
+    ),
+    "dense-dx-flat": (
+        "src/randomout/layers.py",
+        "return (dout @ self.weight.value.T).reshape(x.shape)",
+        "return dout @ self.weight.value.T",
+        [
+            "tests/test_nn_layers.py::test_dense_backward_accumulates_gradients",
+            "tests/test_acceptance.py::test_criterion_01_finite_difference_gradients",
+        ],
+    ),
+    "width-order-unchecked": (
+        "src/randomout/experiments.py",
+        """    if widths != sorted(widths):
+        raise ValueError(f"widths must increase, got {widths}")
+""",
+        "",
+        [
+            "tests/test_experiments.py::test_sweeps_reject_a_repeated_input_before_any_run[width-order]",
         ],
     ),
     "load-without-object-check": (
@@ -152,25 +177,24 @@ MUTANTS = {
 }
 
 
-def _failed(output):
-    """Node ids of the failed and errored tests in pytest's ``-rfE`` summary."""
+def _listed(output, *outcomes):
+    """Node ids of the tests with one of ``outcomes`` in pytest's ``-rfEp`` summary."""
     return [
-        line.split(" ", 1)[1].split(" - ", 1)[0]
-        for line in output.splitlines()
-        if line.startswith(("FAILED ", "ERROR "))
+        line.split(" ", 1)[1].split(" - ", 1)[0] for line in output.splitlines() if line.startswith(outcomes)
     ]
 
 
-def _fails(test, failed):
-    """Whether node id ``test`` failed: it, or a test or case inside it, is in ``failed``."""
-    return any(f == test or f.startswith((test + "::", test + "[")) for f in failed)
+def _covers(test, ids):
+    """Whether node id ``test`` is, or holds a test or case that is, in ``ids``."""
+    return any(f == test or f.startswith((test + "::", test + "[")) for f in ids)
 
 
 def run_mutant(name, root):
     """Apply mutant ``name`` in the copy at root, run its tests, undo it.
 
-    Returns the named tests that passed (empty when the mutant is killed)
-    and pytest's last output line.
+    Returns the named tests that let it live, empty when it is killed:
+    those that passed, or all of them when none failed; and pytest's last
+    output line.
     """
     file, old, new, tests = MUTANTS[name]
     path = root / file
@@ -178,7 +202,7 @@ def run_mutant(name, root):
     path.write_text(source.replace(old, new, 1))
     try:
         out = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-rfE", "--tb=no", "-p", "no:cacheprovider", *tests],
+            [sys.executable, "-m", "pytest", "-q", "-rfEp", "--tb=no", "-p", "no:cacheprovider", *tests],
             cwd=root,
             # bytecode is keyed by mtime in seconds and size, so a mutant of the
             # same size, undone within the second, would leave stale bytecode
@@ -188,9 +212,12 @@ def run_mutant(name, root):
         )
     finally:
         path.write_text(source)
-    failed = _failed(out.stdout)
+    failed, passed = _listed(out.stdout, "FAILED ", "ERROR "), _listed(out.stdout, "PASSED ")
     lines = out.stdout.strip().splitlines()
-    return [t for t in tests if not _fails(t, failed)], lines[-1] if lines else out.stderr.strip()
+    last = lines[-1] if lines else out.stderr.strip()
+    if not any(_covers(t, failed) for t in tests):
+        return tests, last
+    return [t for t in tests if _covers(t, passed) and not _covers(t, failed)], last
 
 
 def main(names):
@@ -208,11 +235,11 @@ def main(names):
         shutil.copy2(ROOT / "pyproject.toml", root)
         for name in names:
             t0 = time.perf_counter()
-            passed, last = run_mutant(name, root)
+            alive, last = run_mutant(name, root)
             took = time.perf_counter() - t0
-            if passed:
+            if alive:
                 survivors.append(name)
-                print(f"SURVIVED {name} ({took:.1f} s): passed {', '.join(passed)} [{last}]", flush=True)
+                print(f"SURVIVED {name} ({took:.1f} s): did not fail {', '.join(alive)} [{last}]", flush=True)
             else:
                 print(f"killed   {name} ({took:.1f} s): {last}", flush=True)
     total = time.perf_counter() - start

@@ -547,8 +547,9 @@ def test_grid_and_width_sweeps_reject_a_batchnorm_base_config_before_any_run(tmp
         (grid_search, dict(taus=[0.1], ps=[1.0], seeds=[0, 0]), "duplicate seeds: 0"),
         (width_sweep, dict(widths=[2, 2], seeds=[0, 1]), "duplicate widths: 2"),
         (width_sweep, dict(widths=[2], seeds=[1, 1]), "duplicate seeds: 1"),
+        (width_sweep, dict(widths=[2, 1], seeds=[0, 1]), r"widths must increase, got \[2, 1\]"),
     ],
-    ids=["seed-seeds", "grid-taus", "grid-ps", "grid-seeds", "width-widths", "width-seeds"],
+    ids=["seed-seeds", "grid-taus", "grid-ps", "grid-seeds", "width-widths", "width-seeds", "width-order"],
 )
 def test_sweeps_reject_a_repeated_input_before_any_run(tmp_path, monkeypatch, sweep, inputs, message):
     # a repeated input would be run and reported twice: two grid rows, a paired gain per copy

@@ -40,11 +40,7 @@ def test_relative_error_floor():
 
 
 def test_single_dense_layer_passes_check():
-    model = build_model(
-        [LayerSpec("dense", units=3), LayerSpec("softmax_ce", units=3)],
-        (5,),
-        derive_stream(1, "init"),
-    )
+    model = build_model([LayerSpec("dense", units=3)], (5,), derive_stream(1, "init"))
     x = np.random.default_rng(1).uniform(-1, 1, size=(4, 5))
     labels = np.array([0, 2, 1, 0])
     assert model_max_rel_error(model, x, labels) < TOLERANCE

@@ -19,7 +19,7 @@ def init_rng(seed=0):
 
 
 def test_cratercnn_shape_pipeline():
-    # [N,1,15,15] -4x4-> [N,w,12,12] -4x4-> [N,w,9,9] -> flatten -> [N,2]
+    # [N,1,15,15] -4x4-> [N,w,12,12] -4x4-> [N,w,9,9] -> dense (rows read flat) -> [N,2]
     model = build_cratercnn(4, init_rng())
     x = np.random.default_rng(0).uniform(size=(3, 1, 15, 15))
     logits, cache = model.forward(x)
@@ -157,7 +157,7 @@ def test_forward_rejects_integer_and_bool_inputs(dtype, mode):
 
 def test_conv2d_input_validation():
     # the conv layer trusts its input: the builder and Model.forward reject bad shapes
-    head = [LayerSpec("flatten"), LayerSpec("dense", units=2), LayerSpec("softmax_ce", units=2)]
+    head = [LayerSpec("dense", units=2)]
     model = build_model([LayerSpec("conv2d", out_channels=3, kernel_size=2)] + head, (2, 5, 5), init_rng())
     with pytest.raises(ValueError, match="input shape"):  # channel count differs from the kernel's
         model.forward(np.zeros((1, 1, 5, 5)))
@@ -182,9 +182,25 @@ def test_conv2d_input_validation():
     ids=lambda spec: spec.kind,
 )
 def test_build_model_rejects_a_spatial_layer_after_flatten(spec):
-    head = [LayerSpec("dense", units=2), LayerSpec("softmax_ce", units=2)]
+    head = [LayerSpec("dense", units=2)]
     with pytest.raises(ValueError, match=rf"^layer 1 \({spec.kind}\): needs \[C,H,W\] input, got \(50,\)$"):
-        build_model([LayerSpec("flatten"), spec] + head, (2, 5, 5), init_rng())
+        build_model([LayerSpec("dense", units=50), spec] + head, (2, 5, 5), init_rng())
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [
+        [],
+        [LayerSpec("conv2d", out_channels=2, kernel_size=2)],
+        [LayerSpec("dense", units=4), LayerSpec("relu")],
+        [LayerSpec("dense", units=1)],
+        [LayerSpec("dense")],
+    ],
+    ids=["empty", "conv2d-last", "relu-last", "one-unit", "no-units"],
+)
+def test_build_model_rejects_specs_without_a_dense_class_head(specs):
+    with pytest.raises(ValueError, match=r"^model specs must end with a dense layer of >= 2 units, one per class$"):
+        build_model(specs, (2, 5, 5), init_rng())
 
 
 @pytest.mark.parametrize("input_shape", [(1, 12, 16), (1, 16, 12)])

@@ -13,7 +13,6 @@ from randomout.layers import (
     BatchNorm2d,
     Conv2d,
     Dense,
-    Flatten,
     ParamNode,
     ReLU,
     SoftmaxCrossEntropy,
@@ -89,21 +88,26 @@ def test_dense_forward_matches_manual_affine():
     x = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 0.0]])
     y, _ = dense.forward(x, "train")
     np.testing.assert_allclose(y, x @ dense.weight.value + dense.bias.value, rtol=1e-15)
+    # a [N,C,H,W] input is read row by row, flat
+    y4, _ = dense.forward(x.reshape(2, 1, 3, 1), "train")
+    assert y4.tobytes() == y.tobytes()
 
 
 def test_dense_backward_accumulates_gradients():
-    rng = derive_stream(8, "init")
-    dense = Dense(0, 2, 2, rng)
-    x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    _, cache = dense.forward(x, "train")
+    flat = np.arange(16.0).reshape(2, 8)
     dout = np.array([[1.0, 0.0], [0.0, 1.0]])
-    dx = dense.backward(dout, cache)
-    np.testing.assert_allclose(dense.weight.grad, x.T @ dout)
-    np.testing.assert_allclose(dense.bias.grad, dout.sum(axis=0))
-    np.testing.assert_allclose(dx, dout @ dense.weight.value.T)
-    # += semantics: a second backward doubles the accumulators
-    dense.backward(dout, cache)
-    np.testing.assert_allclose(dense.weight.grad, 2 * (x.T @ dout))
+    # a [N,C,H,W] input is read row by row, flat, and its gradient comes back in its shape
+    for x in (flat, flat.reshape(2, 2, 2, 2)):
+        dense = Dense(0, 8, 2, derive_stream(8, "init"))
+        _, cache = dense.forward(x, "train")
+        dx = dense.backward(dout, cache)
+        np.testing.assert_allclose(dense.weight.grad, flat.T @ dout)
+        np.testing.assert_allclose(dense.bias.grad, dout.sum(axis=0))
+        assert dx.shape == x.shape
+        np.testing.assert_allclose(dx.reshape(2, 8), dout @ dense.weight.value.T)
+        # += semantics: a second backward doubles the accumulators
+        dense.backward(dout, cache)
+        np.testing.assert_allclose(dense.weight.grad, 2 * (flat.T @ dout))
 
 
 def test_conv2d_bias_gradient_is_spatial_sum():
@@ -471,14 +475,6 @@ def test_avgpool_forward_is_bitwise_the_strided_sums(window, shape):
     assert cache == shape and y.shape == expected.shape and y.tobytes() == expected.tobytes()
 
 
-def test_flatten_round_trip():
-    flat = Flatten(0)
-    x = np.arange(24, dtype=float).reshape(2, 3, 2, 2)
-    y, cache = flat.forward(x, "train")
-    assert y.shape == (2, 12)
-    np.testing.assert_array_equal(flat.backward(y, cache), x)
-
-
 def test_batchnorm_normalizes_with_biased_variance():
     bn = BatchNorm2d(0, 2)
     x = np.random.default_rng(4).normal(loc=3.0, scale=2.0, size=(4, 2, 3, 3))
@@ -489,6 +485,19 @@ def test_batchnorm_normalizes_with_biased_variance():
     np.testing.assert_allclose(got_mean, 0.0, atol=1e-12)
     expected_var = x.var(axis=(0, 2, 3)) / (x.var(axis=(0, 2, 3)) + BN_EPS)
     np.testing.assert_allclose(got_var, expected_var, rtol=1e-10)
+
+
+def test_batchnorm_train_forward_adds_eps_1e5_to_the_variance():
+    # a channel whose batch variance is near eps, so eps sets the output's
+    # leading digits; the oracle's eps is this test's, not read from layers
+    eps = 1e-5
+    bn = BatchNorm2d(0, 2)
+    x = np.random.default_rng(41).normal(scale=np.sqrt(eps), size=(4, 2, 3, 3))
+    y, _ = bn.forward(x, "train")
+    mean = x.mean(axis=(0, 2, 3), keepdims=True)
+    var = x.var(axis=(0, 2, 3), keepdims=True)
+    assert np.all(np.abs(var / eps - 1) < 0.5)
+    np.testing.assert_allclose(y, (x - mean) / np.sqrt(var + eps), rtol=1e-12, atol=1e-12)
 
 
 def test_batchnorm_running_stats_update_and_eval():

@@ -58,6 +58,19 @@ def test_adam_matches_reference_over_steps():
     np.testing.assert_allclose(p.value, expected, rtol=1e-12, atol=0)
 
 
+def test_adam_eps_is_1e8():
+    # grads near 1e-8 keep sqrt(v_hat) near 1e-8, so eps is about half of
+    # each update's denominator; the reference's eps is this test's
+    grads = [np.array([1e-8, -2e-8, 5e-9, 3e-8]) * scale for scale in (1.0, 0.5, 2.0)]
+    p = make_param(np.zeros(4))
+    opt = Adam(model_of(p), lr=0.01)
+    for g in grads:
+        p.grad[:] = g
+        opt.step()
+    expected = adam_reference(np.zeros(4), grads, lr=0.01, eps=1e-8)
+    np.testing.assert_allclose(p.value, expected, rtol=1e-12, atol=0)
+
+
 def test_adam_first_step_has_full_magnitude():
     # bias correction makes step one move by ~lr regardless of grad scale
     p = make_param([0.0])
