@@ -137,6 +137,7 @@ MUTANTS = {
         "return dout @ self.weight.value.T",
         [
             "tests/test_nn_layers.py::test_dense_backward_accumulates_gradients",
+            "tests/test_nn_layers.py::test_flatten_round_trip",
             "tests/test_acceptance.py::test_criterion_01_finite_difference_gradients",
         ],
     ),

@@ -475,6 +475,18 @@ def test_avgpool_forward_is_bitwise_the_strided_sums(window, shape):
     assert cache == shape and y.shape == expected.shape and y.tobytes() == expected.tobytes()
 
 
+def test_flatten_round_trip():
+    # with identity weights and zero bias, Dense is exactly the flatten it
+    # folds in: [N,C,H,W] -> [N,C*H*W] forward, and the gradient back in x's shape
+    x = np.arange(24, dtype=float).reshape(2, 3, 2, 2)
+    dense = Dense(0, 12, 12, derive_stream(8, "init"))
+    dense.weight.value[...] = np.eye(12)
+    y, cache = dense.forward(x, "train")
+    assert y.shape == (2, 12)
+    np.testing.assert_array_equal(y, x.reshape(2, 12))
+    np.testing.assert_array_equal(dense.backward(y, cache), x)
+
+
 def test_batchnorm_normalizes_with_biased_variance():
     bn = BatchNorm2d(0, 2)
     x = np.random.default_rng(4).normal(loc=3.0, scale=2.0, size=(4, 2, 3, 3))
