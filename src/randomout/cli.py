@@ -19,6 +19,8 @@ from .config import ModelCfg, RandomOutCfg, TrainConfig, read_config_json
 from .data import synth_craters, write_cifar10_binary, write_idx_images, write_idx_labels
 from .experiments import check_base_vs_randomout, check_distinct, grid_search, run_training, seed_sweep, sweep_tally
 from .experiments import width_sweep
+from .models import ARCHITECTURES
+from .optim import OPTIMIZERS
 from .rng import derive_stream
 
 DEFAULT_TAUS = "1e-14,1e-12,1e-10,1e-8,1e-6,1e-4"
@@ -41,7 +43,7 @@ def _formatter(prog):
 def _add_run_flags(p):
     p.add_argument("--config", metavar="PATH", help="JSON config file; flags override its fields")
     p.add_argument("--seed", type=int, help="run seed")
-    p.add_argument("--model", choices=["cratercnn", "mini-inception"], help="architecture")
+    p.add_argument("--model", choices=[name.replace("_", "-") for name in ARCHITECTURES], help="architecture")
     p.add_argument(
         "--dataset",
         metavar="SPEC",
@@ -50,7 +52,7 @@ def _add_run_flags(p):
     p.add_argument("--epochs", type=int, help="training epochs")
     p.add_argument("--batch-size", type=int, help="minibatch size")
     p.add_argument("--lr", type=float, help="learning rate")
-    p.add_argument("--optimizer", choices=["sgd", "adam"], help="optimizer")
+    p.add_argument("--optimizer", choices=list(OPTIMIZERS), help="optimizer")
     p.add_argument("--randomout", action="store_true", help="enable filter resets")
     p.add_argument("--tau", type=float, help="reset threshold (needs --randomout)")
     p.add_argument("--p-active", type=float, help="active fraction of training (needs --randomout)")
@@ -137,20 +139,10 @@ def _check_each(values, make, parser, flag):
             parser.error(f"{flag}: {e}")
 
 
-def _parse_dataset(text, parser):
-    if text == "synth":
-        return {"kind": "synth"}
-    if text.startswith("idx:"):
-        paths = text[4:].split(",")
-        if len(paths) != 2 or not all(paths):
-            parser.error(f"--dataset idx needs idx:IMAGES,LABELS, got {text!r}")
-        return {"kind": "idx", "paths": paths}
-    if text.startswith("cifar10:"):
-        path = text[len("cifar10:") :]
-        if not path:
-            parser.error(f"--dataset cifar10 needs cifar10:PATH, got {text!r}")
-        return {"kind": "cifar10", "paths": [path]}
-    parser.error(f"unknown --dataset {text!r}; expected synth, idx:IMAGES,LABELS, or cifar10:PATH")
+def _parse_dataset(text):
+    """KIND, or KIND:PATH,... with the paths split at commas; DatasetCfg checks the kind and its paths."""
+    kind, colon, paths = text.partition(":")
+    return {"kind": kind, "paths": paths.split(",")} if colon else {"kind": kind}
 
 
 def _config_from_args(args, parser):
@@ -167,7 +159,7 @@ def _config_from_args(args, parser):
     if args.model is not None and isinstance(model, dict):
         raw["model"] = {**model, "name": args.model.replace("-", "_")}
     if args.dataset is not None:
-        flag, old = _parse_dataset(args.dataset, parser), raw.get("dataset")
+        flag, old = _parse_dataset(args.dataset), raw.get("dataset")
         # another kind reads other fields: keep the file's only for the same kind
         same_kind = isinstance(old, dict) and old.get("kind", "synth") == flag["kind"]
         raw["dataset"] = {**old, **flag} if same_kind else flag
@@ -219,7 +211,9 @@ def cmd_train(args, parser):
 
 
 def _sweep_args(args, parser):
-    """A sweep's base config and seeds; a bad --jobs or seed is a usage error."""
+    """A sweep's base config and seeds; a bad --jobs or seed, or a --seed, is a usage error."""
+    if args.seed is not None:
+        parser.error("--seed does not apply to a sweep: it takes its seeds from --seeds")
     cfg = _config_from_args(args, parser)
     if "jobs" not in args:  # the CPUs this process may use (all of them where the OS cannot say)
         args.jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -254,6 +248,9 @@ def cmd_sweep_seeds(args, parser):
 
 
 def cmd_grid(args, parser):
+    for flag, value in (("--randomout", args.randomout or None), ("--tau", args.tau), ("--p-active", args.p_active)):
+        if value is not None:
+            parser.error(f"{flag} does not apply to grid: it takes tau from --taus and p_active from --ps")
     cfg, seeds = _sweep_args(args, parser)
     _check_each([cfg], check_base_vs_randomout, parser, "condition")
     taus = _parse_floats(args.taus, parser, "--taus")

@@ -8,10 +8,10 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import get_args
 
 from .data import check_last_batch, train_half
+from .models import ARCHITECTURES
+from .optim import OPTIMIZERS
 
 CONDITIONS = ("base", "randomout", "batchnorm")
-MODEL_NAMES = ("cratercnn", "mini_inception")
-OPTIMIZERS = ("sgd", "adam")
 HASH_CHARS = 12
 # The DatasetCfg fields each kind reads besides ``kind``; the others must keep
 # their defaults, since they would rename the run without changing its data.
@@ -56,8 +56,8 @@ class ModelCfg:
     width: int = 4
 
     def __post_init__(self):
-        if self.name not in MODEL_NAMES:
-            raise ValueError(f"unknown model {self.name!r}, expected one of {MODEL_NAMES}")
+        if self.name not in ARCHITECTURES:
+            raise ValueError(f"unknown model {self.name!r}, expected one of {tuple(ARCHITECTURES)}")
         if self.width < 1:
             raise ValueError(f"width must be >= 1, got {self.width}")
         if self.name == "mini_inception" and self.width < 2:
@@ -81,7 +81,7 @@ class DatasetCfg:
 
     def __post_init__(self):
         if self.kind not in DATASET_FIELDS:
-            raise ValueError(f"unknown dataset kind {self.kind!r}")
+            raise ValueError(f"unknown dataset kind {self.kind!r}, expected one of {tuple(DATASET_FIELDS)}")
         if not isinstance(self.paths, (list, tuple)) or not all(isinstance(p, str) and p for p in self.paths):
             # a bare string would split into one-letter paths, and open(0) reads stdin
             raise ValueError(f"dataset paths must be a list of non-empty strings, got {self.paths!r}")
@@ -153,7 +153,7 @@ class TrainConfig:
         if self.lr <= 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
         if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}, expected one of {OPTIMIZERS}")
+            raise ValueError(f"unknown optimizer {self.optimizer!r}, expected one of {tuple(OPTIMIZERS)}")
         if self.condition not in CONDITIONS:
             raise ValueError(f"unknown condition {self.condition!r}, expected one of {CONDITIONS}")
         if self.telemetry_tau < 0:

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import store
 from .data import BatchPlan, check_last_batch, load_cifar10_binary, load_idx, split_50_50, synth_craters
-from .models import build_cratercnn, build_mini_inception
+from .models import ARCHITECTURES
 from .optim import make_optimizer
 from .regularizer import cgn, dead_masks, scan_and_reset
 from .rng import derive_stream
@@ -89,8 +89,7 @@ def load_dataset_pair(cfg):
 
 
 def build_for(cfg, train):
-    build = build_cratercnn if cfg.model.name == "cratercnn" else build_mini_inception
-    model = build(
+    model = ARCHITECTURES[cfg.model.name](
         cfg.model.width,
         derive_stream(cfg.seed, "init"),
         with_batchnorm=cfg.condition == "batchnorm",

@@ -63,3 +63,6 @@ def build_mini_inception(base_width, rng, with_batchnorm=False, input_shape=(3, 
         raise ValueError(f"base_width must be >= 2, got {base_width}")
     return build_model(mini_inception_specs(base_width, with_batchnorm, num_classes), input_shape, rng)
 
+
+# The architectures a config may name; the config, the CLI and build_for read this one list.
+ARCHITECTURES = {"cratercnn": build_cratercnn, "mini_inception": build_mini_inception}

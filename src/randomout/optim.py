@@ -83,9 +83,11 @@ class Adam:
         param.view(self.v)[index_slice] = 0.0
 
 
+# The optimizers a config may name; the config, the CLI and make_optimizer read this one list.
+OPTIMIZERS = {"sgd": SGD, "adam": Adam}
+
+
 def make_optimizer(kind, model, lr):
-    if kind == "sgd":
-        return SGD(model, lr)
-    if kind == "adam":
-        return Adam(model, lr)
-    raise ValueError(f"unknown optimizer kind {kind!r}")
+    if kind not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer kind {kind!r}")
+    return OPTIMIZERS[kind](model, lr)

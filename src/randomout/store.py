@@ -19,18 +19,18 @@ binary values; identical runs therefore produce byte-identical files.
 import json
 import os
 import shutil
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .config import TrainConfig
+from .regularizer import ResetEvent
 
 # Recorded in every summary.json; a run directory is reused only when it
 # matches. Bump it in every change that moves any result bit.
 ENGINE_VERSION = 3
-METRICS_HEADER = "epoch,batch,train_loss,train_acc,test_acc,mean_cgn,below_thresh,resets,diverged"
-# resets.csv's columns: the ResetEvent fields.
-RESETS_COLUMNS = ("epoch", "batch", "layer_id", "filter_index", "cgn_before")
+RESETS_COLUMNS = tuple(f.name for f in fields(ResetEvent))
 
 
+# One metrics.csv row: its fields are the columns, and each field's type is how its column parses.
 @dataclass
 class MetricsRecord:
     epoch: int
@@ -42,6 +42,10 @@ class MetricsRecord:
     below_thresh: int
     resets: int
     diverged: bool
+
+
+_METRICS_FIELDS = [(f.name, f.type) for f in fields(MetricsRecord)]
+METRICS_HEADER = ",".join(name for name, _ in _METRICS_FIELDS)
 
 
 def _cell(value):
@@ -63,6 +67,14 @@ def write_metrics(path, records):
 
 
 def _parse(kind, text, path, lineno, col):
+    """The value of one cell of column col, whose field type is kind."""
+    if kind == float | None:
+        return None if text == "" else _parse(float, text, path, lineno, col)
+    if kind is bool:
+        value = _parse(int, text, path, lineno, col)
+        if value not in (0, 1):
+            raise ValueError(f"{path}:{lineno}: {col} must be 0 or 1, got {text!r}")
+        return bool(value)
     try:
         return kind(text)
     except ValueError:
@@ -79,25 +91,10 @@ def read_metrics(path):
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        if len(parts) != 9:
-            raise ValueError(f"{path}:{lineno}: expected 9 fields, got {len(parts)}")
-        ep, ba, tl, ta, te, cg, bt, rs, dv = parts
-        diverged = _parse(int, dv, path, lineno, "diverged")
-        if diverged not in (0, 1):
-            raise ValueError(f"{path}:{lineno}: diverged must be 0 or 1, got {dv!r}")
-        records.append(
-            MetricsRecord(
-                epoch=_parse(int, ep, path, lineno, "epoch"),
-                batch=_parse(int, ba, path, lineno, "batch"),
-                train_loss=_parse(float, tl, path, lineno, "train_loss"),
-                train_acc=_parse(float, ta, path, lineno, "train_acc"),
-                test_acc=None if te == "" else _parse(float, te, path, lineno, "test_acc"),
-                mean_cgn=_parse(float, cg, path, lineno, "mean_cgn"),
-                below_thresh=_parse(int, bt, path, lineno, "below_thresh"),
-                resets=_parse(int, rs, path, lineno, "resets"),
-                diverged=bool(diverged),
-            )
-        )
+        if len(parts) != len(_METRICS_FIELDS):
+            raise ValueError(f"{path}:{lineno}: expected {len(_METRICS_FIELDS)} fields, got {len(parts)}")
+        values = (_parse(kind, text, path, lineno, col) for (col, kind), text in zip(_METRICS_FIELDS, parts))
+        records.append(MetricsRecord(*values))
     return records
 
 

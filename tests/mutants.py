@@ -175,6 +175,36 @@ MUTANTS = {
             "tests/test_experiments.py::test_current_version_run_without_readable_metrics_is_recomputed",
         ],
     ),
+    "sweep-takes-seed": (
+        "src/randomout/cli.py",
+        """    if args.seed is not None:
+        parser.error("--seed does not apply to a sweep: it takes its seeds from --seeds")
+""",
+        "",
+        [
+            "tests/test_cli.py::test_bad_sweep_argument_exits_1_before_any_run[sweep-seed]",
+        ],
+    ),
+    "diverged-any-integer": (
+        "src/randomout/store.py",
+        """        if value not in (0, 1):
+            raise ValueError(f"{path}:{lineno}: {col} must be 0 or 1, got {text!r}")
+""",
+        "",
+        [
+            "tests/test_metrics.py::test_bad_values_report_line_and_column",
+        ],
+    ),
+    "optimizers-swapped": (
+        "src/randomout/optim.py",
+        'OPTIMIZERS = {"sgd": SGD, "adam": Adam}',
+        'OPTIMIZERS = {"sgd": Adam, "adam": SGD}',
+        [
+            "tests/test_optim.py::test_make_optimizer_dispatch",
+            DIGESTS + "[crater-adam-randomout]",
+            DIGESTS + "[inception-adam-randomout]",
+        ],
+    ),
 }
 
 

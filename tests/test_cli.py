@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import randomout
-from randomout import experiments
+from randomout import experiments, models, optim
 from randomout.cli import _config_from_args, build_parser, main
 from randomout.config import DatasetCfg, TrainConfig
 from randomout.data import load_cifar10_binary, load_idx
@@ -130,11 +130,26 @@ def test_tau_without_randomout_exits_1(capsys):
 
 
 def test_bad_dataset_spec_exits_1(capsys):
-    for spec in ("mnist", "idx:only-images", "cifar10:"):
+    # the flag is parsed for syntax only; DatasetCfg rejects the spec as it would a config file's
+    cases = [
+        ("mnist", "unknown dataset kind 'mnist', expected one of ('synth', 'idx', 'cifar10')"),
+        ("synth:x", "dataset kind 'synth' does not read 'paths', got ('x',)"),
+        ("idx:only-images", "idx dataset needs paths=(images, labels)"),
+        ("cifar10:", "dataset paths must be a list of non-empty strings, got ['']"),
+    ]
+    for spec, message in cases:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--dataset", spec])
         assert exc.value.code == 1, spec
-        capsys.readouterr()
+        assert message in capsys.readouterr().err, spec
+
+
+def test_new_architecture_and_optimizer_need_one_entry_each(monkeypatch):
+    monkeypatch.setitem(models.ARCHITECTURES, "tiny_net", models.build_cratercnn)
+    monkeypatch.setitem(optim.OPTIMIZERS, "momentum", optim.SGD)
+    cfg = config_from(["train", "--model", "tiny-net", "--optimizer", "momentum"])
+    assert cfg.model.name == "tiny_net" and cfg.optimizer == "momentum"
+    assert TrainConfig(model={"name": "tiny_net"}, optimizer="momentum") == cfg
 
 
 def test_bad_seed_range_exits_1(capsys):
@@ -212,10 +227,15 @@ def test_flag_over_a_non_object_config_value_exits_1(tmp_path, capsys, config, f
         (["sweep-seeds", "--seeds=-1..1"], "--seeds: seed must be >= 0, got -1"),
         (["grid", "--seeds", "0..2", "--taus", "0.1,0.1"], "--taus: duplicate values: 0.1"),
         (["grid", "--seeds", "0..2", "--ps", "0.5,1,1"], "--ps: duplicate values: 1.0"),
+        (["sweep-seeds", "--seeds", "0..2", "--seed", "5"], "--seed does not apply to a sweep: it takes its seeds from"),
+        (["grid", "--seeds", "0..2", "--randomout"], "--randomout does not apply to grid: it takes tau from --taus"),
+        (["grid", "--seeds", "0..2", "--tau", "0.3"], "--tau does not apply to grid: it takes tau from --taus"),
+        (["grid", "--seeds", "0..2", "--p-active", "0.5"], "--p-active does not apply to grid: it takes tau from"),
     ],
     ids=[
         "jobs-0", "one-seed", "empty-ps", "negative-tau", "width-0", "nan-tau",
         "sweep-seed-2**64", "grid-seed-2**64", "width-seed-2**64", "negative-seed", "repeated-tau", "repeated-p",
+        "sweep-seed", "grid-randomout", "grid-tau", "grid-p-active",
     ],
 )
 def test_bad_sweep_argument_exits_1_before_any_run(tmp_path, capsys, argv, message):
@@ -271,6 +291,17 @@ def test_dataset_flag_of_another_kind_replaces_the_config_dataset():
     cfg = config_from(["train", "--config", shipped, "--dataset", "cifar10:F"])
     assert cfg.dataset == DatasetCfg("cifar10", paths=("F",))
     assert config_from(["train", "--config", shipped, "--dataset", "synth"]).dataset == DatasetCfg("synth", 500, 500)
+
+
+def test_dataset_flag_of_the_config_kind_keeps_its_fields(tmp_path):
+    config = tmp_path / "cifar.json"
+    config.write_text(json.dumps({"dataset": {"kind": "cifar10", "paths": ["f.bin"], "max_per_class": 5}}))
+    assert config_from(["train", "--config", str(config), "--dataset", "cifar10"]).dataset == DatasetCfg(
+        "cifar10", paths=("f.bin",), max_per_class=5
+    )
+    assert config_from(["train", "--config", str(config), "--dataset", "cifar10:g.bin"]).dataset == DatasetCfg(
+        "cifar10", paths=("g.bin",), max_per_class=5
+    )
 
 
 def test_dataset_field_its_kind_does_not_read_exits_1(tmp_path, capsys):
@@ -412,6 +443,17 @@ def test_grid_runs_with_explicit_cells(tmp_path, capsys):
     assert code == 0
     assert "best cell tau" in out
     assert (tmp_path / "grid.csv").exists()
+
+
+def test_grid_reads_a_randomout_config_as_a_template(tmp_path, capsys):
+    # --taus and --ps set every cell, so the file's condition, tau and p_active are not read
+    config = tmp_path / "ro.json"
+    tiny = json.loads((DATA / "tiny_synth.json").read_text())
+    config.write_text(json.dumps({**tiny, "condition": "randomout", "randomout": {"tau": 0.3, "p_active": 0.5}}))
+    grid = ["grid", "--seeds", "0..2", "--taus", "1e-8", "--ps", "1.0", *FAST]
+    assert run_main([*grid, "--out", str(tmp_path / "base")], capsys)[0] == 0
+    assert run_main([*grid, "--config", str(config), "--out", str(tmp_path / "ro")], capsys)[0] == 0
+    assert (tmp_path / "ro" / "grid.csv").read_bytes() == (tmp_path / "base" / "grid.csv").read_bytes()
 
 
 def test_sweep_tally_counts_shared_runs_and_computed_batches(tmp_path, capsys):

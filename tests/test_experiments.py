@@ -30,7 +30,7 @@ from randomout.experiments import (
     width_sweep,
 )
 from randomout.layers import AvgPool2d, BatchNorm2d, Conv2d, ReLU, run_sequence
-from randomout.models import build_cratercnn, build_mini_inception
+from randomout.models import ARCHITECTURES
 from randomout.optim import SGD
 from randomout.rng import derive_stream
 from randomout.store import ENGINE_VERSION, read_metrics
@@ -563,7 +563,7 @@ def eval_model(name, input_shape, num_classes):
     """cratercnn with batchnorm, trained a few steps so its running statistics
     have moved off their initial values; mini_inception as built."""
     bn = name == "cratercnn"
-    build = build_cratercnn if name == "cratercnn" else build_mini_inception
+    build = ARCHITECTURES[name]
     model = build(4, derive_stream(0, "init"), with_batchnorm=bn, input_shape=input_shape, num_classes=num_classes)
     if bn:
         rng = np.random.default_rng(1)

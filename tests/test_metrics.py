@@ -84,6 +84,7 @@ def test_bad_values_report_line_and_column(tmp_path):
         ("x,0,0.5,0.5,,0.0,0,0,0", r"bad integer 'x' in column 'epoch'"),
         ("0,0,zzz,0.5,,0.0,0,0,0", r"bad float 'zzz' in column 'train_loss'"),
         ("0,0,0.5,0.5,nope,0.0,0,0,0", r"bad float 'nope' in column 'test_acc'"),
+        ("0,0,0.5,0.5,,0.0,0,x,0", r"bad integer 'x' in column 'resets'"),
         ("0,0,0.5,0.5,,0.0,0,0,2", r"diverged must be 0 or 1"),
     ]
     for line, message in cases:

@@ -10,7 +10,7 @@ from randomout.data import Dataset
 from randomout.experiments import build_for
 from randomout.layers import BatchNorm2d, Branches, Conv2d, Dense
 from randomout.model import LayerSpec, build_model, filter_groups
-from randomout.models import build_cratercnn, build_mini_inception
+from randomout.models import ARCHITECTURES, build_cratercnn, build_mini_inception
 from randomout.rng import derive_stream
 
 
@@ -215,8 +215,7 @@ def test_mini_inception_global_pool_on_non_square_input(input_shape):
 
 @pytest.mark.parametrize("name", ["cratercnn", "mini_inception"])
 def test_eval_forward_keeps_no_cache(name):
-    build = build_cratercnn if name == "cratercnn" else build_mini_inception
-    model = build(2, init_rng(), with_batchnorm=True, input_shape=(2, 9, 9), num_classes=3)
+    model = ARCHITECTURES[name](2, init_rng(), with_batchnorm=True, input_shape=(2, 9, 9), num_classes=3)
     x = np.random.default_rng(0).uniform(size=(4, 2, 9, 9))
     train_logits, cache = model.forward(x, "train")
     assert cache[0] is train_logits
