@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import get_args
 
 from .data import check_last_batch, train_half
-from .models import ARCHITECTURES
+from .models import ARCHITECTURES, check_width
 from .optim import OPTIMIZERS
 
 CONDITIONS = ("base", "randomout", "batchnorm")
@@ -58,11 +58,7 @@ class ModelCfg:
     def __post_init__(self):
         if self.name not in ARCHITECTURES:
             raise ValueError(f"unknown model {self.name!r}, expected one of {tuple(ARCHITECTURES)}")
-        if self.width < 1:
-            raise ValueError(f"width must be >= 1, got {self.width}")
-        if self.name == "mini_inception" and self.width < 2:
-            # the builder's bound, checked here so a bad config is a usage error
-            raise ValueError(f"base_width must be >= 2, got {self.width}")
+        check_width(ARCHITECTURES[self.name], self.width)  # the builder's bound, so a bad config is a usage error
 
 
 @dataclass(frozen=True)

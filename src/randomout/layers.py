@@ -9,6 +9,10 @@ cross-entropy head; layer backward passes sum over the batch.
 
 ReLU uses the convention relu'(0) = 0, so a pre-activation that is <= 0
 for every batch element routes an exactly-zero gradient upstream.
+
+A layer computes in its parameters' dtype, and a layer without parameters
+in its input's. Training is float64 throughout; only the forward-only copy
+of ``Model.astype`` holds float32 parameters.
 """
 
 from dataclasses import dataclass
@@ -46,15 +50,16 @@ class ParamNode:
     node's one identity: where its slice of the model's flat buffers
     starts. ``view`` reads that slice of any buffer laid out like the
     model's; ``value`` and ``grad`` become its views of the model's own,
-    written in place, never rebound.
+    written in place, never rebound. A forward-only copy's nodes have no
+    ``grad`` (None).
     """
 
     value: np.ndarray
-    grad: np.ndarray
+    grad: np.ndarray | None
     offset: int | None = None
 
     def __post_init__(self):
-        if self.grad.shape != self.value.shape:
+        if self.grad is not None and self.grad.shape != self.value.shape:
             raise ValueError(f"grad shape {self.grad.shape} != value shape {self.value.shape}")
 
     @classmethod
@@ -162,7 +167,7 @@ class Conv2d(Layer):
         """
         channels = max(self.in_channels, self.out_channels) if self.input_grad else self.in_channels
         rows = channels * self.kernel_size**2
-        per_image = tensor.DTYPE().itemsize * rows * plane
+        per_image = self.kernel.value.itemsize * rows * plane
         blocks = -(-n * per_image // PATCH_BLOCK_BYTES)
         return -(-n // blocks)
 
@@ -173,7 +178,7 @@ class Conv2d(Layer):
         kmat = self.kernel.value.reshape(k, -1)
         span = (ho - 1) * w + wo
         xf = x.reshape(n, c, h * w)
-        wide = np.empty((n, k, ho * w), dtype=tensor.DTYPE)
+        wide = np.empty((n, k, ho * w), dtype=kmat.dtype)
         step = self._block_step(n, h * w)
         for i in range(0, n, step):
             b = slice(i, i + step)
@@ -311,7 +316,7 @@ class AvgPool2d(Layer):
         sums = x.reshape(-1)
         if win > 1:
             rows = _sum_runs(sums, range(0, win * w, w), sums.size - (win - 1) * w)
-            sums = np.empty(x.size, dtype=tensor.DTYPE)
+            sums = np.empty(x.size, dtype=x.dtype)
             _sum_runs(rows, range(win), rows.size - (win - 1), out=sums[: rows.size - (win - 1)])
         # the sums at the window starts; the rest, where no window starts, is never read
         return np.divide(sums.reshape(x.shape)[:, :, :ho, :wo], win * win), x.shape

@@ -20,17 +20,21 @@ update those views in place, and nothing rebinds a node's ``value`` or
 optimizer step, a snapshot's copy) covers the whole model at once.
 Optimizers are built on the model, step its buffers, and read a param's
 slice of their own buffers through the same ``view``.
+
+``Model.astype`` keeps a forward-only copy of a model in another dtype,
+on which the test-set evaluation runs in float32 (see
+``experiments.evaluate``).
 """
 
+import copy
 import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import tensor
 from .layers import AvgPool2d, BatchNorm2d, Branches, Conv2d, Dense, ReLU, SoftmaxCrossEntropy
-from .layers import backward_sequence, pack, run_sequence
+from .layers import ParamNode, backward_sequence, pack, run_sequence
 
 LAYER_KINDS = ("conv2d", "relu", "dense", "batchnorm", "avgpool", "concat")
 
@@ -77,6 +81,7 @@ class Model:
         self.params = [p for layer in leaves for p in layer.params]
         self.convs = [layer for layer in leaves if isinstance(layer, Conv2d)]
         self.values, self.grads = pack(self.params)
+        self._copies = {}  # dtype -> the forward-only copy ``astype`` keeps
         if layers and isinstance(layers[0], Conv2d):
             layers[0].input_grad = False  # nothing consumes d(loss)/d(model input)
 
@@ -86,14 +91,15 @@ class Model:
         A train forward returns the cache that ``backward`` needs: the logits
         and one cache per top-level layer. An eval forward is forward-only:
         it drops each layer's cache as soon as the layer returns and returns
-        ``(logits, None)``. Integer and bool inputs raise ValueError.
+        ``(logits, None)``. The input is cast to the model's dtype (float64,
+        or an ``astype`` copy's). Integer and bool inputs raise ValueError.
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         x = np.asarray(x)
         if x.dtype.kind in "biu":  # raw pixels would train unscaled: take Dataset.batch's floats
             raise ValueError(f"model input must be floating point in [0, 1], got dtype {x.dtype}")
-        x = np.ascontiguousarray(x, dtype=tensor.DTYPE)  # conv patches are views of C-ordered planes
+        x = np.ascontiguousarray(x, dtype=self.values.dtype)  # conv patches are views of C-ordered planes
         if x.shape[1:] != self.input_shape:
             raise ValueError(f"model input shape {x.shape[1:]} does not match declared {self.input_shape}")
         logits, caches = run_sequence(self.layers, x, mode)
@@ -110,6 +116,29 @@ class Model:
 
     def zero_grads(self):
         self.grads.fill(0.0)
+
+    def astype(self, dtype):
+        """This model's forward-only copy in ``dtype``, showing its current params and running statistics.
+
+        The copy's params view a ``dtype`` buffer laid out like ``values``,
+        its BatchNorm running means and variances are ``dtype`` arrays, and
+        it has no grads, so it shares nothing writable with this model. The
+        first call for a dtype builds the copy and keeps it; every call casts
+        this model's current values and running statistics into it.
+        """
+        dtype = np.dtype(dtype)
+        out = self._copies.get(dtype)
+        if out is None:
+            values = np.empty_like(self.values, dtype=dtype)
+            memo = {id(self.values): values, id(self.grads): None, id(self._copies): {}}
+            memo.update((id(p), ParamNode(p.view(values), None, p.offset)) for p in self.params)
+            out = self._copies[dtype] = copy.deepcopy(self, memo)
+        out.values[...] = self.values
+        for mine, its in zip(_leaves(self.layers), _leaves(out.layers)):
+            if isinstance(mine, BatchNorm2d):
+                its.running_mean = mine.running_mean.astype(dtype)
+                its.running_var = mine.running_var.astype(dtype)
+        return out
 
 
 def _leaves(layers):

@@ -1,8 +1,11 @@
-"""Dense float64 array kernels: shape checks and the conv patch layouts.
+"""Dense array kernels: shape checks and the conv patch layouts.
 
 All functions are pure (inputs are never mutated) and operate on row-major
-numpy arrays of dtype float64. 64-bit precision is a hard requirement:
+numpy arrays. Training, gradients and every recorded value stay float64:
 the gradient checks resolve 1e-4 relative error, which float32 cannot.
+Only ``experiments.evaluate``'s forward may run in float32, and it keeps a
+float32 prediction only where its guard (``EVAL_GUARD``) finds the top two
+logits far enough apart; ``wide_patches`` copies in its input's dtype.
 
 Window convention: cross-correlation (no kernel flip), valid padding
 only (no zero padding), stride 1, output size H - kH + 1. The conv and

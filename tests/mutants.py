@@ -49,11 +49,11 @@ MUTANTS = {
     "pool-columns-first": (
         "src/randomout/layers.py",
         """            rows = _sum_runs(sums, range(0, win * w, w), sums.size - (win - 1) * w)
-            sums = np.empty(x.size, dtype=tensor.DTYPE)
+            sums = np.empty(x.size, dtype=x.dtype)
             _sum_runs(rows, range(win), rows.size - (win - 1), out=sums[: rows.size - (win - 1)])
 """,
         """            rows = _sum_runs(sums, range(win), sums.size - (win - 1))
-            sums = np.empty(x.size, dtype=tensor.DTYPE)
+            sums = np.empty(x.size, dtype=x.dtype)
             _sum_runs(rows, range(0, win * w, w), rows.size - (win - 1) * w, out=sums[: rows.size - (win - 1) * w])
 """,
         [
@@ -203,6 +203,37 @@ MUTANTS = {
             "tests/test_optim.py::test_make_optimizer_dispatch",
             DIGESTS + "[crater-adam-randomout]",
             DIGESTS + "[inception-adam-randomout]",
+        ],
+    ),
+    "eval-guard-always-accepts": (
+        "src/randomout/experiments.py",
+        "        if not _clear_winners(logits):\n",
+        "        if False:\n",
+        [
+            "tests/test_experiments.py::test_near_tie_is_decided_in_float64",
+        ],
+    ),
+    "float32-copy-never-refreshed": (
+        "src/randomout/model.py",
+        "            out = self._copies[dtype] = copy.deepcopy(self, memo)\n",
+        "            out = self._copies[dtype] = copy.deepcopy(self, memo)\n        else:\n            return out\n",
+        [
+            "tests/test_experiments.py::test_evaluate_sees_the_current_weights_and_statistics",
+            DIGESTS + "[crater-sgd-base]",
+            DIGESTS + "[crater-adam-randomout]",
+            DIGESTS + "[crater-batchnorm]",
+        ],
+    ),
+    "batchnorm-split-checked-only-in-training": (
+        "src/randomout/experiments.py",
+        """            for member in self.members:  # a file dataset's size is known only now
+                if member.condition == "batchnorm":
+                    check_last_batch(len(train), member.batch_size)
+""",
+        "",
+        [
+            "tests/test_experiments.py::test_batchnorm_file_split_with_a_last_batch_of_one_fails_before_training",
+            "tests/test_experiments.py::test_batchnorm_sweep_on_a_file_split_with_a_last_batch_of_one_trains_no_run",
         ],
     ),
 }

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from randomout import models
 from randomout.config import (
     HASH_CHARS,
     DatasetCfg,
@@ -146,6 +147,19 @@ def test_field_validation_messages():
         DatasetCfg(kind="idx", paths="ab")  # not the paths 'a' and 'b'
     with pytest.raises(ValueError, match="paths must be a list of non-empty strings"):
         DatasetCfg(kind="cifar10", paths=[""])
+
+
+def test_width_floor_comes_from_the_architecture(monkeypatch):
+    # a new architecture states its least width once, on its builder, and the
+    # config enforces it with no edit to config.py
+    def build_wide_net(width, rng, **kw):
+        models.check_width(build_wide_net, width)
+
+    build_wide_net.width_floor = ("width", 3)
+    monkeypatch.setitem(models.ARCHITECTURES, "wide_net", build_wide_net)
+    with pytest.raises(ValueError, match="width must be >= 3, got 2"):
+        ModelCfg(name="wide_net", width=2)
+    assert ModelCfg(name="wide_net", width=3).width == 3
 
 
 def test_file_dataset_hashes_are_unchanged_by_path_checks():

@@ -30,6 +30,7 @@ from randomout.experiments import (
     width_sweep,
 )
 from randomout.layers import AvgPool2d, BatchNorm2d, Conv2d, ReLU, run_sequence
+from randomout.model import Model
 from randomout.models import ARCHITECTURES
 from randomout.optim import SGD
 from randomout.rng import derive_stream
@@ -517,6 +518,17 @@ def test_batchnorm_file_split_with_a_last_batch_of_one_fails_before_training(tmp
     assert not (tmp_path / "runs").exists()
 
 
+def test_batchnorm_sweep_on_a_file_split_with_a_last_batch_of_one_trains_no_run(tmp_path):
+    # 35 idx images split 18 to train: batches of 17 and then 1. The seed's group
+    # checks its batchnorm member when it loads the file, before its base run trains
+    assert main(["gen-data", "--kind", "idx", "--count", "35", "--out", str(tmp_path / "data")]) == 0
+    paths = [str(tmp_path / "data" / "crater-images.idx"), str(tmp_path / "data" / "crater-labels.idx")]
+    cfg = tiny_cfg(batch_size=17, dataset={"kind": "idx", "paths": paths})
+    with pytest.raises(ValueError, match="last batch of 1: n_train 18 with batch_size 17"):
+        seed_sweep(cfg, seeds=[0, 1], conditions=("base", "batchnorm"), out_dir=tmp_path / "runs")
+    assert not (tmp_path / "runs").exists()
+
+
 def test_sweep_rejects_a_batchnorm_last_batch_of_one_before_any_run(tmp_path, monkeypatch):
     # the synth split's size follows from the config, so the seed's base runs never start
     cfg = tiny_cfg(batch_size=3, dataset={"kind": "synth", "n_pos": 9, "n_neg": 9})
@@ -608,6 +620,12 @@ def test_chunked_evaluation_is_exact(name, input_shape, num_classes):
             # partial tile of rows (OpenBLAS's AVX-512 kernel tiles 4 rows) in
             # another order, so such chunks can move a logit by a few ulps.
             np.testing.assert_allclose(joined, full, rtol=0, atol=1e-13)
+    # the float32 pass decides only examples whose top two logits the guard
+    # finds apart, and there it agrees with the float64 argmax
+    fast, _ = model.astype(np.float32).forward(test.images, "eval")
+    decided = np.array([experiments._clear_winners(fast[i : i + 1]) for i in range(len(test))])
+    assert decided.any()
+    np.testing.assert_array_equal(np.argmax(fast, axis=1)[decided], np.argmax(full, axis=1)[decided])
 
 
 def evaluate_peak_bytes(model, test):
@@ -620,11 +638,74 @@ def evaluate_peak_bytes(model, test):
 
 
 @pytest.mark.parametrize("name,input_shape,num_classes", EVAL_MODELS)
-def test_evaluate_memory_does_not_grow_with_test_set(name, input_shape, num_classes):
+def test_evaluate_memory_does_not_grow_with_test_set(name, input_shape, num_classes, monkeypatch):
     model = eval_model(name, input_shape, num_classes)
-    small = evaluate_peak_bytes(model, eval_set(32, input_shape, num_classes))
-    large = evaluate_peak_bytes(model, eval_set(256, input_shape, num_classes))
-    assert large <= 1.25 * small, f"peak {large / 1e6:.2f} MB on 256 examples vs {small / 1e6:.2f} MB on 32"
+    evaluate(model, eval_set(1, input_shape, num_classes))  # builds the model's float32 copy
+    # Both set sizes take one path: every chunk in float32 alone, then every
+    # chunk in float32 and again in float64. A guard between the two could send
+    # a near-tie chunk of one set to float64 and none of the other.
+    for guard in (0.0, np.inf):
+        monkeypatch.setattr(experiments, "EVAL_GUARD", guard)
+        small = evaluate_peak_bytes(model, eval_set(32, input_shape, num_classes))
+        large = evaluate_peak_bytes(model, eval_set(256, input_shape, num_classes))
+        assert large <= 1.25 * small, f"guard {guard}: peak {large / 1e6:.2f} MB on 256 examples vs {small / 1e6:.2f} MB on 32"
+
+
+def count_float64_forwards(monkeypatch):
+    """A list that gets one entry per float64 Model.forward call from here on."""
+    calls = []
+    forward = Model.forward
+
+    def counted(model, x, mode="train"):
+        if model.values.dtype == np.float64:
+            calls.append(mode)
+        return forward(model, x, mode)
+
+    monkeypatch.setattr(Model, "forward", counted)
+    return calls
+
+
+def test_near_tie_is_decided_in_float64(monkeypatch):
+    # Two identical dense columns whose biases differ by 1e-9: in float64 every
+    # example goes to class 1, but in float32 the 1e-9 is below half an ulp of
+    # logits above 0.05, so they tie and argmax picks class 0.
+    model = ARCHITECTURES["cratercnn"](4, derive_stream(0, "init"))
+    dense = model.layers[-1]
+    dense.weight.value[:, 1] = dense.weight.value[:, 0] = 1.0 / dense.in_features
+    dense.bias.value[...] = (0.0, 1e-9)
+    test = eval_set(37, (1, 15, 15), 2)
+    full, _ = model.forward(test.images, "eval")
+    assert np.all(full[:, 1] > full[:, 0])
+    fast, _ = model.astype(np.float32).forward(test.images, "eval")
+    assert np.all(fast[:, 1] == fast[:, 0]) and np.all(np.abs(fast) > 0.05)
+    calls = count_float64_forwards(monkeypatch)
+    assert evaluate(model, test) == np.mean(test.labels == 1)
+    assert calls == ["eval"] * 3  # every chunk of 16, 16 and 5 ran again in float64
+    monkeypatch.setattr(experiments, "EVAL_GUARD", 0.0)  # no guard: float32 decides
+    calls.clear()
+    assert evaluate(model, test) == np.mean(test.labels == 0)
+    assert calls == []
+
+
+def test_evaluate_sees_the_current_weights_and_statistics():
+    # The labels are the float64 model's own predictions, so evaluate reads 1.0
+    # only if its float32 copy shows the current model. A train forward moves
+    # the running statistics alone, then an SGD step moves the weights.
+    model = ARCHITECTURES["cratercnn"](4, derive_stream(0, "init"), with_batchnorm=True)
+    images = np.random.default_rng(3).uniform(size=(64, 1, 15, 15))
+    rng = np.random.default_rng(4)
+    optimizer = SGD(model, 1.0)
+    seen = []
+    for step in ("start", "train forward", "sgd step"):
+        if step == "train forward":
+            _, cache = model.forward(rng.uniform(size=(8, 1, 15, 15)), "train")
+        elif step == "sgd step":
+            model.backward(cache, rng.integers(0, 2, size=8))
+            optimizer.step()
+        predictions = np.argmax(model.forward(images, "eval")[0], axis=1)
+        assert evaluate(model, Dataset(images, predictions, 2)) == 1.0, step
+        seen.append(predictions)
+    assert not np.array_equal(seen[0], seen[1]) and not np.array_equal(seen[1], seen[2])
 
 
 def bit_guard_configs(data_dir):

@@ -9,7 +9,7 @@ from randomout.config import ModelCfg, TrainConfig
 from randomout.data import Dataset
 from randomout.experiments import build_for
 from randomout.layers import BatchNorm2d, Branches, Conv2d, Dense
-from randomout.model import LayerSpec, build_model, filter_groups
+from randomout.model import LayerSpec, _leaves, build_model, filter_groups
 from randomout.models import ARCHITECTURES, build_cratercnn, build_mini_inception
 from randomout.rng import derive_stream
 
@@ -224,6 +224,37 @@ def test_eval_forward_keeps_no_cache(name):
     logits, eval_cache = model.forward(x, "eval")
     assert logits.shape == (4, 3)
     assert eval_cache is None
+
+
+@pytest.mark.parametrize("with_batchnorm", [False, True], ids=["plain", "batchnorm"])
+@pytest.mark.parametrize("name,input_shape", [("cratercnn", (1, 15, 15)), ("mini_inception", (3, 32, 32))])
+def test_float32_copy_computes_in_float32_and_shares_nothing_writable(name, input_shape, with_batchnorm):
+    model = ARCHITECTURES[name](4, init_rng(), with_batchnorm=with_batchnorm, input_shape=input_shape)
+    rng = np.random.default_rng(0)
+    model.forward(rng.uniform(size=(8,) + input_shape), "train")  # moves any running statistics
+    x = rng.uniform(size=(16,) + input_shape)
+    full, _ = model.forward(x, "eval")
+    values = model.values.copy()
+    fast = model.astype(np.float32)
+    logits, cache = fast.forward(x, "eval")
+    assert cache is None and logits.dtype == np.float32
+    np.testing.assert_allclose(logits, full, rtol=1e-5)
+    assert fast.values.dtype == np.float32 and fast.grads is None
+    assert not np.shares_memory(fast.values, model.values)
+    for p in fast.params:
+        assert p.grad is None and np.shares_memory(p.value, fast.values)
+    pairs = [(a, b) for a, b in zip(_leaves(fast.layers), _leaves(model.layers)) if a.kind == "batchnorm"]
+    assert len(pairs) == (len(model.convs) if with_batchnorm else 0)
+    for norm, source in pairs:
+        for stat in ("running_mean", "running_var"):
+            assert getattr(norm, stat).dtype == np.float32
+            assert not np.shares_memory(getattr(norm, stat), getattr(source, stat))
+    fast.values[...] = 0.0  # writing the copy leaves the model as it was
+    np.testing.assert_array_equal(model.values, values)
+    np.testing.assert_array_equal(model.forward(x, "eval")[0], full)
+    assert model.astype(np.float32) is fast  # kept, and cast from the model again
+    np.testing.assert_array_equal(fast.forward(x, "eval")[0], logits)
+    assert model.values.dtype == np.float64 and model.forward(x, "eval")[0].dtype == np.float64
 
 
 def conv_caches(layers, caches):
