@@ -7,8 +7,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import get_args
 
-from .data import check_last_batch, train_half
-from .models import ARCHITECTURES, check_width
+from .models import ARCHITECTURES
 from .optim import OPTIMIZERS
 
 CONDITIONS = ("base", "randomout", "batchnorm")
@@ -58,7 +57,8 @@ class ModelCfg:
     def __post_init__(self):
         if self.name not in ARCHITECTURES:
             raise ValueError(f"unknown model {self.name!r}, expected one of {tuple(ARCHITECTURES)}")
-        check_width(ARCHITECTURES[self.name], self.width)  # the builder's bound, so a bad config is a usage error
+        if self.width < 1:
+            raise ValueError(f"width must be >= 1, got {self.width}")
 
 
 @dataclass(frozen=True)
@@ -139,11 +139,6 @@ class TrainConfig:
             raise ValueError(f"seed must be < 2**64, got {self.seed}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError(f"epochs and batch_size must be >= 1, got {self.epochs}, {self.batch_size}")
-        if self.condition == "batchnorm" and self.batch_size < 2:
-            raise ValueError(f"batchnorm needs batch_size >= 2, got {self.batch_size}")
-        if self.condition == "batchnorm" and self.dataset.kind == "synth":
-            # a synth split's size follows from the config; a file dataset's is checked once loaded
-            check_last_batch(train_half(self.dataset.n_pos) + train_half(self.dataset.n_neg), self.batch_size)
         _check_finite("lr", self.lr)
         _check_finite("telemetry_tau", self.telemetry_tau)
         if self.lr <= 0:

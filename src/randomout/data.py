@@ -270,12 +270,6 @@ def train_half(count):
     return (count + 1) // 2
 
 
-def check_last_batch(n_train, batch_size):
-    """Raise ValueError if batches of a batchnorm run's ``n_train`` train examples end on a batch of one."""
-    if n_train % batch_size == 1:
-        raise ValueError(f"batchnorm cannot train on a last batch of 1: n_train {n_train} with batch_size {batch_size}")
-
-
 def split_50_50(dataset, seed):
     """Stratified disjoint halves after a seeded shuffle.
 

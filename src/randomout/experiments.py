@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import store
-from .data import BatchPlan, check_last_batch, load_cifar10_binary, load_idx, split_50_50, synth_craters
+from .data import BatchPlan, load_cifar10_binary, load_idx, split_50_50, synth_craters
 from .models import ARCHITECTURES
 from .optim import make_optimizer
 from .regularizer import cgn, dead_masks, scan_and_reset
@@ -294,8 +294,7 @@ class _Group:
     calls must come in that order. Each call finds its config's run
     pending (it trains from the start, or resumes from a snapshot where it
     left another run, carrying the rest of its part) or finished (it only
-    writes files). The pair is loaded at first need, and checked then for
-    every batchnorm member, before any member trains.
+    writes files). The pair is loaded at first need.
     """
 
     def __init__(self, cfgs):
@@ -334,11 +333,7 @@ class _Group:
         else:
             self._note(cfg, "forked", snapshot.done, followed)
         if self.data is None:
-            train, test = load_dataset_pair(cfg)
-            for member in self.members:  # a file dataset's size is known only now
-                if member.condition == "batchnorm":
-                    check_last_batch(len(train), member.batch_size)
-            self.data = train, test
+            self.data = load_dataset_pair(cfg)
         outcome, followers, splits = _train(cfg, *self.data, snapshot, followers)
         for follower in followers:
             self.finished[follower.config_hash()] = (outcome, h)

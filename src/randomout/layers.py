@@ -352,7 +352,8 @@ class BatchNorm2d(Layer):
 
     Train mode normalizes with biased batch statistics and updates the
     running mean/var with momentum 0.9; eval mode uses the running stats.
-    Batches of size 1 are rejected in train mode (undefined variance).
+    Each channel's statistics cover N*H*W values, so a batch of one image
+    trains too.
 
     The train forward computes its statistics in one pass the way numpy's
     ``x.var`` does (the sum over (N, H, W) divided by m, then the sum of
@@ -383,8 +384,6 @@ class BatchNorm2d(Layer):
             np.multiply(g, y, out=y)
             y += b
             return y, None
-        if x.shape[0] < 2:
-            raise ValueError(f"batchnorm layer {self.layer_id}: train-mode batch of size 1 has undefined variance")
         m = x.shape[0] * x.shape[2] * x.shape[3]
         mean = np.add.reduce(x, axis=(0, 2, 3), keepdims=True) / m
         xhat = x - mean  # centered now, normalized below

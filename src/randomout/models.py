@@ -32,24 +32,9 @@ def cratercnn_specs(width, with_batchnorm=False, num_classes=2):
     )
 
 
-def check_width(build, width):
-    """Raise ValueError if ``width`` is below the least width of the architecture ``build`` builds.
-
-    Each builder's ``width_floor`` is the name its messages give the width
-    and the least width it builds; ``ModelCfg`` checks a config's width here.
-    """
-    label, least = build.width_floor
-    if width < least:
-        raise ValueError(f"{label} must be >= {least}, got {width}")
-
-
 def build_cratercnn(width, rng, with_batchnorm=False, input_shape=(1, 15, 15), num_classes=2):
     """conv(width,4x4)+ReLU -> conv(width,4x4)+ReLU -> dense(2) softmax."""
-    check_width(build_cratercnn, width)
     return build_model(cratercnn_specs(width, with_batchnorm, num_classes), input_shape, rng)
-
-
-build_cratercnn.width_floor = ("width", 1)
 
 
 def mini_inception_specs(base_width, with_batchnorm=False, num_classes=10):
@@ -72,13 +57,8 @@ def mini_inception_specs(base_width, with_batchnorm=False, num_classes=10):
 
 def build_mini_inception(base_width, rng, with_batchnorm=False, input_shape=(3, 32, 32), num_classes=10):
     """Stem conv3x3 + two parallel 1x1/3x3 blocks + global avgpool + dense head."""
-    check_width(build_mini_inception, base_width)
     return build_model(mini_inception_specs(base_width, with_batchnorm, num_classes), input_shape, rng)
 
 
-build_mini_inception.width_floor = ("base_width", 2)
-
-
-# The architectures a config may name; the config, the CLI and build_for read this one list,
-# and the config checks a width against its builder's ``width_floor``.
+# The architectures a config may name; the config, the CLI and build_for read this one list.
 ARCHITECTURES = {"cratercnn": build_cratercnn, "mini_inception": build_mini_inception}

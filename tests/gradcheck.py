@@ -97,18 +97,14 @@ def standard_suites(seed=20240001):
         4,
         seed + 2,
     )
-    add(
-        "batchnorm",
-        [
-            LayerSpec("conv2d", out_channels=3, kernel_size=3),
-            LayerSpec("batchnorm"),
-            LayerSpec("relu"),
-            LayerSpec("dense", units=2),
-        ],
-        (2, 6, 6),
-        4,
-        seed + 3,
-    )
+    batchnorm = [
+        LayerSpec("conv2d", out_channels=3, kernel_size=3),
+        LayerSpec("batchnorm"),
+        LayerSpec("relu"),
+        LayerSpec("dense", units=2),
+    ]
+    add("batchnorm", batchnorm, (2, 6, 6), 4, seed + 3)
+    add("batchnorm_one_image", batchnorm, (2, 6, 6), 1, seed + 8)  # statistics over H*W alone
     add(
         "avgpool",
         [

@@ -224,16 +224,32 @@ MUTANTS = {
             DIGESTS + "[crater-batchnorm]",
         ],
     ),
-    "batchnorm-split-checked-only-in-training": (
-        "src/randomout/experiments.py",
-        """            for member in self.members:  # a file dataset's size is known only now
-                if member.condition == "batchnorm":
-                    check_last_batch(len(train), member.batch_size)
+    "batchnorm-rejects-one-image": (
+        "src/randomout/layers.py",
+        "        m = x.shape[0] * x.shape[2] * x.shape[3]\n",
+        """        if x.shape[0] < 2:
+            raise ValueError(f"batchnorm layer {self.layer_id}: train-mode batch of size 1")
+        m = x.shape[0] * x.shape[2] * x.shape[3]
 """,
-        "",
         [
-            "tests/test_experiments.py::test_batchnorm_file_split_with_a_last_batch_of_one_fails_before_training",
-            "tests/test_experiments.py::test_batchnorm_sweep_on_a_file_split_with_a_last_batch_of_one_trains_no_run",
+            "tests/test_nn_layers.py::test_batchnorm_trains_on_one_image",
+            "tests/test_acceptance.py::test_criterion_01_finite_difference_gradients",
+            "tests/test_experiments.py::test_batchnorm_run_with_a_last_batch_of_one_repeats_byte_for_byte",
+            "tests/test_experiments.py::test_batchnorm_run_on_a_file_split_with_a_last_batch_of_one_trains",
+            "tests/test_experiments.py::test_batchnorm_sweep_on_a_file_split_with_a_last_batch_of_one_completes",
+            "tests/test_experiments.py::test_sweep_with_a_batchnorm_last_batch_of_one_loads_each_seed_once",
+            "tests/test_sharing.py::test_sweep_with_a_last_batch_of_one_matches_solo_runs",
+            "tests/test_cli.py::test_batchnorm_batch_of_one_trains",
+        ],
+    ),
+    "inception-width-floor": (
+        "src/randomout/config.py",
+        "        if self.width < 1:\n",
+        '        if self.width < 1 + (self.name == "mini_inception"):\n',
+        [
+            "tests/test_models.py::test_every_architecture_takes_any_width_from_1[mini_inception]",
+            "tests/test_cli.py::test_mini_inception_width_1_config_trains",
+            "tests/test_cli.py::test_mini_inception_width_sweep_trains_its_default_widths",
         ],
     ),
 }

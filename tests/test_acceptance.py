@@ -77,7 +77,7 @@ def test_criterion_01_finite_difference_gradients():
     errors = run_all_checks()
     worst = max(errors, key=errors.get)
     ok = set(errors) == {
-        "dense", "conv2d", "relu_composition", "batchnorm", "avgpool",
+        "dense", "conv2d", "relu_composition", "batchnorm", "batchnorm_one_image", "avgpool",
         "cratercnn", "mini_inception", "mini_inception_batchnorm",
     }
     ok = ok and all(e < TOLERANCE for e in errors.values())

@@ -169,14 +169,25 @@ def test_config_validation_error_exits_1(capsys):
     assert "epochs and batch_size must be >= 1, got 0, 16" in err
 
 
-def test_mini_inception_width_1_config_exits_1(tmp_path, capsys):
+def test_mini_inception_width_1_config_trains(tmp_path, capsys):
     p = tmp_path / "narrow.json"
-    p.write_text(json.dumps({"model": {"name": "mini_inception", "width": 1}}))
-    with pytest.raises(SystemExit) as exc:
-        main(["train", "--config", str(p), "--out", str(tmp_path)])
-    assert exc.value.code == 1
-    assert "base_width must be >= 2, got 1" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == [p]  # no run directory was started
+    p.write_text(json.dumps({"model": {"name": "mini_inception", "width": 1}, "dataset": {"n_pos": 8, "n_neg": 8}}))
+    out = tmp_path / "runs"
+    code, _, _ = run_main(["train", "--config", str(p), "--epochs", "1", "--out", str(out)], capsys)
+    assert code == 0
+    (run_dir,) = out.iterdir()
+    assert json.loads((run_dir / "summary.json").read_text())["filter_count"] == 5  # 5 * width
+
+
+def test_mini_inception_width_sweep_trains_its_default_widths(tmp_path, capsys):
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({"dataset": {"kind": "synth", "n_pos": 8, "n_neg": 8}}))
+    argv = ["width-sweep", "--model", "mini-inception", "--config", str(config), "--seeds", "0..2"]
+    code, out, _ = run_main([*argv, "--epochs", "1", "--jobs", "1", "--out", str(tmp_path / "runs")], capsys)
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines() if line.startswith("width ")] == [
+        f"width {w}" for w in range(1, 11)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -267,9 +278,8 @@ def test_nonfinite_train_flag_exits_1_before_any_run(tmp_path, capsys, argv, mes
     "argv,message",
     [
         (["--seed", str(2**64), "--epochs", "1"], f"seed must be < 2**64, got {2**64}"),
-        (["--batchnorm", "--batch-size", "1"], "batchnorm needs batch_size >= 2, got 1"),
     ],
-    ids=["seed-2**64", "batchnorm-batch-1"],
+    ids=["seed-2**64"],
 )
 def test_bad_train_config_exits_1_before_any_run(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -323,19 +333,21 @@ def test_sweep_jobs_default_to_the_cpus_this_process_may_use(tmp_path, capsys, m
     assert code == 0 and seen == [jobs]
 
 
-@pytest.mark.parametrize("command", [["train"], ["sweep-seeds", "--seeds", "0..2"]], ids=["train", "sweep-seeds"])
-def test_batchnorm_last_batch_of_one_exits_1_before_any_run(tmp_path, capsys, command):
-    # 9 + 9 examples split 5 + 5 to train: batches of 3, 3, 3 and then 1
+@pytest.mark.parametrize(
+    "command,batch_size,runs",
+    [(["train"], "1", 1), (["train"], "3", 1), (["sweep-seeds", "--seeds", "0..2"], "3", 4)],
+    ids=["train-batch-size-1", "train-last-batch-of-1", "sweep-seeds-last-batch-of-1"],
+)
+def test_batchnorm_batch_of_one_trains(tmp_path, capsys, command, batch_size, runs):
+    # 9 + 9 examples split 5 + 5 to train: batches of 1, or of 3, 3, 3 and then 1;
+    # sweep-seeds runs each seed as base and batchnorm
     config = tmp_path / "bn.json"
-    config.write_text(
-        json.dumps({"condition": "batchnorm", "batch_size": 3, "dataset": {"kind": "synth", "n_pos": 9, "n_neg": 9}})
-    )
+    config.write_text(json.dumps({"condition": "batchnorm", "dataset": {"kind": "synth", "n_pos": 9, "n_neg": 9}}))
     out = tmp_path / "runs"
-    with pytest.raises(SystemExit) as exc:
-        main([*command, "--config", str(config), "--epochs", "1", "--out", str(out)])
-    assert exc.value.code == 1
-    assert "last batch of 1: n_train 10 with batch_size 3" in capsys.readouterr().err
-    assert not out.exists()  # not even the seed's base run
+    argv = [*command, "--config", str(config), "--batch-size", batch_size, "--epochs", "1", "--out", str(out)]
+    code, _, _ = run_main(argv, capsys)
+    assert code == 0
+    assert len([p for p in out.iterdir() if p.is_dir()]) == runs
 
 
 @pytest.mark.parametrize("command", [["grid"], ["width-sweep", "--widths", "1..3"]], ids=["grid", "width-sweep"])

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from randomout import models
 from randomout.config import (
     HASH_CHARS,
     DatasetCfg,
@@ -125,14 +124,8 @@ def test_field_validation_messages():
         TrainConfig(seed=-1)
     with pytest.raises(ValueError, match=r"seed must be < 2\*\*64, got 18446744073709551616"):
         TrainConfig(seed=2**64)
-    with pytest.raises(ValueError, match="batchnorm needs batch_size >= 2, got 1"):
-        TrainConfig(batch_size=1).replace(condition="batchnorm")
-    with pytest.raises(ValueError, match="batchnorm cannot train on a last batch of 1: n_train 10 with batch_size 3"):
-        TrainConfig(batch_size=3, dataset={"kind": "synth", "n_pos": 9, "n_neg": 9}).replace(condition="batchnorm")
     with pytest.raises(ValueError, match="unknown model"):
         ModelCfg(name="vgg")
-    with pytest.raises(ValueError, match="base_width must be >= 2, got 1"):
-        ModelCfg(name="mini_inception", width=1)
     with pytest.raises(ValueError, match="unknown dataset kind"):
         DatasetCfg(kind="imagenet")
     with pytest.raises(ValueError, match="n_pos and n_neg"):
@@ -147,19 +140,6 @@ def test_field_validation_messages():
         DatasetCfg(kind="idx", paths="ab")  # not the paths 'a' and 'b'
     with pytest.raises(ValueError, match="paths must be a list of non-empty strings"):
         DatasetCfg(kind="cifar10", paths=[""])
-
-
-def test_width_floor_comes_from_the_architecture(monkeypatch):
-    # a new architecture states its least width once, on its builder, and the
-    # config enforces it with no edit to config.py
-    def build_wide_net(width, rng, **kw):
-        models.check_width(build_wide_net, width)
-
-    build_wide_net.width_floor = ("width", 3)
-    monkeypatch.setitem(models.ARCHITECTURES, "wide_net", build_wide_net)
-    with pytest.raises(ValueError, match="width must be >= 3, got 2"):
-        ModelCfg(name="wide_net", width=2)
-    assert ModelCfg(name="wide_net", width=3).width == 3
 
 
 def test_file_dataset_hashes_are_unchanged_by_path_checks():

@@ -499,43 +499,62 @@ def test_batchnorm_condition_runs(tmp_path):
     assert result.summary["total_resets"] == 0
 
 
-def test_batchnorm_split_with_a_last_batch_of_one_fails_before_training():
-    # 9 + 9 examples split 5 + 5 to train: batches of 3, 3, 3 and then 1. The synth
-    # split's size follows from the config, so the config itself is rejected
-    with pytest.raises(ValueError, match="last batch of 1: n_train 10 with batch_size 3"):
-        tiny_cfg(condition="batchnorm", batch_size=3, dataset={"kind": "synth", "n_pos": 9, "n_neg": 9})
-    tiny_cfg(condition="base", batch_size=3, dataset={"kind": "synth", "n_pos": 9, "n_neg": 9})  # no batchnorm: fine
+def batchnorm_train_batch_sizes(monkeypatch):
+    """The batch size of every train-mode BatchNorm2d forward from here on."""
+    sizes = []
+    real = BatchNorm2d.forward
+
+    def forward(self, x, mode):
+        if mode == "train":
+            sizes.append(x.shape[0])
+        return real(self, x, mode)
+
+    monkeypatch.setattr(BatchNorm2d, "forward", forward)
+    return sizes
 
 
-def test_batchnorm_file_split_with_a_last_batch_of_one_fails_before_training(tmp_path, monkeypatch):
-    # an idx file of 9 + 9 examples: its size is known only once loaded, so the run checks it
+def test_batchnorm_run_with_a_last_batch_of_one_repeats_byte_for_byte(tmp_path, monkeypatch):
+    # 9 + 9 examples split 5 + 5 to train: batches of 3, 3, 3 and then 1
+    cfg = tiny_cfg(condition="batchnorm", batch_size=3, dataset={"kind": "synth", "n_pos": 9, "n_neg": 9})
+    sizes = batchnorm_train_batch_sizes(monkeypatch)
+    first = run_training(cfg, tmp_path / "first")
+    assert set(sizes) == {3, 1} and not first.summary["diverged"]
+    again = run_training(cfg, tmp_path / "again")
+    for name in ("metrics.csv", "resets.csv"):
+        assert (Path(first.run_dir) / name).read_bytes() == (Path(again.run_dir) / name).read_bytes(), name
+
+
+def test_batchnorm_run_on_a_file_split_with_a_last_batch_of_one_trains(tmp_path, monkeypatch):
+    # an idx file of 9 + 9 examples, split 5 + 5 to train: batches of 3, 3, 3 and then 1
     assert main(["gen-data", "--kind", "idx", "--count", "18", "--out", str(tmp_path / "data")]) == 0
     paths = [str(tmp_path / "data" / "crater-images.idx"), str(tmp_path / "data" / "crater-labels.idx")]
     cfg = tiny_cfg(condition="batchnorm", batch_size=3, dataset={"kind": "idx", "paths": paths})
-    monkeypatch.setattr(BatchNorm2d, "forward", lambda *args: pytest.fail("a batch was trained"))
-    with pytest.raises(ValueError, match="last batch of 1: n_train 10 with batch_size 3"):
-        run_training(cfg, tmp_path / "runs")
-    assert not (tmp_path / "runs").exists()
+    sizes = batchnorm_train_batch_sizes(monkeypatch)
+    result = run_training(cfg, tmp_path / "runs")
+    assert set(sizes) == {3, 1} and not result.summary["diverged"]
+    assert result.summary["final_test_acc"] is not None
 
 
-def test_batchnorm_sweep_on_a_file_split_with_a_last_batch_of_one_trains_no_run(tmp_path):
-    # 35 idx images split 18 to train: batches of 17 and then 1. The seed's group
-    # checks its batchnorm member when it loads the file, before its base run trains
+def test_batchnorm_sweep_on_a_file_split_with_a_last_batch_of_one_completes(tmp_path, monkeypatch):
+    # 35 idx images split 18 to train: batches of 17 and then 1
     assert main(["gen-data", "--kind", "idx", "--count", "35", "--out", str(tmp_path / "data")]) == 0
     paths = [str(tmp_path / "data" / "crater-images.idx"), str(tmp_path / "data" / "crater-labels.idx")]
     cfg = tiny_cfg(batch_size=17, dataset={"kind": "idx", "paths": paths})
-    with pytest.raises(ValueError, match="last batch of 1: n_train 18 with batch_size 17"):
-        seed_sweep(cfg, seeds=[0, 1], conditions=("base", "batchnorm"), out_dir=tmp_path / "runs")
-    assert not (tmp_path / "runs").exists()
+    sizes = batchnorm_train_batch_sizes(monkeypatch)
+    runs = seed_sweep(cfg, seeds=[0, 1], conditions=("base", "batchnorm"), out_dir=tmp_path / "runs")["runs"]
+    assert set(sizes) == {17, 1}
+    assert [(r["condition"], r["seed"]) for r in runs] == [(c, s) for c in ("base", "batchnorm") for s in (0, 1)]
+    assert not any(r["diverged"] for r in runs)
 
 
-def test_sweep_rejects_a_batchnorm_last_batch_of_one_before_any_run(tmp_path, monkeypatch):
-    # the synth split's size follows from the config, so the seed's base runs never start
+def test_sweep_with_a_batchnorm_last_batch_of_one_loads_each_seed_once(tmp_path, monkeypatch):
+    # 9 + 9 synth examples in batches of 3: the batchnorm runs train their last batch of 1
     cfg = tiny_cfg(batch_size=3, dataset={"kind": "synth", "n_pos": 9, "n_neg": 9})
     seeds = count_dataset_loads(monkeypatch)
-    with pytest.raises(ValueError, match="last batch of 1: n_train 10 with batch_size 3"):
-        seed_sweep(cfg, seeds=[0, 1, 2], conditions=("base", "batchnorm"), out_dir=tmp_path)
-    assert seeds == [] and list(tmp_path.iterdir()) == []
+    runs = seed_sweep(cfg, seeds=[0, 1, 2], conditions=("base", "batchnorm"), out_dir=tmp_path)["runs"]
+    assert seeds == [0, 1, 2]
+    assert [(r["condition"], r["seed"]) for r in runs] == [(c, s) for c in ("base", "batchnorm") for s in (0, 1, 2)]
+    assert not any(r["diverged"] for r in runs)
 
 
 @pytest.mark.parametrize("sweep", ["grid", "width"])

@@ -110,14 +110,16 @@ def test_mini_inception_concat_sums_branch_channels():
     assert seen["out"][2] == seen["in"][2] - 2  # both branches lose 2 pixels
 
 
-def test_mini_inception_width_floor():
-    with pytest.raises(ValueError, match="base_width"):
-        build_mini_inception(1, init_rng())
-
-
-def test_cratercnn_width_floor():
-    with pytest.raises(ValueError, match="width"):
-        build_cratercnn(0, init_rng())
+@pytest.mark.parametrize("name", ARCHITECTURES)
+def test_every_architecture_takes_any_width_from_1(name):
+    with pytest.raises(ValueError, match="width must be >= 1, got 0"):
+        ModelCfg(name=name, width=0)
+    with pytest.raises(ValueError):  # a builder called directly: Xavier init rejects a fan of 0
+        ARCHITECTURES[name](0, init_rng())
+    model = ARCHITECTURES[name](ModelCfg(name=name, width=1).width, init_rng())
+    assert [conv.out_channels for conv in model.convs] == [1] * len(model.convs)
+    logits, _ = model.forward(np.random.default_rng(0).uniform(size=(2, *model.input_shape)))
+    assert logits.shape == (2, model.num_classes) and np.all(np.isfinite(logits))
 
 
 def test_model_spec_validation():

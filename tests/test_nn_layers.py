@@ -530,10 +530,25 @@ def test_batchnorm_running_stats_update_and_eval():
     np.testing.assert_array_equal(bn.running_var, saved[1])
 
 
-def test_batchnorm_rejects_singleton_train_batch():
-    bn = BatchNorm2d(3, 2)
-    with pytest.raises(ValueError, match="batchnorm layer 3"):
-        bn.forward(np.zeros((1, 2, 2, 2)), "train")
+def test_batchnorm_trains_on_one_image():
+    # each channel's statistics cover N*H*W values, so one image is a batch
+    bn = BatchNorm2d(0, 3)
+    x = np.random.default_rng(6).normal(loc=2.0, scale=3.0, size=(1, 3, 5, 5))
+    y, _ = bn.forward(x, "train")
+    assert np.all(np.isfinite(y))
+    np.testing.assert_allclose(y.mean(axis=(0, 2, 3)), 0.0, atol=1e-12)
+    np.testing.assert_allclose(y.var(axis=(0, 2, 3)), 1.0, rtol=1e-4)
+    np.testing.assert_allclose(bn.running_mean, (1 - BN_MOMENTUM) * x.mean(axis=(0, 2, 3)), rtol=1e-12)
+    np.testing.assert_allclose(bn.running_var, BN_MOMENTUM + (1 - BN_MOMENTUM) * x.var(axis=(0, 2, 3)), rtol=1e-12)
+    # one value per channel: xhat is exactly 0, so the output is beta and dx is 0
+    rng = np.random.default_rng(7)
+    bn = BatchNorm2d(0, 2)
+    bn.gamma.value[...] = rng.normal(size=2)
+    bn.beta.value[...] = rng.normal(size=2)
+    y, cache = bn.forward(rng.normal(size=(1, 2, 1, 1)), "train")
+    np.testing.assert_array_equal(y.reshape(-1), bn.beta.value)
+    dx = bn.backward(rng.normal(size=(1, 2, 1, 1)), cache)
+    assert np.all(np.isfinite(dx)) and not np.any(dx)
 
 
 def assert_same_bits(a, b):

@@ -162,6 +162,22 @@ def test_seed_sweep_loads_each_seed_once_whatever_the_condition_order(tmp_path, 
     assert_runs_match_solo_runs(tmp_path / "sweep", tmp_path / "solo")
 
 
+def test_sweep_with_a_last_batch_of_one_matches_solo_runs(tmp_path):
+    # 17 + 16 examples split 9 + 8 to train: batches of 8, 8 and then 1, for
+    # the batchnorm runs too
+    cfg = small_cfg(
+        epochs=3,
+        lr=0.05,
+        optimizer="sgd",
+        condition="randomout",
+        randomout={"tau": 0.3, "p_active": 1.0, "check_every": 2},
+        dataset={"kind": "synth", "n_pos": 17, "n_neg": 16},
+    )
+    seed_sweep(cfg, seeds=[0, 1], conditions=("base", "randomout", "batchnorm"), out_dir=tmp_path / "sweep")
+    assert {line["how"] for line in sweep_log(tmp_path / "sweep")} == {"computed", "forked"}
+    assert_runs_match_solo_runs(tmp_path / "sweep", tmp_path / "solo")
+
+
 def test_seed_sweep_forks_where_randomout_first_resets(tmp_path):
     seed_sweep_three_conditions(tmp_path)
     log = {(line["condition"], line["seed"]): line for line in sweep_log(tmp_path)}
